@@ -285,6 +285,8 @@ _KIND_NAMES = {kind: name for name, kind in _ALGEBRAS.items()}
 def _resolve_algebra(args) -> AlgebraSpec:
     if args.z is None:
         raise UsageError("--algebra needs --z")
+    if args.algebra == "glauber" and args.rep_param is not None:
+        raise UsageError("--rep-param does not apply to --algebra glauber")
     return AlgebraSpec(_ALGEBRAS[args.algebra], args.rep_param)
 
 

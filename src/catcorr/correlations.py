@@ -22,6 +22,7 @@ from .states import (
     PureBipartition,
     SuperpositionSpec,
     TwoQubitState,
+    _pair_entries,
     bloch_matrix,
     marginals,
 )
@@ -133,7 +134,7 @@ def discord_pure(bp: PureBipartition) -> CorrelationReport:
     marginal entropy H((1 + sqrt(1 - C^2))/2).
     """
     conc = concurrence_pure(bp)
-    ent = binary_entropy(0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - conc * conc)))
+    ent = _eof_from_concurrence(conc)
     return CorrelationReport(
         mutual_info=2.0 * ent,
         classical_corr=ent,
@@ -164,25 +165,17 @@ def concurrence_x(state: TwoQubitState) -> float:
 
 
 def _eof_from_concurrence(conc: float) -> float:
-    return binary_entropy(0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - conc * conc)))
-
-
-def _marginal_eigenvalue(spec: SuperpositionSpec) -> float:
-    p, n, c = spec.p, spec.n, spec.branch_sign
-    return 0.5 * (1.0 + p) * (1.0 + p ** (n - 1) * c) / (1.0 + p**n * c)
-
-
-def _joint_eigenvalue(spec: SuperpositionSpec) -> float:
-    p, n, c = spec.p, spec.n, spec.branch_sign
-    return 0.5 * (1.0 + p * p) * (1.0 + p ** (n - 2) * c) / (1.0 + p**n * c)
+    # H((1 + sqrt(1 - C^2))/2), taken at the smaller eigenvalue
+    # (1 - sqrt(1 - C^2))/2 written without cancellation
+    c_sq = conc * conc
+    return binary_entropy(0.5 * c_sq / (1.0 + math.sqrt(max(0.0, 1.0 - c_sq))))
 
 
 def mutual_information(spec: SuperpositionSpec) -> float:
     """Closed-form mutual information of the two-mode reduction:
-    2 H(marginal eigenvalue) - H(joint eigenvalue)."""
-    return 2.0 * binary_entropy(_marginal_eigenvalue(spec)) - binary_entropy(
-        _joint_eigenvalue(spec)
-    )
+    2 H(marginal eigenvalue) - H(joint eigenvalue), see
+    `discord_mixed_closed`."""
+    return discord_mixed_closed(spec).mutual_info
 
 
 def conditional_entropy(state: TwoQubitState, basis: MeasurementBasis) -> float:
@@ -218,42 +211,38 @@ def _cond_entropy_field(table, d1, d2, d3):
     return total
 
 
-def _complement_concurrence_sq(spec: SuperpositionSpec) -> float:
-    p, n, c = spec.p, spec.n, spec.branch_sign
-    return p * p * (1.0 - p * p) * (1.0 - p ** (2 * n - 4)) / (1.0 + p**n * c) ** 2
-
-
 def koashi_winter_min(spec: SuperpositionSpec) -> float:
-    """Minimum conditional entropy of the two-mode reduction.
-
-    The rank-two purification adds a single ancilla qubit, so the minimum
-    equals the entanglement of formation between the unmeasured mode and
-    the ancilla: H((1 + sqrt(1 - Q))/2) with
-    Q = p^2 (1 - p^2)(1 - p^(2n-4)) / (1 + p^n sign)^2.
-    The minimizing direction is equatorial, theta = pi/2, phi = 0.
-    """
-    q_sq = _complement_concurrence_sq(spec)
-    return binary_entropy(0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - q_sq)))
-
-
-def _initial_concurrence(spec: SuperpositionSpec) -> float:
-    p, n, c = spec.p, spec.n, spec.branch_sign
-    return max(0.0, (p ** (n - 2) - p**n) / (1.0 + p**n * c))
+    """Minimum conditional entropy of the two-mode reduction, attained at
+    the equatorial direction theta = pi/2, phi = 0; see
+    `discord_mixed_closed`."""
+    return discord_mixed_closed(spec).s_cond_min
 
 
 def discord_mixed_closed(spec: SuperpositionSpec) -> CorrelationReport:
     """Closed-form correlation report of the two-mode reduction.
 
-    Discord = marginal entropy + Koashi-Winter minimum - joint entropy;
-    the optimal measurement is equatorial.  The concurrence column is the
-    undamped X-state value (p^(n-2) - p^n) / (1 + p^n sign).
+    Everything derives from the pair-state entries rho00, rho33, rho03 and
+    rho11 = rho22 = rho12: the marginal eigenvalues are rho33 + rho11 and
+    its complement, the rank-two joint state has eigenvalues
+    lam_even = rho00 + rho33 and lam_odd = 2 rho11, and the concurrence is
+    2 |rho03 - rho11|.  The rank-two purification adds a single ancilla
+    qubit, so the minimum conditional entropy (Koashi-Winter) equals the
+    entanglement of formation between the unmeasured mode and the ancilla,
+    H((1 + sqrt(1 - Q))/2) with Q = 4 p^2 lam_even lam_odd / (1 + p^2); the
+    optimal measurement is equatorial.  Discord = marginal entropy +
+    that minimum - joint entropy.
     """
-    s_marg = binary_entropy(_marginal_eigenvalue(spec))
-    s_joint = binary_entropy(_joint_eigenvalue(spec))
-    s_min = koashi_winter_min(spec)
+    r00, r33, r03, r11 = _pair_entries(spec)
+    lam_even, lam_odd = r00 + r33, 2.0 * r11
+    # binary entropies take the smaller eigenvalue, which carries full
+    # relative precision; r00 >= r33 makes r33 + r11 the smaller marginal one
+    s_marg = binary_entropy(r33 + r11)
+    s_joint = binary_entropy(min(lam_even, lam_odd))
+    q_sq = 4.0 * spec.p**2 * lam_even * lam_odd / (1.0 + spec.p**2)
+    s_min = _eof_from_concurrence(math.sqrt(q_sq))
     info = 2.0 * s_marg - s_joint
     disc = s_marg + s_min - s_joint
-    conc = _initial_concurrence(spec)
+    conc = 2.0 * abs(r03 - r11)
     return CorrelationReport(
         mutual_info=info,
         classical_corr=info - disc,

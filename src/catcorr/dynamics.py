@@ -15,7 +15,7 @@ import numpy as np
 
 from .correlations import DEFAULT_GRID, discord_brute_force
 from .errors import DomainError
-from .states import SuperpositionSpec, TwoQubitState, normalization, reduced_rho12
+from .states import SuperpositionSpec, TwoQubitState, _pair_entries, reduced_rho12
 
 
 @dataclass(frozen=True)
@@ -80,16 +80,14 @@ def apply_dephasing(state: TwoQubitState, channel: DephasingChannel) -> TwoQubit
 def concurrence_t(spec: SuperpositionSpec, channel: DephasingChannel) -> float:
     """Closed-form concurrence of the dephased pair.
 
-    Twice the larger of the two X-state branches
-    2 N^2 a^2 b^2 [(1-gamma)(1 +/- q sign) - (1 -/+ q sign)], floored at 0.
+    Dephasing scales both X-state coherences, rho03 and rho12 (equal to
+    the population rho11 before dephasing), by 1 - gamma and leaves the
+    populations alone, so the concurrence is
+    2 max(0, (1-gamma) rho03 - rho11, (1-gamma) rho11 - rho03).
     """
-    ab = (1.0 - spec.p * spec.p) / 4.0  # a^2 b^2
-    scale = 2.0 * normalization(spec) ** 2 * ab
-    qc = spec.q * spec.branch_sign
+    _, _, r03, r11 = _pair_entries(spec)
     decay = 1.0 - channel.gamma
-    branch_corner = scale * (decay * (1.0 + qc) - (1.0 - qc))
-    branch_inner = scale * (decay * (1.0 - qc) - (1.0 + qc))
-    return 2.0 * max(0.0, branch_corner, branch_inner)
+    return 2.0 * max(0.0, decay * r03 - r11, decay * r11 - r03)
 
 
 def sudden_death_time(spec: SuperpositionSpec, gamma_rate: float) -> float:

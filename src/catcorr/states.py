@@ -102,9 +102,7 @@ def _block_weights(p: float, size: int) -> tuple[float, float]:
 class PureBipartition:
     """Two-logical-qubit amplitudes of the k|(n-k) block splitting.
 
-    Even parity populates |00> and |11>, odd parity |01> and |10>.  The
-    block weights a = sqrt((1 + p^l)/2), b = sqrt((1 - p^l)/2) with l the
-    block size satisfy a^2 + b^2 = 1.
+    Even parity populates |00> and |11>, odd parity |01> and |10>.
     """
 
     k: int
@@ -113,10 +111,6 @@ class PureBipartition:
     c01: float
     c10: float
     c11: float
-    a_k: float
-    b_k: float
-    a_rest: float
-    b_rest: float
 
     def amplitudes(self) -> np.ndarray:
         """Amplitudes ordered (|00>, |01>, |10>, |11>)."""
@@ -124,26 +118,28 @@ class PureBipartition:
 
 
 def pure_bipartition(spec: SuperpositionSpec, k: int) -> PureBipartition:
-    """Write the superposition as two logical qubits of k and n - k modes."""
+    """Write the superposition as two logical qubits of k and n - k modes.
+
+    With block weights a_l = sqrt((1 + p^l)/2), b_l = sqrt((1 - p^l)/2),
+    the even amplitudes are 2 N a_k a_(n-k) and 2 N b_k b_(n-k).  The odd
+    ones, 2 N a_k b_(n-k) and 2 N a_(n-k) b_k, are written as
+    a_k sqrt(R(n-k)) and a_(n-k) sqrt(R(k)) with R(m) = (1 - p^m)/(1 - p^n),
+    which stays accurate as p -> 1 where b and N^-1 both vanish.
+    """
     if k != int(k) or not 1 <= k <= spec.n - 1:
         raise DomainError(f"block size must satisfy 1 <= k <= n-1, got k={k}, n={spec.n}")
     k = int(k)
-    norm = normalization(spec)
-    sign = spec.branch_sign
-    a_k, b_k = _block_weights(spec.p, k)
-    a_r, b_r = _block_weights(spec.p, spec.n - k)
-    return PureBipartition(
-        k=k,
-        n=spec.n,
-        c00=norm * (1 + sign) * a_k * a_r,
-        c01=norm * (1 - sign) * a_k * b_r,
-        c10=norm * (1 - sign) * a_r * b_k,
-        c11=norm * (1 + sign) * b_k * b_r,
-        a_k=a_k,
-        b_k=b_k,
-        a_rest=a_r,
-        b_rest=b_r,
-    )
+    p, n = spec.p, spec.n
+    a_k, b_k = _block_weights(p, k)
+    a_r, b_r = _block_weights(p, n - k)
+    c00 = c01 = c10 = c11 = 0.0
+    if spec.branch_sign == 1:
+        norm = 2.0 * normalization(spec)
+        c00, c11 = norm * a_k * a_r, norm * b_k * b_r
+    else:
+        c01 = a_k * math.sqrt(_pow_ratio(p, n - k, n, -1))
+        c10 = a_r * math.sqrt(_pow_ratio(p, k, n, -1))
+    return PureBipartition(k=k, n=n, c00=c00, c01=c01, c10=c10, c11=c11)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,40 +229,49 @@ def partial_trace_pair(state_vector: np.ndarray) -> TwoQubitState:
     return TwoQubitState(block @ block.conj().T)
 
 
-def _pow_ratio(p: float, m: int, n: int) -> float:
-    """(1 - p^m) / (1 - p^n), evaluated without cancellation; limit m/n at p=1."""
+def _pow_ratio(p: float, m: int, n: int, sign: int) -> float:
+    """(1 + sign p^m) / (1 + sign p^n).
+
+    With sign -1 both factors vanish as p -> 1, so the ratio is evaluated
+    without cancellation, with limit m/n at p = 1.
+    """
+    if sign == 1:
+        return (1.0 + p**m) / (1.0 + p**n)
+    if p == 0.0:
+        return 0.0 if m == 0 else 1.0  # p^0 = 1 even at p = 0
     if p == 1.0:
         return m / n
-    if p == 0.0:
-        return 1.0
     lp = math.log(p)
     return math.expm1(m * lp) / math.expm1(n * lp)
 
 
-def reduced_rho12(spec: SuperpositionSpec) -> TwoQubitState:
-    """Closed-form reduction to the first two modes: a rank-two X state.
+def _pair_entries(spec: SuperpositionSpec) -> tuple[float, float, float, float]:
+    """The distinct entries (rho00, rho33, rho03, rho11) of the two-mode
+    reduction, with rho11 = rho22 = rho12; every other entry is zero.
 
-    With a^2 = (1+p)/2, b^2 = (1-p)/2 and cross weight q = p^(n-2), the
-    populations carry 1 + q*sign and the one-excitation block 1 - q*sign,
-    all times twice the squared normalization.  On the odd branch both
-    factors vanish as p -> 1, so the ratios are evaluated in a cancelled
-    form that stays accurate arbitrarily close to the degenerate limit.
+    With a^2 = (1+p)/2, b^2 = (1-p)/2, branch sign c and cross weight
+    q = p^(n-2), the even block (rho00, rho33, rho03) is
+    (a^4, b^4, a^2 b^2) (1 + c q)/(1 + c p^n) and the one-excitation entry
+    is a^2 b^2 (1 - c q)/(1 + c p^n) = (1 - c q)(1 - c p)/4 * (1 + c p)/(1 + c p^n).
+    Every closed form of the pair derives from these four numbers.
     """
-    a2 = (1.0 + spec.p) / 2.0
-    b2 = (1.0 - spec.p) / 2.0
-    q = spec.q
-    if spec.branch_sign == 1:
-        den = 1.0 + spec.p**spec.n
-        even_scale = (1.0 + q) / den
-        one_exc = (1.0 - q) * a2 * b2 / den
-    else:
-        even_scale = _pow_ratio(spec.p, spec.n - 2, spec.n)
-        one_exc = 0.25 * (1.0 + q) * (1.0 + spec.p) * _pow_ratio(spec.p, 1, spec.n)
+    p, n, c = spec.p, spec.n, spec.branch_sign
+    a2 = (1.0 + p) / 2.0
+    b2 = (1.0 - p) / 2.0
+    outer = _pow_ratio(p, n - 2, n, c)
+    one_exc = 0.25 * (1.0 - c * spec.q) * (1.0 - c * p) * _pow_ratio(p, 1, n, c)
+    return outer * a2 * a2, outer * b2 * b2, outer * a2 * b2, one_exc
+
+
+def reduced_rho12(spec: SuperpositionSpec) -> TwoQubitState:
+    """Closed-form reduction to the first two modes: a rank-two X state
+    with the entries of `_pair_entries`."""
+    r00, r33, r03, r11 = _pair_entries(spec)
     m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = even_scale * a2 * a2
-    m[3, 3] = even_scale * b2 * b2
-    m[0, 3] = m[3, 0] = even_scale * a2 * b2
-    m[1, 1] = m[2, 2] = m[1, 2] = m[2, 1] = one_exc
+    m[0, 0] = r00
+    m[3, 3] = r33
+    m[0, 3] = m[3, 0] = r03
+    m[1, 1] = m[2, 2] = m[1, 2] = m[2, 1] = r11
     return TwoQubitState(m)
 
 

@@ -206,6 +206,24 @@ def test_usage_errors_exit_one(capsys):
         assert err.startswith("catcorr:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--algebra", "glauber", "--z", "1.0", "--rep-param", "2",
+         "--n", "3", "--parity", "even"],
+        ["dynamics", "--algebra", "glauber", "--z", "1.0", "--rep-param", "2",
+         "--n", "3", "--parity", "even", "--gamma-rate", "1.0"],
+        ["overlap", "--algebra", "glauber", "--z", "1.0", "--rep-param", "2"],
+    ],
+    ids=["point", "dynamics", "overlap"],
+)
+def test_rep_param_with_glauber_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "--rep-param" in err
+
+
 def test_io_errors_exit_two(capsys):
     code, _, err = run_cli(
         capsys, ["figure", "1", "--p-steps", "3", "--out", "/no-such-dir/x.csv"]
@@ -241,6 +259,27 @@ def test_point_uncorrelated_example(capsys):
     report = parse_report(out)
     assert float(report["discord_bits"]) == 0.0
     assert float(report["concurrence"]) == 0.0
+
+
+def test_point_two_mode_odd_bell_state(capsys):
+    # p = 0, n = 2, odd parity is the Bell state (|01> + |10>)/sqrt(2)
+    code, out, _ = run_cli(capsys, ["point", "--p", "0", "--n", "2", "--parity", "odd"])
+    assert code == 0
+    report = parse_report(out)
+    assert report["discord_bits"] == "1"
+    assert float(report["concurrence"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sweep_pure_odd_near_degenerate_limit(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["sweep-pure", "--n", "14", "--k", "7", "--parity", "odd",
+         "--p-max", "0.999999999", "--p-steps", "64"],
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert len(rows) == 64
+    assert all(float(row[4]) <= 1.0 for row in rows)
 
 
 def _run_module(argv):

@@ -79,9 +79,7 @@ def test_pure_bipartition_amplitudes_normalized(rng):
         c = bp.amplitudes()
         assert np.vdot(c, c).real == pytest.approx(1.0, abs=1e-12)
         assert bp.k == k
-        # Schmidt weights on each branch stay in [0, 1]
-        for w in (bp.a_k, bp.b_k, bp.a_rest, bp.b_rest):
-            assert -1e-12 <= w <= 1.0 + 1e-12
+        assert np.all(np.abs(c) <= 1.0 + 1e-12)
 
 
 def test_pure_bipartition_k_range():
@@ -140,6 +138,10 @@ def test_reduced_rho12_against_full_trace(rng):
             closed = reduced_rho12(s).matrix
             brute = partial_trace_pair(superposition_vector(s)).matrix
             worst = max(worst, float(np.max(np.abs(closed - brute))))
+    # the two-mode odd pair at p = 0 is the Bell state (|01> + |10>)/sqrt(2)
+    bell = spec(0.0, Parity.ODD, 2)
+    brute = partial_trace_pair(superposition_vector(bell)).matrix
+    worst = max(worst, float(np.max(np.abs(reduced_rho12(bell).matrix - brute))))
     assert worst < 1e-12
 
 

@@ -28,6 +28,7 @@ from .dynamics import (
     apply_dephasing,
     concurrence_t,
     default_time_grid,
+    discord_t,
     sudden_death_time,
 )
 from .errors import ConvergenceError, DomainError, WernerLimitRequired
@@ -63,7 +64,6 @@ class SweepConfig:
     p: float | None = None
     gamma_rate: float | None = None
     t_steps: int = T_STEPS_DEFAULT
-    grid: tuple[int, int] = (181, 361)
 
     def __post_init__(self) -> None:
         if self.p_steps < 2:
@@ -146,8 +146,8 @@ def run_sweep_pure(cfg: SweepConfig) -> list[str]:
 
 
 def run_dynamics(spec: SuperpositionSpec, cfg: SweepConfig) -> list[str]:
-    """Dephasing sweep: closed-form and Wootters concurrence plus
-    brute-force discord on a uniform time grid."""
+    """Dephasing sweep: closed-form and Wootters concurrence plus the
+    discord of `discord_t` on a uniform time grid."""
     rate = cfg.gamma_rate
     t_death = sudden_death_time(spec, rate)
     times = default_time_grid(spec, rate, cfg.t_steps)
@@ -159,24 +159,21 @@ def run_dynamics(spec: SuperpositionSpec, cfg: SweepConfig) -> list[str]:
             parity=spec.parity.value,
             gamma_rate=rate,
             t_steps=cfg.t_steps,
-            grid=f"{cfg.grid[0]}x{cfg.grid[1]}",
             t0=t_death,
         ),
-        "t,gamma,concurrence_closed,concurrence_wootters,discord_brute,is_past_t0",
+        "t,gamma,concurrence_closed,concurrence_wootters,discord,is_past_t0",
     ]
     state = reduced_rho12(spec)
     for t in times:
         channel = DephasingChannel(rate, float(t))
-        evolved = apply_dephasing(state, channel)
-        report = discord_brute_force(evolved, grid=cfg.grid)
         lines.append(
             ",".join(
                 [
                     _fmt(t),
                     _fmt(channel.gamma),
                     _fmt(concurrence_t(spec, channel)),
-                    _fmt(concurrence_x(evolved)),
-                    _fmt(report.discord),
+                    _fmt(concurrence_x(apply_dephasing(state, channel))),
+                    _fmt(discord_t(spec, channel)),
                     "1" if t >= t_death else "0",
                 ]
             )
@@ -296,6 +293,8 @@ def _resolve_spec(args) -> SuperpositionSpec:
         alg = _resolve_algebra(args)
         overlap = overlap_closed(alg, _parse_complex(args.z))
         return SuperpositionSpec.from_overlap(overlap, parity, args.n)
+    if args.rep_param is not None:
+        raise UsageError("--rep-param needs --algebra")
     if args.p is None:
         raise UsageError("give either --p or --algebra with --z")
     return SuperpositionSpec(args.p, parity, args.n)
@@ -342,7 +341,6 @@ def build_parser() -> _Parser:
     dyn.add_argument("--parity", choices=("even", "odd"), required=True)
     dyn.add_argument("--gamma-rate", type=float, required=True)
     dyn.add_argument("--t-steps", type=int, default=T_STEPS_DEFAULT)
-    dyn.add_argument("--grid", default="181x361")
     dyn.add_argument("--out", default=None)
 
     over = sub.add_parser("overlap", help="closed-form versus series overlap")
@@ -366,6 +364,15 @@ def _dispatch(args) -> list[str]:
     if args.command == "point":
         grid = _parse_grid(args.grid)
         if args.werner_limit:
+            spec_flags = {
+                "--p": args.p,
+                "--parity": args.parity,
+                "--algebra": args.algebra,
+                "--rep-param": args.rep_param,
+            }
+            given = [flag for flag, value in spec_flags.items() if value is not None]
+            if given:
+                raise UsageError(f"{', '.join(given)} cannot be combined with --werner-limit")
             return run_point_werner(args.n, grid)
         if args.parity is None:
             raise UsageError("--parity is required unless --werner-limit is given")
@@ -390,7 +397,6 @@ def _dispatch(args) -> list[str]:
             mode="dynamics",
             gamma_rate=args.gamma_rate,
             t_steps=args.t_steps,
-            grid=_parse_grid(args.grid),
         )
         if cfg.gamma_rate <= 0.0:
             raise UsageError("--gamma-rate must be positive")

@@ -22,12 +22,19 @@ from .states import (
     PureBipartition,
     SuperpositionSpec,
     TwoQubitState,
+    _block_eigenvalues,
     _pair_entries,
     bloch_matrix,
     marginals,
 )
 
 DEFAULT_GRID = (181, 361)
+# theta grid of the X-state kernel on [0, pi/2] before golden-section
+# refinement.  The objective can have a local minimum at theta = 0 and a
+# deeper one inside (test_x_state_kernel_finds_interior_optimum); 5 points
+# bound each refinement bracket to pi/4 for about the evaluations of a
+# search over the whole interval
+_X_THETA_POINTS = 5
 LINE_SEARCH_STEP_TOL = 1e-10
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -286,6 +293,52 @@ def _golden_section(fun, lo: float, hi: float, step_tol: float = LINE_SEARCH_STE
     if fc <= fd:
         return c, fc
     return d, fd
+
+
+def _discord_x(
+    r00: float, r11: float, r22: float, r33: float, c03: float, c12: float
+) -> float:
+    """Discord of the real X state with populations r00..r33 and
+    coherences c03 = rho_03, c12 = rho_12, measured on the first qubit.
+
+    With a3 = <Z x 1>, b3 = <1 x Z>, T33 = <Z x Z> and the transverse
+    correlations 2 (c03 + c12), 2 (c12 - c03), measuring along
+    (sin t cos f, sin t sin f, cos t) leaves the second qubit with Bloch
+    length |v+-| / (1 +- a3 cos t), where
+    |v+-|^2 = sin^2 t (T11^2 cos^2 f + T22^2 sin^2 f) + (b3 +- T33 cos t)^2.
+    The entropy falls as that length grows, so the minimum over f lies on
+    the meridian of the larger transverse correlation,
+    T_perp = 2 (|c03| + |c12|); d -> -d swaps the two outcomes, so
+    t in [0, pi/2] suffices.  The minimum over t is taken on a coarse grid
+    and refined by golden section.
+    """
+    a3 = r00 + r11 - r22 - r33
+    b3 = r00 - r11 + r22 - r33
+    t33 = r00 - r11 - r22 + r33
+    t_perp = 2.0 * (abs(c03) + abs(c12))
+
+    def s_cond(theta: float) -> float:
+        cos_t = math.cos(theta)
+        trans = (t_perp * math.sin(theta)) ** 2
+        total = 0.0
+        for sign in (1.0, -1.0):
+            weight = 1.0 + sign * a3 * cos_t  # twice the outcome probability
+            if weight > 2e-15:
+                length = math.sqrt(trans + (b3 + sign * t33 * cos_t) ** 2)
+                r = min(length / weight, 1.0)
+                total += 0.5 * weight * binary_entropy(0.5 - 0.5 * r)
+        return total
+
+    step = 0.5 * math.pi / (_X_THETA_POINTS - 1)
+    best_val, i = min((s_cond(k * step), k) for k in range(_X_THETA_POINTS))
+    _, val = _golden_section(
+        s_cond, max(0.0, (i - 1) * step), min(0.5 * math.pi, (i + 1) * step)
+    )
+    s_ab = 0.0
+    for lam in _block_eigenvalues(r00, r33, c03) + _block_eigenvalues(r11, r22, c12):
+        if lam > 0.0:
+            s_ab -= lam * math.log2(lam)
+    return binary_entropy(min(r00 + r11, r22 + r33)) + min(best_val, val) - s_ab
 
 
 def discord_brute_force(

@@ -49,6 +49,13 @@ def test_unknown_figure_is_usage_error():
     assert info.value.code == 1
 
 
+def test_dynamics_takes_no_scan_grid():
+    with pytest.raises(SystemExit) as info:
+        main(["dynamics", "--p", "0.5", "--n", "4", "--parity", "even",
+              "--gamma-rate", "1", "--grid", "64x128"])
+    assert info.value.code == 1
+
+
 def test_figure_csv_layout(capsys):
     code, out, _ = run_cli(capsys, ["figure", "2", "--p-steps", "7", "--p-max", "0.9"])
     assert code == 0
@@ -144,7 +151,6 @@ def test_dynamics_csv(capsys):
             "--parity", "even",
             "--gamma-rate", "1.0",
             "--t-steps", "5",
-            "--grid", "64x128",
         ],
     )
     assert code == 0
@@ -152,7 +158,8 @@ def test_dynamics_csv(capsys):
     meta = dict(part.split("=", 1) for part in lines[0].split()[3:])
     t0 = sudden_death_time(SuperpositionSpec(0.5, Parity.EVEN, 4), 1.0)
     assert float(meta["t0"]) == pytest.approx(t0, abs=1e-11)
-    header = "t,gamma,concurrence_closed,concurrence_wootters,discord_brute,is_past_t0"
+    assert "grid" not in meta
+    header = "t,gamma,concurrence_closed,concurrence_wootters,discord,is_past_t0"
     assert lines[1] == header
     rows = [line.split(",") for line in lines[2:]]
     assert len(rows) == 5
@@ -222,6 +229,29 @@ def test_rep_param_with_glauber_is_usage_error(capsys, argv):
     assert code == 1
     assert out == ""
     assert "--rep-param" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--p", "0.5", "--rep-param", "2", "--n", "4", "--parity", "even"],
+        ["point", "--rep-param", "2", "--n", "4", "--werner-limit"],
+        ["dynamics", "--p", "0.5", "--rep-param", "2", "--n", "4", "--parity", "even",
+         "--gamma-rate", "1.0"],
+        ["point", "--p", "0.5", "--n", "4", "--werner-limit"],
+        ["point", "--parity", "odd", "--n", "4", "--werner-limit"],
+        ["point", "--algebra", "su2", "--z", "0.3", "--n", "4", "--werner-limit"],
+    ],
+    ids=[
+        "point-rep-param", "werner-rep-param", "dynamics-rep-param",
+        "werner-p", "werner-parity", "werner-algebra",
+    ],
+)
+def test_ignored_flags_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("catcorr: --")
 
 
 def test_io_errors_exit_two(capsys):

@@ -6,17 +6,22 @@ import pytest
 from catcorr import (
     DephasingChannel,
     DomainError,
+    MeasurementBasis,
     Parity,
     SuperpositionSpec,
+    TwoQubitState,
     apply_dephasing,
     concurrence_t,
     concurrence_x,
+    conditional_entropy,
     default_time_grid,
+    discord_brute_force,
     discord_mixed_closed,
     discord_t,
     reduced_rho12,
     sudden_death_time,
 )
+from catcorr.correlations import _discord_x
 
 
 def spec(p, parity, n):
@@ -40,6 +45,8 @@ def test_channel_validation():
         DephasingChannel(gamma_rate=1.0, t=-0.5)
     with pytest.raises(DomainError):
         DephasingChannel(gamma_rate=math.nan, t=1.0)
+    with pytest.raises(DomainError):  # 0 * inf leaves gamma undefined
+        DephasingChannel(gamma_rate=0.0, t=math.inf)
 
 
 def test_channel_from_gamma_round_trip(rng):
@@ -165,6 +172,98 @@ def test_discord_t_vanishes_for_uncorrelated_state():
     s = spec(0.0, Parity.EVEN, 3)
     ch = DephasingChannel(gamma_rate=1.0, t=1.0)
     assert abs(discord_t(s, ch)) < 1e-12
+
+
+def _oracle_specs(rng):
+    # n = 2 (no sudden death), odd parity near the degenerate p = 1,
+    # large n, then random specs
+    parities = (Parity.EVEN, Parity.ODD)
+    out = []
+    for _ in range(8):
+        out.append(spec(float(rng.uniform(0.05, 0.95)), parities[rng.integers(2)], 2))
+        out.append(spec(1.0 - 10.0 ** float(rng.uniform(-9.0, -2.0)), Parity.ODD,
+                        int(rng.integers(3, 9))))
+        out.append(spec(float(rng.uniform(0.9, 0.99)), parities[rng.integers(2)],
+                        int(rng.integers(20, 51))))
+    for _ in range(16):
+        out.append(spec(float(rng.uniform(0.0, 0.99)), parities[rng.integers(2)],
+                        int(rng.integers(3, 13))))
+    return out
+
+
+def test_discord_t_matches_scan_oracle(rng):
+    worst = 0.0
+    for s in _oracle_specs(rng):
+        rate = float(rng.uniform(0.5, 2.0))
+        # the death time (or 5/(3 rate) without one), then twice and three times it
+        for t in default_time_grid(s, rate, steps=4)[1:]:
+            ch = DephasingChannel(rate, float(t))
+            oracle = discord_brute_force(
+                apply_dephasing(reduced_rho12(s), ch), grid=(64, 128)
+            ).discord
+            worst = max(worst, abs(discord_t(s, ch) - oracle))
+    assert worst < 1e-9
+
+
+def _random_x_entries(rng):
+    # unequal populations, coherences of either sign up to the PSD limit
+    r00, r11, r22, r33 = rng.dirichlet(np.full(4, 0.7))
+    c03 = rng.choice((-1.0, 1.0)) * math.sqrt(r00 * r33) * rng.uniform(0.0, 1.0)
+    c12 = rng.choice((-1.0, 1.0)) * math.sqrt(r11 * r22) * rng.uniform(0.0, 1.0)
+    return float(r00), float(r11), float(r22), float(r33), float(c03), float(c12)
+
+
+def _x_state(r00, r11, r22, r33, c03, c12):
+    m = np.diag([r00, r11, r22, r33]).astype(complex)
+    m[0, 3] = m[3, 0] = c03
+    m[1, 2] = m[2, 1] = c12
+    return TwoQubitState(m)
+
+
+def test_x_state_kernel_matches_scan_oracle(rng):
+    cases = [_random_x_entries(rng) for _ in range(96)]
+    cases += [
+        (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),  # product |00>
+        (0.5, 0.0, 0.0, 0.5, -0.5, 0.0),  # Bell state with a negative coherence
+        (0.0, 0.5, 0.5, 0.0, 0.0, 0.5),  # Bell state on the inner block
+        (0.4, 0.3, 0.2, 0.1, 0.0, 0.0),  # classical: no coherence
+    ]
+    worst = 0.0
+    for entries in cases:
+        oracle = discord_brute_force(_x_state(*entries), grid=(64, 128)).discord
+        worst = max(worst, abs(_discord_x(*entries) - oracle))
+    assert worst < 1e-9
+
+
+def test_x_state_kernel_finds_interior_optimum():
+    # the optimal polar angle lies strictly inside (0, pi/2), up to d -> -d;
+    # the first three states also have a local minimum at theta = 0, so a
+    # theta search caught in that basin would show here
+    cases = [
+        (0.0722, 0.038, 0.0, 0.8898, 0.2318, 0.0),
+        (0.9272, 0.0, 0.0612, 0.0116, 0.0809, 0.0),
+        (0.0387, 0.0888, 0.0, 0.8725, -0.1487, 0.0),
+        (0.0059, 0.0136, 0.9802, 0.0003, -0.0007, -0.1068),
+    ]
+    for k, entries in enumerate(cases):
+        state = _x_state(*entries)
+        report = discord_brute_force(state, grid=(64, 128))
+        assert abs(math.sin(2.0 * report.argmin.theta)) > 0.5
+        if k < 3:
+            at_pole = conditional_entropy(state, MeasurementBasis(0.0, 0.0))
+            assert at_pole < conditional_entropy(
+                state, MeasurementBasis(1e-3, report.argmin.phi)
+            )
+        assert abs(_discord_x(*entries) - report.discord) < 1e-9
+
+
+def test_discord_t_vanishes_when_fully_dephased():
+    ch = DephasingChannel.from_gamma(1.0)
+    for s in (spec(0.5, Parity.EVEN, 4), spec(0.3, Parity.ODD, 2),
+              spec(1.0 - 1e-9, Parity.ODD, 6), spec(0.95, Parity.EVEN, 50)):
+        value = discord_t(s, ch)
+        assert math.isfinite(value)
+        assert abs(value) < 1e-12
 
 
 def test_default_time_grid_shapes():

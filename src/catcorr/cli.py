@@ -290,11 +290,15 @@ def _resolve_algebra(args) -> AlgebraSpec:
 def _resolve_spec(args) -> SuperpositionSpec:
     parity = Parity(args.parity)
     if args.algebra is not None:
+        if args.p is not None:
+            raise UsageError("--p cannot be combined with --algebra")
         alg = _resolve_algebra(args)
         overlap = overlap_closed(alg, _parse_complex(args.z))
         return SuperpositionSpec.from_overlap(overlap, parity, args.n)
     if args.rep_param is not None:
         raise UsageError("--rep-param needs --algebra")
+    if args.z is not None:
+        raise UsageError("--z needs --algebra")
     if args.p is None:
         raise UsageError("give either --p or --algebra with --z")
     return SuperpositionSpec(args.p, parity, args.n)
@@ -368,7 +372,9 @@ def _dispatch(args) -> list[str]:
                 "--p": args.p,
                 "--parity": args.parity,
                 "--algebra": args.algebra,
+                "--z": args.z,
                 "--rep-param": args.rep_param,
+                "--k": args.k,
             }
             given = [flag for flag, value in spec_flags.items() if value is not None]
             if given:

@@ -3,13 +3,14 @@
 Every closed form here (mutual information, the Koashi-Winter minimum of
 the measurement-conditioned entropy, quantum discord) is paired with an
 independent brute-force route that scans projective measurement
-directions on a theta-phi grid and refines the best one by coordinate
-descent; agreement between the two routes is the correctness standard of
-the package.  All entropies are in bits.
+directions on a theta-phi grid and refines the best one on a shrinking
+local patch; agreement between the two routes is the correctness standard
+of the package.  All entropies are in bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,16 @@ from .states import (
 )
 
 DEFAULT_GRID = (181, 361)
+# largest n_theta * n_phi the scan accepts, about 30x the default grid; the
+# field holds some ten float arrays of half that size
+MAX_GRID_DIRECTIONS = 2_000_000
+# refinement patch: _PATCH_POINTS x _PATCH_POINTS tangent offsets spanning
+# +-h around the best direction, h starting at one grid step and divided by
+# _PATCH_SHRINK per level (so the next patch spans one spacing of this one)
+# while above _PATCH_STEP_TOL
+_PATCH_POINTS = 9
+_PATCH_SHRINK = 4.0
+_PATCH_STEP_TOL = 1e-9
 # theta grid of the X-state kernel on [0, pi/2] before golden-section
 # refinement.  The objective can have a local minimum at theta = 0 and a
 # deeper one inside (test_x_state_kernel_finds_interior_optimum); 5 points
@@ -261,18 +272,23 @@ def discord_mixed_closed(spec: SuperpositionSpec) -> CorrelationReport:
     )
 
 
-_DIRECTION_CACHE: dict[tuple[int, int], tuple] = {}
-
-
+@functools.lru_cache(maxsize=4)
 def _direction_grid(n_theta: int, n_phi: int):
-    key = (n_theta, n_phi)
-    if key not in _DIRECTION_CACHE:
-        theta = np.linspace(0.0, math.pi, n_theta)
-        phi = np.linspace(0.0, 2.0 * math.pi, n_phi)
-        tt, pp = np.meshgrid(theta, phi, indexing="ij")
-        st = np.sin(tt)
-        _DIRECTION_CACHE[key] = (theta, phi, st * np.cos(pp), st * np.sin(pp), np.cos(tt))
-    return _DIRECTION_CACHE[key]
+    """Read-only scan directions: the rows theta <= pi/2 of the
+    n_theta x n_phi grid linspace(0, pi) x linspace(0, 2 pi).
+
+    Measuring along d and along -d only swaps the two outcomes, so the
+    lower hemisphere repeats the upper one.  linspace is symmetric about
+    pi/2, so the first (n_theta + 1) // 2 rows are those with theta <= pi/2.
+    """
+    theta = np.linspace(0.0, math.pi, n_theta)[: (n_theta + 1) // 2]
+    phi = np.linspace(0.0, 2.0 * math.pi, n_phi)
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    st = np.sin(tt)
+    arrays = (theta, phi, st * np.cos(pp), st * np.sin(pp), np.cos(tt))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def _golden_section(fun, lo: float, hi: float, step_tol: float = LINE_SEARCH_STEP_TOL):
@@ -342,24 +358,33 @@ def _discord_x(
 
 
 def discord_brute_force(
-    state: TwoQubitState,
-    grid: tuple[int, int] = DEFAULT_GRID,
-    refine_tol: float = 1e-12,
+    state: TwoQubitState, grid: tuple[int, int] = DEFAULT_GRID
 ) -> CorrelationReport:
     """Correlation report with the conditional-entropy minimum found by an
     exhaustive scan over projective measurement directions.
 
     Fully independent of the closed forms: entropies come from eigenvalue
     solvers and the minimum from direct evaluation of the measurement
-    average on a theta-phi grid (default 181 x 361, ties resolved to the
-    smallest (theta, phi)), refined by golden-section coordinate descent.
-    A direction tied with the equatorial one within 1e-12 is reported as
-    the canonical (pi/2, 0), so flat objectives (pure states) resolve
-    deterministically.
+    average.  `grid` = (n_theta, n_phi) sets the steps of the theta-phi
+    grid linspace(0, pi, n_theta) x linspace(0, 2 pi, n_phi) (default
+    181 x 361, floor 64 x 128, at most MAX_GRID_DIRECTIONS points).  Since
+    d and -d give the same average, only the rows theta <= pi/2 are
+    evaluated; the first minimum in (theta, phi) order is kept.  It is
+    refined by a shrinking local patch: 9 x 9 directions spanning +-h
+    along the unit tangents of the grid minimum, h starting at one grid
+    step and divided by 4 per level down to 1e-9 rad; a patch point
+    replaces the best only if strictly lower.  A direction tied with the
+    equatorial one within 1e-12 is reported as the canonical (pi/2, 0), and
+    one tied with its phi = 0 counterpart gets phi = 0, so flat objectives
+    (pure states) resolve deterministically.
     """
     n_theta, n_phi = grid
     if n_theta < 64 or n_phi < 128:
         raise DomainError(f"scan grid must be at least 64 x 128, got {grid}")
+    if n_theta * n_phi > MAX_GRID_DIRECTIONS:
+        raise DomainError(
+            f"scan grid must have at most {MAX_GRID_DIRECTIONS} points, got {grid}"
+        )
     table = bloch_matrix(state).R
     theta, phi, d1, d2, d3 = _direction_grid(n_theta, n_phi)
     values = _cond_entropy_field(table, d1, d2, d3)
@@ -367,6 +392,30 @@ def discord_brute_force(
     i, j = divmod(flat, n_phi)
     best_theta, best_phi = float(theta[i]), float(phi[j])
     best_val = float(values[i, j])
+
+    # patch offsets run along the unit tangents e_theta and e_phi of the grid
+    # minimum; steps in theta and phi themselves would shrink the phi scale
+    # as sin(theta) and, near the poles, stretch the minimum into a valley
+    # that the patch cannot follow.  The refinement moves less than two
+    # grid steps, so this one frame serves every level
+    st, ct = math.sin(best_theta), math.cos(best_theta)
+    sp, cp = math.sin(best_phi), math.cos(best_phi)
+    best_dir = np.array([st * cp, st * sp, ct])
+    offsets = np.linspace(-1.0, 1.0, _PATCH_POINTS)
+    u, v = np.repeat(offsets, _PATCH_POINTS), np.tile(offsets, _PATCH_POINTS)
+    tangent = np.outer([ct * cp, ct * sp, -st], u) + np.outer([-sp, cp, 0.0], v)
+    h = max(math.pi / (n_theta - 1), 2.0 * math.pi / (n_phi - 1))
+    while h > _PATCH_STEP_TOL:
+        patch = best_dir[:, None] + h * tangent
+        patch /= np.linalg.norm(patch, axis=0)
+        patch_vals = _cond_entropy_field(table, *patch)
+        k = int(np.argmin(patch_vals))
+        if patch_vals[k] < best_val:
+            best_val = float(patch_vals[k])
+            best_dir = patch[:, k]
+            x, y, z = best_dir.tolist()
+            best_theta, best_phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
+        h /= _PATCH_SHRINK
 
     def objective(th: float, ph: float) -> float:
         st = math.sin(th)
@@ -378,27 +427,6 @@ def discord_brute_force(
                 np.float64(math.cos(th)),
             )
         )
-
-    step_t = math.pi / (n_theta - 1)
-    step_p = 2.0 * math.pi / (n_phi - 1)
-    for _ in range(20):
-        previous = best_val
-        cand, val = _golden_section(
-            lambda th: objective(th, best_phi),
-            max(0.0, best_theta - step_t),
-            min(math.pi, best_theta + step_t),
-        )
-        if val < best_val:
-            best_theta, best_val = cand, val
-        cand, val = _golden_section(
-            lambda ph: objective(best_theta, ph),
-            best_phi - step_p,
-            best_phi + step_p,
-        )
-        if val < best_val:
-            best_phi, best_val = cand, val
-        if previous - best_val < refine_tol:
-            break
 
     equatorial = objective(math.pi / 2.0, 0.0)
     if equatorial <= best_val + 1e-12:

@@ -241,10 +241,21 @@ def test_rep_param_with_glauber_is_usage_error(capsys, argv):
         ["point", "--p", "0.5", "--n", "4", "--werner-limit"],
         ["point", "--parity", "odd", "--n", "4", "--werner-limit"],
         ["point", "--algebra", "su2", "--z", "0.3", "--n", "4", "--werner-limit"],
+        ["point", "--p", "0.5", "--z", "1.0", "--n", "4", "--parity", "even"],
+        ["dynamics", "--p", "0.5", "--z", "1.0", "--n", "4", "--parity", "even",
+         "--gamma-rate", "1.0"],
+        ["point", "--p", "0.9", "--algebra", "glauber", "--z", "1.0", "--n", "4",
+         "--parity", "even"],
+        ["dynamics", "--p", "0.9", "--algebra", "glauber", "--z", "1.0", "--n", "4",
+         "--parity", "even", "--gamma-rate", "1.0"],
+        ["point", "--z", "0.3", "--n", "4", "--werner-limit"],
+        ["point", "--k", "2", "--n", "4", "--werner-limit"],
     ],
     ids=[
         "point-rep-param", "werner-rep-param", "dynamics-rep-param",
         "werner-p", "werner-parity", "werner-algebra",
+        "point-z", "dynamics-z", "point-p-algebra", "dynamics-p-algebra",
+        "werner-z", "werner-k",
     ],
 )
 def test_ignored_flags_are_usage_errors(capsys, argv):
@@ -270,6 +281,8 @@ def test_domain_errors_exit_three(capsys):
         ["point", "--algebra", "su2", "--z", "2.0", "--rep-param", "0.5",
          "--n", "3", "--parity", "even"],
         ["sweep-pure", "--n", "4", "--k", "9", "--p-steps", "3"],
+        ["point", "--p", "0.5", "--n", "4", "--parity", "even",
+         "--grid", "1000000x1000000"],  # above the cap, rejected before allocating
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, argv)

@@ -25,6 +25,7 @@ from catcorr import (
     werner_discord,
     werner_limit_state,
 )
+from catcorr.states import PAULI
 
 
 def spec(p, parity, n):
@@ -352,6 +353,84 @@ def test_brute_force_grid_floor():
     state = reduced_rho12(spec(0.5, Parity.EVEN, 3))
     with pytest.raises(DomainError):
         discord_brute_force(state, grid=(32, 64))
+
+
+def test_brute_force_grid_cap_rejects_before_allocating():
+    # 10^12 directions would need terabytes; the cap must fire first
+    state = reduced_rho12(spec(0.5, Parity.EVEN, 3))
+    with pytest.raises(DomainError):
+        discord_brute_force(state, grid=(10**6, 10**6))
+
+
+def random_full_rank_state(rng):
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m = g @ g.conj().T
+    return TwoQubitState(m / m.trace().real)
+
+
+def test_conditional_entropy_is_antipodally_symmetric(rng):
+    # measuring along d and -d only swaps the outcomes, which is what lets
+    # the scan keep theta <= pi/2
+    for _ in range(20):
+        state = random_full_rank_state(rng)
+        assert not state.is_x
+        for _ in range(5):
+            theta, phi = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)
+            flipped = MeasurementBasis(math.pi - theta, (phi + math.pi) % (2.0 * math.pi))
+            assert conditional_entropy(state, MeasurementBasis(theta, phi)) == pytest.approx(
+                conditional_entropy(state, flipped), abs=1e-14
+            )
+
+
+def test_brute_force_matches_multistart_scipy_on_non_x_states(rng):
+    # general full-rank states have no known optimal direction; a local
+    # optimizer started from random directions must not find a lower
+    # conditional entropy than the scan
+    pytest.importorskip("scipy")
+    from scipy.optimize import minimize
+
+    def s_cond(state, x):
+        theta, phi = x[0] % (2.0 * math.pi), x[1]
+        if theta > math.pi:  # fold the unbounded plane onto the sphere
+            theta, phi = 2.0 * math.pi - theta, phi + math.pi
+        return conditional_entropy(state, MeasurementBasis(theta, phi % (2.0 * math.pi)))
+
+    for _ in range(30):
+        state = random_full_rank_state(rng)
+        best = math.inf
+        for _ in range(3):
+            start = [math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)]
+            res = minimize(
+                lambda x: s_cond(state, x),
+                start,
+                method="BFGS",
+                options={"gtol": 1e-8},
+            )
+            best = min(best, res.fun)
+        assert discord_brute_force(state).s_cond_min <= best + 1e-14
+
+
+def test_brute_force_finds_minima_near_the_poles(rng):
+    # rotating the first qubit moves the optimal direction without changing
+    # the minimum; near theta = 0 or pi, steps in phi shrink to nothing, and
+    # the refinement must still reach the minimum from the grid
+    for _ in range(4):
+        state = random_full_rank_state(rng)
+        ref = discord_brute_force(state)
+        d_opt = np.array(ref.argmin.direction())
+        for target_theta in (1e-3, 0.02, 0.05, math.pi - 0.02):
+            target_phi = rng.uniform(0.0, 2.0 * math.pi)
+            target = np.array(MeasurementBasis(target_theta, target_phi).direction())
+            axis = np.cross(d_opt, target)
+            angle = math.atan2(np.linalg.norm(axis), d_opt @ target)
+            n_sigma = sum(c * pauli for c, pauli in zip(axis / np.linalg.norm(axis), PAULI[1:]))
+            rot = math.cos(angle / 2.0) * PAULI[0] - 1j * math.sin(angle / 2.0) * n_sigma
+            u = np.kron(rot, PAULI[0])
+            m = u @ state.matrix @ u.conj().T
+            rotated = TwoQubitState(0.5 * (m + m.conj().T))
+            for grid in ((181, 361), (64, 128)):
+                got = discord_brute_force(rotated, grid=grid)
+                assert got.s_cond_min == pytest.approx(ref.s_cond_min, abs=1e-14)
 
 
 def test_brute_force_canonical_argmin(rng):

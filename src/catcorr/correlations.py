@@ -31,8 +31,12 @@ from .states import (
 
 DEFAULT_GRID = (181, 361)
 # largest n_theta * n_phi the scan accepts, about 30x the default grid; the
-# field holds some ten float arrays of half that size
+# field itself allocates only its output of n_theta * n_phi / 2 floats plus
+# buffers for one block of _FIELD_BLOCK directions
 MAX_GRID_DIRECTIONS = 2_000_000
+# directions per block of the conditional-entropy field: eight rows of the
+# default grid, so a block's buffers (about 0.6 MB) stay in the L2 cache
+_FIELD_BLOCK = 8 * 361
 # refinement patch: _PATCH_POINTS x _PATCH_POINTS tangent offsets spanning
 # +-h around the best direction, h starting at one grid step and divided by
 # _PATCH_SHRINK per level (so the next patch spans one spacing of this one)
@@ -105,14 +109,6 @@ def binary_entropy(x: float) -> float:
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-
-
-def _h2(x):
-    # vectorized binary entropy, inputs assumed near [0, 1]
-    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
-    return np.where((x <= 0.0) | (x >= 1.0), 0.0, raw)
 
 
 def von_neumann_entropy(state) -> float:
@@ -213,20 +209,71 @@ def _cond_entropy_field(table, d1, d2, d3):
     (R[0,b] + sum_i R[i,b] s_i) / (1 + sum_i R[i,0] s_i) with s the signed
     direction, so its entropy is H((1 + |r|)/2); zero-probability
     outcomes contribute nothing.
+
+    The directions are taken in blocks of _FIELD_BLOCK.  Each block forms
+    the four dot products w_b = sum_i R[i,b] d_i once, stacks the two
+    outcomes on a leading axis as offset_b + w_b and offset_b - w_b with
+    offset = (1, R[0,1], R[0,2], R[0,3]), and runs the rest in place on
+    preallocated buffers.  Every element goes through the same operations
+    in the same order for any block size or input shape.
     """
-    total = 0.0
-    for sign in (1.0, -1.0):
-        u = sign * (table[1, 0] * d1 + table[2, 0] * d2 + table[3, 0] * d3)
-        weight = 0.5 * (1.0 + u)
-        v1 = table[0, 1] + sign * (table[1, 1] * d1 + table[2, 1] * d2 + table[3, 1] * d3)
-        v2 = table[0, 2] + sign * (table[1, 2] * d1 + table[2, 2] * d2 + table[3, 2] * d3)
-        v3 = table[0, 3] + sign * (table[1, 3] * d1 + table[2, 3] * d2 + table[3, 3] * d3)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3) / np.abs(1.0 + u)
-        live = weight > 1e-15
-        r = np.where(live, np.minimum(r, 1.0), 0.0)
-        total = total + np.where(live, weight, 0.0) * _h2(0.5 + 0.5 * r)
-    return total
+    shape = np.shape(d1)
+    d1, d2, d3 = np.ravel(d1), np.ravel(d2), np.ravel(d3)
+    size = d1.size
+    out = np.empty(size)
+    m = min(size, _FIELD_BLOCK)
+    rows = table[1:, :, None]
+    offset = np.array([1.0, table[0, 1], table[0, 2], table[0, 3]])[:, None]
+    dots, tmp = np.empty((4, m)), np.empty((4, m))
+    # buffers are flat so that the views of a shorter last block stay
+    # contiguous
+    stacked = np.empty(8 * m)
+    flat = np.empty((5, 2 * m))
+    flags = np.empty((2, 2 * m), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, size, m):
+            k = min(m, size - lo)
+            w, t = dots[:, :k], tmp[:, :k]
+            np.multiply(rows[0], d1[lo : lo + k], out=w)
+            w += np.multiply(rows[1], d2[lo : lo + k], out=t)
+            w += np.multiply(rows[2], d3[lo : lo + k], out=t)
+            sv = stacked[: 8 * k].reshape(2, 4, k)
+            np.add(offset, w, out=sv[0])
+            np.subtract(offset, w, out=sv[1])
+            weight, r, h, g, lg = (buf[: 2 * k].reshape(2, k) for buf in flat)
+            dead, unit = (buf[: 2 * k].reshape(2, k) for buf in flags)
+
+            # sv[:, 0] = 1 + s.R[1:, 0] is twice the outcome probability
+            q = sv[:, 0]
+            np.multiply(0.5, q, out=weight)
+            np.greater(weight, 1e-15, out=dead)
+            np.logical_not(dead, out=dead)
+            v = sv[:, 1:]
+            np.multiply(v, v, out=v)
+            np.add(v[:, 0], v[:, 1], out=r)
+            r += v[:, 2]
+            np.sqrt(r, out=r)
+            r /= np.abs(q, out=q)
+            np.minimum(r, 1.0, out=r)
+
+            # H(x) at x = (1 + r)/2 in [1/2, 1]; x = 1 is masked below
+            x = r
+            x *= 0.5
+            x += 0.5
+            np.greater_equal(x, 1.0, out=unit)
+            np.log2(x, out=h)
+            h *= x
+            np.negative(h, out=h)
+            np.subtract(1.0, x, out=g)
+            g *= np.log2(g, out=lg)
+            h -= g
+
+            # dead outcomes and pure conditionals contribute exactly 0
+            h *= weight
+            dead |= unit
+            h[dead] = 0.0
+            np.add(h[0], h[1], out=out[lo : lo + k])
+    return out.reshape(shape)
 
 
 def koashi_winter_min(spec: SuperpositionSpec) -> float:

@@ -32,9 +32,8 @@ PAULI = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
-_PAULI_PAIRS = tuple(
-    tuple(np.kron(PAULI[a], PAULI[b]) for b in range(4)) for a in range(4)
-)
+# _PAULI_PAIRS[a, b] = sigma_a x sigma_b
+_PAULI_PAIRS = np.array([[np.kron(pa, pb) for pb in PAULI] for pa in PAULI])
 
 
 class Parity(Enum):
@@ -302,11 +301,8 @@ class BlochMatrix:
 
 def bloch_matrix(state: TwoQubitState) -> BlochMatrix:
     """Pauli-pair expectations of a two-qubit state (all real)."""
-    r = np.empty((4, 4))
-    for a in range(4):
-        for b in range(4):
-            r[a, b] = np.trace(state.matrix @ _PAULI_PAIRS[a][b]).real
-    return BlochMatrix(r)
+    products = state.matrix @ _PAULI_PAIRS.reshape(16, 4, 4)
+    return BlochMatrix(np.trace(products, axis1=1, axis2=2).real.reshape(4, 4))
 
 
 def werner_limit_state(n: int) -> TwoQubitState:

@@ -43,6 +43,8 @@ from .states import (
 P_MAX_DEFAULT = 0.999
 P_STEPS_DEFAULT = 500
 T_STEPS_DEFAULT = 200
+# most points a p or t sweep accepts, checked before any grid is allocated
+MAX_SWEEP_STEPS = 10**6
 FIGURE_N_DEFAULT = {1: (2,), 2: (4, 5, 25), 3: (4, 5, 25)}
 FIGURE_PARITIES = {1: ("even", "odd"), 2: ("even",), 3: ("odd",)}
 
@@ -68,6 +70,10 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.p_steps < 2:
             raise UsageError("need at least 2 sweep points")
+        if self.t_steps < 2:
+            raise UsageError("--t-steps must be at least 2")
+        if max(self.p_steps, self.t_steps) > MAX_SWEEP_STEPS:
+            raise UsageError(f"at most {MAX_SWEEP_STEPS} sweep points")
         if not 0.0 < self.p_max < 1.0:
             raise UsageError("p_max must lie in (0, 1)")
 
@@ -406,8 +412,6 @@ def _dispatch(args) -> list[str]:
         )
         if cfg.gamma_rate <= 0.0:
             raise UsageError("--gamma-rate must be positive")
-        if cfg.t_steps < 2:
-            raise UsageError("--t-steps must be at least 2")
         return run_dynamics(_resolve_spec(args), cfg)
     if args.command == "overlap":
         return run_overlap(_resolve_algebra(args), _parse_complex(args.z))

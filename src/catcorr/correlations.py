@@ -379,17 +379,24 @@ def _discord_x(
     b3 = r00 - r11 + r22 - r33
     t33 = r00 - r11 - r22 + r33
     t_perp = 2.0 * (abs(c03) + abs(c12))
+    log2 = math.log2
 
     def s_cond(theta: float) -> float:
+        # binary_entropy written out: x = (1 - r)/2 lies in (0, 1/2] for
+        # r < 1, a pure conditional (r >= 1) contributes exactly 0, and a
+        # NaN length raises as binary_entropy would
         cos_t = math.cos(theta)
         trans = (t_perp * math.sin(theta)) ** 2
         total = 0.0
         for sign in (1.0, -1.0):
             weight = 1.0 + sign * a3 * cos_t  # twice the outcome probability
             if weight > 2e-15:
-                length = math.sqrt(trans + (b3 + sign * t33 * cos_t) ** 2)
-                r = min(length / weight, 1.0)
-                total += 0.5 * weight * binary_entropy(0.5 - 0.5 * r)
+                r = math.sqrt(trans + (b3 + sign * t33 * cos_t) ** 2) / weight
+                if r < 1.0:
+                    x = 0.5 - 0.5 * r
+                    total += 0.5 * weight * (-x * log2(x) - (1.0 - x) * log2(1.0 - x))
+                elif r != r:
+                    raise DomainError(f"conditional Bloch length is NaN at theta {theta}")
         return total
 
     step = 0.5 * math.pi / (_X_THETA_POINTS - 1)
@@ -464,26 +471,20 @@ def discord_brute_force(
             best_theta, best_phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
         h /= _PATCH_SHRINK
 
-    def objective(th: float, ph: float) -> float:
-        st = math.sin(th)
-        return float(
-            _cond_entropy_field(
-                table,
-                np.float64(st * math.cos(ph)),
-                np.float64(st * math.sin(ph)),
-                np.float64(math.cos(th)),
-            )
-        )
-
-    equatorial = objective(math.pi / 2.0, 0.0)
+    # the tie-rule directions (pi/2, 0) and (best_theta, 0) in one call
+    tie_theta = (math.pi / 2.0, best_theta)
+    equatorial, at_phi0 = _cond_entropy_field(
+        table,
+        np.array([math.sin(th) for th in tie_theta]),
+        np.zeros(2),
+        np.array([math.cos(th) for th in tie_theta]),
+    ).tolist()
     if equatorial <= best_val + 1e-12:
         best_theta, best_phi = math.pi / 2.0, 0.0
         best_val = min(best_val, equatorial)
-    else:
-        at_phi0 = objective(best_theta, 0.0)
-        if at_phi0 <= best_val + 1e-12:  # flat phi direction
-            best_phi = 0.0
-            best_val = min(best_val, at_phi0)
+    elif at_phi0 <= best_val + 1e-12:  # flat phi direction
+        best_phi = 0.0
+        best_val = min(best_val, at_phi0)
     best_phi %= 2.0 * math.pi
 
     rho_a, rho_b = marginals(state)

@@ -65,8 +65,12 @@ class SuperpositionSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise DomainError(f"overlap must lie in [0, 1], got {self.p}")
+        if not isinstance(self.parity, Parity):
+            raise DomainError(f"parity must be a Parity, got {self.parity!r}")
         if self.n != int(self.n) or self.n < 2:
             raise DomainError(f"mode count must be an integer >= 2, got {self.n}")
+        if not isinstance(self.n, int):
+            object.__setattr__(self, "n", int(self.n))
         if self.p == 1.0 and self.parity is Parity.ODD:
             raise WernerLimitRequired(
                 "overlap 1 with odd parity is degenerate; use werner_limit_state(n) "

@@ -12,7 +12,7 @@ from catcorr import (
     sudden_death_time,
     werner_discord,
 )
-from catcorr.cli import main
+from catcorr.cli import MAX_SWEEP_STEPS, SweepConfig, UsageError, main
 
 
 def run_cli(capsys, argv):
@@ -204,6 +204,8 @@ def test_usage_errors_exit_one(capsys):
         ["figure", "2", "--p-max", "1.5"],
         ["figure", "2", "--p-steps", "1"],
         ["dynamics", "--p", "0.5", "--n", "4", "--parity", "even", "--gamma-rate", "-1"],
+        ["dynamics", "--p", "0.5", "--n", "4", "--parity", "even", "--gamma-rate", "1",
+         "--t-steps", "1"],
         ["point", "--algebra", "glauber", "--n", "3", "--parity", "even"],  # no --z
         ["point", "--n", "3", "--parity", "even"],  # neither --p nor --algebra
     ]
@@ -211,6 +213,27 @@ def test_usage_errors_exit_one(capsys):
         code, _, err = run_cli(capsys, argv)
         assert code == 1, argv
         assert err.startswith("catcorr:")
+
+
+def test_sweep_sizes_above_the_cap_exit_one(capsys):
+    # 10**12 points would need 8 TB for the grid alone; the cap is checked
+    # before anything is allocated
+    huge = str(10**12)
+    cases = [
+        ["figure", "2", "--p-steps", huge],
+        ["sweep-pure", "--n", "4", "--k", "2", "--p-steps", huge],
+        ["dynamics", "--p", "0.5", "--n", "4", "--parity", "even",
+         "--gamma-rate", "1.0", "--t-steps", huge],
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1, argv
+        assert out == ""
+        assert str(MAX_SWEEP_STEPS) in err
+    for steps in ({"p_steps": MAX_SWEEP_STEPS + 1}, {"t_steps": MAX_SWEEP_STEPS + 1}):
+        with pytest.raises(UsageError):
+            SweepConfig(mode="figure", **steps)
+    SweepConfig(mode="dynamics", p_steps=MAX_SWEEP_STEPS, t_steps=MAX_SWEEP_STEPS)
 
 
 @pytest.mark.parametrize(

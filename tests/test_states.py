@@ -37,6 +37,19 @@ def test_spec_validation():
     with pytest.raises(WernerLimitRequired):
         spec(1.0, Parity.ODD, 4)
     spec(1.0, Parity.EVEN, 4)  # GHZ-like limit is fine
+    # a parity given as its string value would fail only later, in the forms
+    with pytest.raises(DomainError):
+        spec(0.5, "even", 3)
+    with pytest.raises(DomainError):
+        spec(0.5, None, 3)
+    # an integral float mode count is stored as an int, so the explicit
+    # expansion can size its vector from it
+    s = spec(0.5, Parity.EVEN, 3.0)
+    assert s.n == 3 and type(s.n) is int
+    assert type(spec(0.5, Parity.EVEN, np.int64(3)).n) is int
+    assert superposition_vector(s).shape == (8,)
+    with pytest.raises(DomainError):
+        spec(0.5, Parity.EVEN, 3.5)
 
 
 def test_spec_derived_quantities():

@@ -8,6 +8,7 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -57,7 +58,6 @@ class UsageError(Exception):
 class SweepConfig:
     """Resolved parameters of one CSV-emitting command."""
 
-    mode: str
     p_steps: int = P_STEPS_DEFAULT
     p_max: float = P_MAX_DEFAULT
     n_list: tuple[int, ...] = ()
@@ -116,11 +116,13 @@ def run_figure(fig: int, cfg: SweepConfig) -> list[str]:
         ),
         "p,n,parity,discord",
     ]
+    # tolist() gives the same floats as float(np.float64), bit for bit
+    p_values = cfg.p_values().tolist()
     for n in n_list:
         for parity in parities:
-            for p in cfg.p_values():
-                spec = SuperpositionSpec(float(p), Parity(parity), n)
-                report = discord_mixed_closed(spec)
+            sign = Parity(parity)
+            for p in p_values:
+                report = discord_mixed_closed(SuperpositionSpec(p, sign, n))
                 lines.append(f"{_fmt(p)},{n},{parity},{_fmt(report.discord)}")
     return lines
 
@@ -139,10 +141,11 @@ def run_sweep_pure(cfg: SweepConfig) -> list[str]:
         ),
         "p,n,k,parity,concurrence,discord",
     ]
+    p_values = cfg.p_values().tolist()
     for parity in cfg.parities:
-        for p in cfg.p_values():
-            spec = SuperpositionSpec(float(p), Parity(parity), n)
-            bp = pure_bipartition(spec, cfg.k)
+        sign = Parity(parity)
+        for p in p_values:
+            bp = pure_bipartition(SuperpositionSpec(p, sign, n), cfg.k)
             report = discord_pure(bp)
             lines.append(
                 f"{_fmt(p)},{n},{cfg.k},{parity},"
@@ -365,7 +368,6 @@ def build_parser() -> _Parser:
 def _dispatch(args) -> list[str]:
     if args.command == "figure":
         cfg = SweepConfig(
-            mode="figure",
             p_steps=args.p_steps,
             p_max=args.p_max,
             n_list=tuple(args.n) if args.n else (),
@@ -396,7 +398,6 @@ def _dispatch(args) -> list[str]:
     if args.command == "sweep-pure":
         parities = ("even", "odd") if args.parity == "both" else (args.parity,)
         cfg = SweepConfig(
-            mode="sweep-pure",
             p_steps=args.p_steps,
             p_max=args.p_max,
             n_list=(args.n,),
@@ -405,11 +406,7 @@ def _dispatch(args) -> list[str]:
         )
         return run_sweep_pure(cfg)
     if args.command == "dynamics":
-        cfg = SweepConfig(
-            mode="dynamics",
-            gamma_rate=args.gamma_rate,
-            t_steps=args.t_steps,
-        )
+        cfg = SweepConfig(gamma_rate=args.gamma_rate, t_steps=args.t_steps)
         if cfg.gamma_rate <= 0.0:
             raise UsageError("--gamma-rate must be positive")
         return run_dynamics(_resolve_spec(args), cfg)
@@ -418,9 +415,15 @@ def _dispatch(args) -> list[str]:
     raise UsageError(f"unknown command {args.command!r}")
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_parser() -> _Parser:
+    # building the parser costs about a millisecond; repeated in-process
+    # main() calls reuse one, and each parse_args call makes a fresh namespace
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         lines = _dispatch(args)
         _emit(getattr(args, "out", None), lines)

@@ -91,11 +91,23 @@ class CorrelationReport:
     def __post_init__(self) -> None:
         if abs(self.discord - (self.mutual_info - self.classical_corr)) > 1e-9:
             raise DomainError("discord must equal mutual information minus classical part")
-        for name in ("mutual_info", "classical_corr", "discord", "eof", "s_cond_min"):
-            if getattr(self, name) < -1e-12:
-                raise DomainError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if (
+            self.mutual_info < -1e-12
+            or self.classical_corr < -1e-12
+            or self.discord < -1e-12
+            or self.eof < -1e-12
+            or self.s_cond_min < -1e-12
+        ):
+            # the loop only words the error
+            for name in ("mutual_info", "classical_corr", "discord", "eof", "s_cond_min"):
+                if getattr(self, name) < -1e-12:
+                    raise DomainError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if not -1e-12 <= self.concurrence <= 1.0 + 1e-12:
             raise DomainError(f"concurrence must lie in [0, 1], got {self.concurrence}")
+
+
+# optimal measurement of the closed forms: discord_mixed_closed and discord_pure
+_EQUATORIAL = MeasurementBasis(math.pi / 2.0, 0.0)
 
 
 def binary_entropy(x: float) -> float:
@@ -105,9 +117,9 @@ def binary_entropy(x: float) -> float:
     """
     if not -1e-12 <= x <= 1.0 + 1e-12:
         raise DomainError(f"binary entropy argument must lie in [0, 1], got {x}")
-    x = min(max(float(x), 0.0), 1.0)
-    if x == 0.0 or x == 1.0:
+    if x <= 0.0 or x >= 1.0:
         return 0.0
+    x = float(x)
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
@@ -156,7 +168,7 @@ def discord_pure(bp: PureBipartition) -> CorrelationReport:
         concurrence=conc,
         eof=ent,
         s_cond_min=0.0,
-        argmin=MeasurementBasis(math.pi / 2.0, 0.0),
+        argmin=_EQUATORIAL,
     )
 
 
@@ -315,7 +327,7 @@ def discord_mixed_closed(spec: SuperpositionSpec) -> CorrelationReport:
         concurrence=conc,
         eof=_eof_from_concurrence(conc),
         s_cond_min=s_min,
-        argmin=MeasurementBasis(math.pi / 2.0, 0.0),
+        argmin=_EQUATORIAL,
     )
 
 

@@ -67,7 +67,11 @@ class SuperpositionSpec:
             raise DomainError(f"overlap must lie in [0, 1], got {self.p}")
         if not isinstance(self.parity, Parity):
             raise DomainError(f"parity must be a Parity, got {self.parity!r}")
-        if self.n != int(self.n) or self.n < 2:
+        try:
+            whole = self.n == int(self.n)
+        except (TypeError, ValueError, OverflowError):  # NaN, +-inf, not a number
+            whole = False
+        if not whole or self.n < 2:
             raise DomainError(f"mode count must be an integer >= 2, got {self.n}")
         if not isinstance(self.n, int):
             object.__setattr__(self, "n", int(self.n))

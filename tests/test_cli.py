@@ -1,3 +1,4 @@
+import hashlib
 import math
 import subprocess
 import sys
@@ -232,8 +233,8 @@ def test_sweep_sizes_above_the_cap_exit_one(capsys):
         assert str(MAX_SWEEP_STEPS) in err
     for steps in ({"p_steps": MAX_SWEEP_STEPS + 1}, {"t_steps": MAX_SWEEP_STEPS + 1}):
         with pytest.raises(UsageError):
-            SweepConfig(mode="figure", **steps)
-    SweepConfig(mode="dynamics", p_steps=MAX_SWEEP_STEPS, t_steps=MAX_SWEEP_STEPS)
+            SweepConfig(**steps)
+    SweepConfig(p_steps=MAX_SWEEP_STEPS, t_steps=MAX_SWEEP_STEPS)
 
 
 @pytest.mark.parametrize(
@@ -368,3 +369,58 @@ def test_module_entry_point_and_determinism():
 def test_module_entry_point_domain_exit():
     proc = _run_module(["point", "--p", "1.0", "--n", "4", "--parity", "odd"])
     assert proc.returncode == 3
+
+
+def _main_code(argv):
+    # argparse reports its own usage errors by raising SystemExit
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_reused_parser_leaks_no_state(capsys):
+    sequence = [
+        ["figure", "1", "--p-steps", "7"],
+        ["figure", "2", "--n", "4", "5", "--p-steps", "7"],
+        ["figure", "2", "--p-steps", "7"],  # must get the default n again
+        ["figure", "5"],  # argparse usage error
+        ["overlap", "--algebra", "su11", "--z", "1.2", "--rep-param", "1"],  # domain error
+        ["sweep-pure", "--n", "6", "--k", "3", "--p-steps", "7"],
+        ["overlap", "--algebra", "su11", "--z", "0.3", "--rep-param", "0.5"],
+    ]
+    fresh = {}
+    for argv in sequence:
+        proc = _run_module(argv)
+        fresh[tuple(argv)] = (proc.returncode, proc.stdout.decode("utf-8"))
+    codes = []
+    for argv in sequence:
+        code = _main_code(argv)
+        assert (code, capsys.readouterr().out) == fresh[tuple(argv)], argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 1, 3, 0, 0]
+    assert ",25," in fresh[("figure", "2", "--p-steps", "7")][1]
+
+
+# sha256 of the stdout of README examples, taken before the in-process
+# speed-ups of the closed-form commands, with the version field as it was
+_PINNED_VERSION = "0.1.0"
+_README_DIGESTS = {
+    "figure 2": "2b805f34f5c54104d2ee9e00d65601cfb1fec43af32be730623a7fb3a0d59ecb",
+    "figure 3 --n 3 25 --p-steps 800":
+        "c908c38bf9f817d7a79cf74cad8cc3382454853288d40029ae1c7204d8447f04",
+    "sweep-pure --n 6 --k 3 --parity both":
+        "b40b98f8554a04bb0b374364c3196c50ef4da051bc4faaaef3a44d5b64454730",
+    "dynamics --p 0.5 --n 4 --parity even --gamma-rate 1.0":
+        "4567be040d553dbe2fec54d5e1cffe0654ebd0ecfd4dca82a147ac7f62ecab31",
+    "overlap --algebra su11 --z 0.3 --rep-param 0.5":
+        "7296b5d85ee1799f25468734e2415beeb0c7dd17941c86d5df99304cc0e0ed5a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_README_DIGESTS))
+def test_readme_outputs_are_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, command.split())
+    assert code == 0
+    out = out.replace(f"version={__version__}", f"version={_PINNED_VERSION}")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _README_DIGESTS[command]

@@ -68,6 +68,19 @@ def test_binary_entropy_domain():
         binary_entropy(1.001)
     with pytest.raises(DomainError):
         binary_entropy(-0.001)
+    with pytest.raises(DomainError):
+        binary_entropy(math.nan)
+
+
+def test_binary_entropy_of_numpy_scalar_is_python_float():
+    for x in (0.0, 1e-300, 0.25, 0.5, 0.8727, 1.0 - 2**-53, 1.0, -5e-13, 1.0 + 5e-13):
+        value = binary_entropy(np.float64(x))
+        assert type(value) is float
+        assert value == binary_entropy(x)
+        # the clamped formula the helper has always evaluated
+        y = min(max(x, 0.0), 1.0)
+        expect = 0.0 if y in (0.0, 1.0) else -y * math.log2(y) - (1.0 - y) * math.log2(1.0 - y)
+        assert value == expect
 
 
 def test_von_neumann_entropy_known_values():
@@ -512,3 +525,14 @@ def test_correlation_report_validation():
         CorrelationReport(1.0, 1.2, -0.2, 0.5, 0.6, 0.2, basis)
     with pytest.raises(DomainError):
         CorrelationReport(1.0, 0.4, 0.6, 1.5, 0.6, 0.2, basis)
+    # the first negative field, in declaration order, names the error
+    negative = {
+        "mutual_info": (-0.1, -0.3, 0.2, 0.6, 0.2),
+        "classical_corr": (0.2, -0.1, 0.3, 0.6, 0.2),
+        "discord": (0.2, 0.4, -0.2, 0.6, 0.2),
+        "eof": (1.0, 0.4, 0.6, -0.1, 0.2),
+        "s_cond_min": (1.0, 0.4, 0.6, 0.6, -0.1),
+    }
+    for name, (info, cc, disc, eof, s_min) in negative.items():
+        with pytest.raises(DomainError, match=f"^{name} must be nonnegative, got -"):
+            CorrelationReport(info, cc, disc, 0.5, eof, s_min, basis)

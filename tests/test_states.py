@@ -50,6 +50,10 @@ def test_spec_validation():
     assert superposition_vector(s).shape == (8,)
     with pytest.raises(DomainError):
         spec(0.5, Parity.EVEN, 3.5)
+    # int(n) would raise ValueError, OverflowError or TypeError for these
+    for n in (math.nan, math.inf, -math.inf, "four"):
+        with pytest.raises(DomainError, match="mode count"):
+            spec(0.5, Parity.EVEN, n)
 
 
 def test_spec_derived_quantities():

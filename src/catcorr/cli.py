@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .coherent import AlgebraKind, AlgebraSpec, overlap_closed, overlap_series
 from .correlations import (
-    concurrence_pure,
     concurrence_x,
     discord_brute_force,
     discord_mixed_closed,
@@ -54,31 +53,12 @@ class UsageError(Exception):
     """Bad flag combination detected after argument parsing."""
 
 
-@dataclass
-class SweepConfig:
-    """Resolved parameters of one CSV-emitting command."""
-
-    p_steps: int = P_STEPS_DEFAULT
-    p_max: float = P_MAX_DEFAULT
-    n_list: tuple[int, ...] = ()
-    parities: tuple[str, ...] = ("even", "odd")
-    k: int | None = None
-    p: float | None = None
-    gamma_rate: float | None = None
-    t_steps: int = T_STEPS_DEFAULT
-
-    def __post_init__(self) -> None:
-        if self.p_steps < 2:
-            raise UsageError("need at least 2 sweep points")
-        if self.t_steps < 2:
-            raise UsageError("--t-steps must be at least 2")
-        if max(self.p_steps, self.t_steps) > MAX_SWEEP_STEPS:
-            raise UsageError(f"at most {MAX_SWEEP_STEPS} sweep points")
-        if not 0.0 < self.p_max < 1.0:
-            raise UsageError("p_max must lie in (0, 1)")
-
-    def p_values(self) -> np.ndarray:
-        return np.linspace(0.0, self.p_max, self.p_steps)
+def _check_sweep(steps: int, p_max: float | None = None) -> None:
+    """Reject a sweep size or p_max out of range before any grid is allocated."""
+    if not 2 <= steps <= MAX_SWEEP_STEPS:
+        raise UsageError(f"a sweep takes 2 to {MAX_SWEEP_STEPS} points, got {steps}")
+    if p_max is not None and not 0.0 < p_max < 1.0:
+        raise UsageError(f"--p-max must lie in (0, 1), got {p_max}")
 
 
 def _fmt(value) -> str:
@@ -102,22 +82,24 @@ def _emit(path: str | None, lines: list[str]) -> None:
             fh.write(text)
 
 
-def run_figure(fig: int, cfg: SweepConfig) -> list[str]:
+def run_figure(args) -> list[str]:
     """Discord-versus-p sweep data for one of the three standard panels."""
-    n_list = cfg.n_list or FIGURE_N_DEFAULT[fig]
+    _check_sweep(args.p_steps, args.p_max)
+    fig = args.fig
+    n_list = args.n or FIGURE_N_DEFAULT[fig]
     parities = FIGURE_PARITIES[fig]
     lines = [
         _meta(
             f"figure {fig}",
             n=",".join(str(n) for n in n_list),
             parity=",".join(parities),
-            p_max=cfg.p_max,
-            p_steps=cfg.p_steps,
+            p_max=args.p_max,
+            p_steps=args.p_steps,
         ),
         "p,n,parity,discord",
     ]
     # tolist() gives the same floats as float(np.float64), bit for bit
-    p_values = cfg.p_values().tolist()
+    p_values = np.linspace(0.0, args.p_max, args.p_steps).tolist()
     for n in n_list:
         for parity in parities:
             sign = Parity(parity)
@@ -127,39 +109,45 @@ def run_figure(fig: int, cfg: SweepConfig) -> list[str]:
     return lines
 
 
-def run_sweep_pure(cfg: SweepConfig) -> list[str]:
+def run_sweep_pure(args) -> list[str]:
     """Concurrence and discord of the pure k|(n-k) splitting versus p."""
-    (n,) = cfg.n_list
+    _check_sweep(args.p_steps, args.p_max)
+    n, k = args.n, args.k
+    parities = ("even", "odd") if args.parity == "both" else (args.parity,)
     lines = [
         _meta(
             "sweep-pure",
             n=n,
-            k=cfg.k,
-            parity=",".join(cfg.parities),
-            p_max=cfg.p_max,
-            p_steps=cfg.p_steps,
+            k=k,
+            parity=",".join(parities),
+            p_max=args.p_max,
+            p_steps=args.p_steps,
         ),
         "p,n,k,parity,concurrence,discord",
     ]
-    p_values = cfg.p_values().tolist()
-    for parity in cfg.parities:
+    p_values = np.linspace(0.0, args.p_max, args.p_steps).tolist()
+    for parity in parities:
         sign = Parity(parity)
         for p in p_values:
-            bp = pure_bipartition(SuperpositionSpec(p, sign, n), cfg.k)
+            bp = pure_bipartition(SuperpositionSpec(p, sign, n), k)
             report = discord_pure(bp)
             lines.append(
-                f"{_fmt(p)},{n},{cfg.k},{parity},"
+                f"{_fmt(p)},{n},{k},{parity},"
                 f"{_fmt(report.concurrence)},{_fmt(report.discord)}"
             )
     return lines
 
 
-def run_dynamics(spec: SuperpositionSpec, cfg: SweepConfig) -> list[str]:
+def run_dynamics(args) -> list[str]:
     """Dephasing sweep: closed-form and Wootters concurrence plus the
     discord of `discord_t` on a uniform time grid."""
-    rate = cfg.gamma_rate
+    _check_sweep(args.t_steps)
+    rate = args.gamma_rate
+    if not 0.0 < rate < math.inf:
+        raise UsageError(f"--gamma-rate must be positive and finite, got {rate}")
+    spec = _resolve_spec(args)
     t_death = sudden_death_time(spec, rate)
-    times = default_time_grid(spec, rate, cfg.t_steps)
+    times = default_time_grid(spec, rate, args.t_steps)
     lines = [
         _meta(
             "dynamics",
@@ -167,7 +155,7 @@ def run_dynamics(spec: SuperpositionSpec, cfg: SweepConfig) -> list[str]:
             n=spec.n,
             parity=spec.parity.value,
             gamma_rate=rate,
-            t_steps=cfg.t_steps,
+            t_steps=args.t_steps,
             t0=t_death,
         ),
         "t,gamma,concurrence_closed,concurrence_wootters,discord,is_past_t0",
@@ -203,9 +191,26 @@ def _report_lines(label: str, report) -> list[str]:
     ]
 
 
-def run_point(spec: SuperpositionSpec, k: int | None, grid: tuple[int, int]) -> list[str]:
+def run_point(args) -> list[str]:
     """Full closed-form report, brute-force cross-check and residual for a
-    single parameter point, plus the pure splitting when k is given."""
+    single parameter point, plus the pure splitting when --k is given; with
+    --werner-limit, the report on the p -> 1 odd-parity limit state."""
+    grid = _parse_grid(args.grid)
+    if args.werner_limit:
+        given = [
+            "--" + name.replace("_", "-")
+            for name in ("p", "parity", "algebra", "z", "rep_param", "k")
+            if getattr(args, name) is not None
+        ]
+        if given:
+            raise UsageError(f"{', '.join(given)} cannot be combined with --werner-limit")
+        return _werner_point(args.n, grid)
+    if args.parity is None:
+        raise UsageError("--parity is required unless --werner-limit is given")
+    try:
+        spec = _resolve_spec(args)
+    except WernerLimitRequired as exc:
+        raise WernerLimitRequired(f"{exc}; rerun with --werner-limit") from None
     closed = discord_mixed_closed(spec)
     brute = discord_brute_force(reduced_rho12(spec), grid=grid)
     lines = [
@@ -218,10 +223,10 @@ def run_point(spec: SuperpositionSpec, k: int | None, grid: tuple[int, int]) -> 
     lines += _report_lines("", closed)
     lines.append(f"discord_brute_force_bits = {_fmt(brute.discord)}")
     lines.append(f"closed_minus_brute = {_fmt(closed.discord - brute.discord)}")
-    if k is not None:
-        bp = pure_bipartition(spec, k)
+    if args.k is not None:
+        bp = pure_bipartition(spec, args.k)
         pure = discord_pure(bp)
-        lines.append(f"pure splitting k = {k}")
+        lines.append(f"pure splitting k = {args.k}")
         lines.append(
             "pure_amplitudes = "
             + ",".join(_fmt(c) for c in (bp.c00, bp.c01, bp.c10, bp.c11))
@@ -231,7 +236,7 @@ def run_point(spec: SuperpositionSpec, k: int | None, grid: tuple[int, int]) -> 
     return lines
 
 
-def run_point_werner(n: int, grid: tuple[int, int]) -> list[str]:
+def _werner_point(n: int, grid: tuple[int, int]) -> list[str]:
     """Report on the p -> 1 odd-parity limit state for n modes."""
     state = werner_limit_state(n)
     closed = werner_discord(n)
@@ -245,8 +250,10 @@ def run_point_werner(n: int, grid: tuple[int, int]) -> list[str]:
     ]
 
 
-def run_overlap(alg: AlgebraSpec, z: complex) -> list[str]:
+def run_overlap(args) -> list[str]:
     """Closed-form versus series overlap at one amplitude."""
+    alg = _resolve_algebra(args)
+    z = _parse_complex(args.z)
     closed = overlap_closed(alg, z)
     series = overlap_series(alg, z)
     return [
@@ -289,8 +296,8 @@ _KIND_NAMES = {kind: name for name, kind in _ALGEBRAS.items()}
 
 
 def _resolve_algebra(args) -> AlgebraSpec:
-    if args.z is None:
-        raise UsageError("--algebra needs --z")
+    if args.algebra is None or args.z is None:
+        raise UsageError("--algebra and --z must be given together")
     if args.algebra == "glauber" and args.rep_param is not None:
         raise UsageError("--rep-param does not apply to --algebra glauber")
     return AlgebraSpec(_ALGEBRAS[args.algebra], args.rep_param)
@@ -314,105 +321,60 @@ def _resolve_spec(args) -> SuperpositionSpec:
 
 
 def build_parser() -> _Parser:
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    p_sweep = argparse.ArgumentParser(add_help=False)
+    p_sweep.add_argument("--p-steps", type=int, default=P_STEPS_DEFAULT)
+    p_sweep.add_argument("--p-max", type=float, default=P_MAX_DEFAULT)
+    algebra = argparse.ArgumentParser(add_help=False)
+    algebra.add_argument("--algebra", choices=sorted(_ALGEBRAS), default=None)
+    algebra.add_argument("--z", default=None)
+    algebra.add_argument("--rep-param", type=float, default=None)
+    spec = argparse.ArgumentParser(add_help=False, parents=[algebra])
+    spec.add_argument("--p", type=float, default=None)
+    spec.add_argument("--n", type=int, required=True)
+
     parser = _Parser(prog="catcorr", description=__doc__)
     parser.add_argument("--version", action="version", version=f"catcorr {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    fig = sub.add_parser("figure", help="discord-versus-p sweep for a standard panel")
+    fig = sub.add_parser(
+        "figure", parents=[p_sweep, out], help="discord-versus-p sweep for a standard panel"
+    )
     fig.add_argument("fig", type=int, choices=(1, 2, 3))
     fig.add_argument("--n", type=int, nargs="+", default=None)
-    fig.add_argument("--p-steps", type=int, default=P_STEPS_DEFAULT)
-    fig.add_argument("--p-max", type=float, default=P_MAX_DEFAULT)
-    fig.add_argument("--out", default=None)
+    fig.set_defaults(run=run_figure)
 
-    point = sub.add_parser("point", help="closed-form report plus brute-force check")
-    point.add_argument("--p", type=float, default=None)
-    point.add_argument("--algebra", choices=sorted(_ALGEBRAS), default=None)
-    point.add_argument("--z", default=None)
-    point.add_argument("--rep-param", type=float, default=None)
-    point.add_argument("--n", type=int, required=True)
+    point = sub.add_parser(
+        "point", parents=[spec, out], help="closed-form report plus brute-force check"
+    )
     point.add_argument("--parity", choices=("even", "odd"), default=None)
     point.add_argument("--k", type=int, default=None)
     point.add_argument("--grid", default="181x361")
     point.add_argument("--werner-limit", action="store_true")
-    point.add_argument("--out", default=None)
+    point.set_defaults(run=run_point)
 
-    sweep = sub.add_parser("sweep-pure", help="pure-splitting concurrence and discord sweep")
+    sweep = sub.add_parser(
+        "sweep-pure", parents=[p_sweep, out], help="pure-splitting concurrence and discord sweep"
+    )
     sweep.add_argument("--n", type=int, required=True)
     sweep.add_argument("--k", type=int, required=True)
     sweep.add_argument("--parity", choices=("even", "odd", "both"), default="both")
-    sweep.add_argument("--p-steps", type=int, default=P_STEPS_DEFAULT)
-    sweep.add_argument("--p-max", type=float, default=P_MAX_DEFAULT)
-    sweep.add_argument("--out", default=None)
+    sweep.set_defaults(run=run_sweep_pure)
 
-    dyn = sub.add_parser("dynamics", help="dephasing sweep with sudden-death marker")
-    dyn.add_argument("--p", type=float, default=None)
-    dyn.add_argument("--algebra", choices=sorted(_ALGEBRAS), default=None)
-    dyn.add_argument("--z", default=None)
-    dyn.add_argument("--rep-param", type=float, default=None)
-    dyn.add_argument("--n", type=int, required=True)
+    dyn = sub.add_parser(
+        "dynamics", parents=[spec, out], help="dephasing sweep with sudden-death marker"
+    )
     dyn.add_argument("--parity", choices=("even", "odd"), required=True)
     dyn.add_argument("--gamma-rate", type=float, required=True)
     dyn.add_argument("--t-steps", type=int, default=T_STEPS_DEFAULT)
-    dyn.add_argument("--out", default=None)
+    dyn.set_defaults(run=run_dynamics)
 
-    over = sub.add_parser("overlap", help="closed-form versus series overlap")
-    over.add_argument("--algebra", choices=sorted(_ALGEBRAS), required=True)
-    over.add_argument("--z", required=True)
-    over.add_argument("--rep-param", type=float, default=None)
-    over.add_argument("--out", default=None)
-
+    over = sub.add_parser(
+        "overlap", parents=[algebra, out], help="closed-form versus series overlap"
+    )
+    over.set_defaults(run=run_overlap)
     return parser
-
-
-def _dispatch(args) -> list[str]:
-    if args.command == "figure":
-        cfg = SweepConfig(
-            p_steps=args.p_steps,
-            p_max=args.p_max,
-            n_list=tuple(args.n) if args.n else (),
-        )
-        return run_figure(args.fig, cfg)
-    if args.command == "point":
-        grid = _parse_grid(args.grid)
-        if args.werner_limit:
-            spec_flags = {
-                "--p": args.p,
-                "--parity": args.parity,
-                "--algebra": args.algebra,
-                "--z": args.z,
-                "--rep-param": args.rep_param,
-                "--k": args.k,
-            }
-            given = [flag for flag, value in spec_flags.items() if value is not None]
-            if given:
-                raise UsageError(f"{', '.join(given)} cannot be combined with --werner-limit")
-            return run_point_werner(args.n, grid)
-        if args.parity is None:
-            raise UsageError("--parity is required unless --werner-limit is given")
-        try:
-            spec = _resolve_spec(args)
-        except WernerLimitRequired as exc:
-            raise WernerLimitRequired(f"{exc}; rerun with --werner-limit") from None
-        return run_point(spec, args.k, grid)
-    if args.command == "sweep-pure":
-        parities = ("even", "odd") if args.parity == "both" else (args.parity,)
-        cfg = SweepConfig(
-            p_steps=args.p_steps,
-            p_max=args.p_max,
-            n_list=(args.n,),
-            parities=parities,
-            k=args.k,
-        )
-        return run_sweep_pure(cfg)
-    if args.command == "dynamics":
-        cfg = SweepConfig(gamma_rate=args.gamma_rate, t_steps=args.t_steps)
-        if cfg.gamma_rate <= 0.0:
-            raise UsageError("--gamma-rate must be positive")
-        return run_dynamics(_resolve_spec(args), cfg)
-    if args.command == "overlap":
-        return run_overlap(_resolve_algebra(args), _parse_complex(args.z))
-    raise UsageError(f"unknown command {args.command!r}")
 
 
 @functools.lru_cache(maxsize=1)
@@ -425,8 +387,7 @@ def _shared_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        lines = _dispatch(args)
-        _emit(getattr(args, "out", None), lines)
+        _emit(args.out, args.run(args))
     except UsageError as exc:
         print(f"catcorr: {exc}", file=sys.stderr)
         return 1

@@ -50,7 +50,7 @@ class AlgebraSpec:
         r = self.rep_param
         if r is None:
             raise DomainError(f"{self.kind.value} needs a representation parameter")
-        if r <= 0 or abs(2.0 * r - round(2.0 * r)) > 1e-9:
+        if not 0.0 < r < math.inf or abs(2.0 * r - round(2.0 * r)) > 1e-9:
             raise DomainError(
                 f"representation parameter must be a positive half-integer, got {r}"
             )
@@ -66,13 +66,6 @@ class AlgebraSpec:
     @classmethod
     def su11(cls, k: float) -> "AlgebraSpec":
         return cls(AlgebraKind.SU11, k)
-
-    @property
-    def max_level(self) -> int | None:
-        """Highest ladder level (2j for su(2)), or None for infinite ladders."""
-        if self.kind is AlgebraKind.SU2:
-            return int(round(2.0 * self.rep_param))
-        return None
 
 
 def structure_function(alg: AlgebraSpec, n: int) -> float:

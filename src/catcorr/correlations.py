@@ -89,18 +89,19 @@ class CorrelationReport:
     argmin: MeasurementBasis
 
     def __post_init__(self) -> None:
-        if abs(self.discord - (self.mutual_info - self.classical_corr)) > 1e-9:
+        # negated comparisons, so that a NaN field fails every check
+        if not abs(self.discord - (self.mutual_info - self.classical_corr)) <= 1e-9:
             raise DomainError("discord must equal mutual information minus classical part")
-        if (
-            self.mutual_info < -1e-12
-            or self.classical_corr < -1e-12
-            or self.discord < -1e-12
-            or self.eof < -1e-12
-            or self.s_cond_min < -1e-12
+        if not (
+            self.mutual_info >= -1e-12
+            and self.classical_corr >= -1e-12
+            and self.discord >= -1e-12
+            and self.eof >= -1e-12
+            and self.s_cond_min >= -1e-12
         ):
             # the loop only words the error
             for name in ("mutual_info", "classical_corr", "discord", "eof", "s_cond_min"):
-                if getattr(self, name) < -1e-12:
+                if not getattr(self, name) >= -1e-12:
                     raise DomainError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if not -1e-12 <= self.concurrence <= 1.0 + 1e-12:
             raise DomainError(f"concurrence must lie in [0, 1], got {self.concurrence}")
@@ -207,7 +208,7 @@ def mutual_information(spec: SuperpositionSpec) -> float:
 def conditional_entropy(state: TwoQubitState, basis: MeasurementBasis) -> float:
     """Average entropy of the second qubit after measuring the first
     along `basis`, weighted by the outcome probabilities."""
-    table = bloch_matrix(state).R
+    table = bloch_matrix(state)
     d1, d2, d3 = basis.direction()
     return float(
         _cond_entropy_field(table, np.float64(d1), np.float64(d2), np.float64(d3))
@@ -451,7 +452,7 @@ def discord_brute_force(
         raise DomainError(
             f"scan grid must have at most {MAX_GRID_DIRECTIONS} points, got {grid}"
         )
-    table = bloch_matrix(state).R
+    table = bloch_matrix(state)
     theta, phi, d1, d2, d3 = _direction_grid(n_theta, n_phi)
     values = _cond_entropy_field(table, d1, d2, d3)
     flat = int(np.argmin(values))  # first occurrence: lexicographic (theta, phi)

@@ -98,7 +98,7 @@ def sudden_death_time(spec: SuperpositionSpec, gamma_rate: float) -> float:
     Infinite when the cross-branch weight is one (n = 2, or p = 1 with
     even parity); zero when p = 0.
     """
-    if gamma_rate <= 0.0:
+    if not gamma_rate > 0.0:
         raise DomainError(f"decay rate must be positive, got {gamma_rate}")
     q = spec.q
     if q >= 1.0:
@@ -126,9 +126,12 @@ def default_time_grid(
     spec: SuperpositionSpec, gamma_rate: float, steps: int = 200
 ) -> np.ndarray:
     """Uniform sweep times: [0, 3 t_death] when the death time is finite
-    and positive, otherwise [0, 5/rate]."""
+    and positive, otherwise [0, 5/rate].  A rate so small that the horizon
+    overflows is a domain error."""
     if steps < 2:
         raise DomainError(f"need at least 2 time steps, got {steps}")
     t_death = sudden_death_time(spec, gamma_rate)
     horizon = 3.0 * t_death if 0.0 < t_death < math.inf else 5.0 / gamma_rate
+    if not horizon < math.inf:
+        raise DomainError(f"time horizon overflows at decay rate {gamma_rate}")
     return np.linspace(0.0, horizon, steps)

@@ -282,35 +282,17 @@ def reduced_rho12(spec: SuperpositionSpec) -> TwoQubitState:
     return TwoQubitState(m)
 
 
-@dataclass(frozen=True, eq=False)
-class BlochMatrix:
-    """Pauli-pair expectation table R[a, b] = Tr[rho (sigma_a x sigma_b)].
+def bloch_matrix(state: TwoQubitState) -> np.ndarray:
+    """Pauli-pair expectation table R[a, b] = Tr[rho (sigma_a x sigma_b)]
+    of a two-qubit state, as a read-only real 4x4 array.
 
     R[0, 0] = 1 for a unit-trace state; the density matrix is recovered as
     rho = (1/4) sum_ab R[a, b] sigma_a x sigma_b.
     """
-
-    R: np.ndarray
-
-    def __post_init__(self) -> None:
-        r = np.array(self.R, dtype=float)
-        if r.shape != (4, 4):
-            raise DomainError(f"expected a 4x4 table, got shape {r.shape}")
-        r.setflags(write=False)
-        object.__setattr__(self, "R", r)
-
-    def to_density(self) -> TwoQubitState:
-        m = np.zeros((4, 4), dtype=complex)
-        for a in range(4):
-            for b in range(4):
-                m += self.R[a, b] * _PAULI_PAIRS[a][b]
-        return TwoQubitState(m / 4.0)
-
-
-def bloch_matrix(state: TwoQubitState) -> BlochMatrix:
-    """Pauli-pair expectations of a two-qubit state (all real)."""
     products = state.matrix @ _PAULI_PAIRS.reshape(16, 4, 4)
-    return BlochMatrix(np.trace(products, axis1=1, axis2=2).real.reshape(4, 4))
+    table = np.trace(products, axis1=1, axis2=2).real.reshape(4, 4).copy()
+    table.setflags(write=False)
+    return table
 
 
 def werner_limit_state(n: int) -> TwoQubitState:

@@ -13,7 +13,7 @@ from catcorr import (
     sudden_death_time,
     werner_discord,
 )
-from catcorr.cli import MAX_SWEEP_STEPS, SweepConfig, UsageError, main
+from catcorr.cli import MAX_SWEEP_STEPS, UsageError, _check_sweep, main
 
 
 def run_cli(capsys, argv):
@@ -205,6 +205,8 @@ def test_usage_errors_exit_one(capsys):
         ["figure", "2", "--p-max", "1.5"],
         ["figure", "2", "--p-steps", "1"],
         ["dynamics", "--p", "0.5", "--n", "4", "--parity", "even", "--gamma-rate", "-1"],
+        ["dynamics", "--p", "0.5", "--n", "4", "--parity", "even", "--gamma-rate", "nan"],
+        ["dynamics", "--p", "0.5", "--n", "4", "--parity", "even", "--gamma-rate", "inf"],
         ["dynamics", "--p", "0.5", "--n", "4", "--parity", "even", "--gamma-rate", "1",
          "--t-steps", "1"],
         ["point", "--algebra", "glauber", "--n", "3", "--parity", "even"],  # no --z
@@ -231,10 +233,10 @@ def test_sweep_sizes_above_the_cap_exit_one(capsys):
         assert code == 1, argv
         assert out == ""
         assert str(MAX_SWEEP_STEPS) in err
-    for steps in ({"p_steps": MAX_SWEEP_STEPS + 1}, {"t_steps": MAX_SWEEP_STEPS + 1}):
+    for p_max in (None, 0.999):
         with pytest.raises(UsageError):
-            SweepConfig(**steps)
-    SweepConfig(p_steps=MAX_SWEEP_STEPS, t_steps=MAX_SWEEP_STEPS)
+            _check_sweep(MAX_SWEEP_STEPS + 1, p_max)
+        _check_sweep(MAX_SWEEP_STEPS, p_max)
 
 
 @pytest.mark.parametrize(
@@ -307,6 +309,13 @@ def test_domain_errors_exit_three(capsys):
         ["sweep-pure", "--n", "4", "--k", "9", "--p-steps", "3"],
         ["point", "--p", "0.5", "--n", "4", "--parity", "even",
          "--grid", "1000000x1000000"],  # above the cap, rejected before allocating
+        ["overlap", "--algebra", "su2", "--z", "0.3", "--rep-param", "inf"],
+        ["overlap", "--algebra", "su2", "--z", "0.3", "--rep-param", "nan"],
+        ["point", "--algebra", "su2", "--z", "0.3", "--rep-param", "inf",
+         "--n", "3", "--parity", "even"],
+        # 5/rate overflows: rejected before the time grid turns into NaN
+        ["dynamics", "--p", "0.5", "--n", "4", "--parity", "even",
+         "--gamma-rate", "1e-320"],
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, argv)

@@ -51,6 +51,9 @@ def test_rep_param_validation():
         AlgebraSpec.su11(-1.0)
     with pytest.raises(DomainError):
         AlgebraSpec(AlgebraKind.SU2)  # missing parameter
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="half-integer"):
+            AlgebraSpec.su2(bad)
     AlgebraSpec.su2(1.5)  # fine
     AlgebraSpec.harmonic()  # no parameter needed
 

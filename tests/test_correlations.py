@@ -536,3 +536,17 @@ def test_correlation_report_validation():
     for name, (info, cc, disc, eof, s_min) in negative.items():
         with pytest.raises(DomainError, match=f"^{name} must be nonnegative, got -"):
             CorrelationReport(info, cc, disc, 0.5, eof, s_min, basis)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["mutual_info", "classical_corr", "discord", "concurrence", "eof", "s_cond_min"],
+)
+def test_correlation_report_rejects_nan(field):
+    values = dict(
+        mutual_info=1.0, classical_corr=0.4, discord=0.6, concurrence=0.5, eof=0.6,
+        s_cond_min=0.2, argmin=MeasurementBasis(math.pi / 2.0, 0.0),
+    )
+    values[field] = math.nan
+    with pytest.raises(DomainError):
+        CorrelationReport(**values)

@@ -122,8 +122,9 @@ def test_sudden_death_time_formula():
     expect = math.log((1.0 + q) / (1.0 - q))
     assert sudden_death_time(s, 1.0) == pytest.approx(expect, abs=1e-12)
     assert sudden_death_time(s, 2.0) == pytest.approx(expect / 2.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        sudden_death_time(s, 0.0)
+    for rate in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            sudden_death_time(s, rate)
 
 
 def test_sudden_death_time_edge_cases():
@@ -281,3 +282,7 @@ def test_default_time_grid_shapes():
     assert grid[-1] == pytest.approx(5.0, abs=1e-12)
     with pytest.raises(DomainError):
         default_time_grid(s, 1.0, steps=1)
+    # 3 t_death and 5/rate both overflow at a subnormal rate
+    for p in (0.5, 0.0):
+        with pytest.raises(DomainError, match="horizon"):
+            default_time_grid(spec(p, Parity.ODD, 4), 1e-320)

@@ -90,7 +90,7 @@ def test_field_matches_per_outcome_reference_bitwise(rng):
     # the default half grid and 33 x 129 both end in a shorter block
     assert (91 * 361) % _FIELD_BLOCK and (33 * 129) % _FIELD_BLOCK
     for state in kernel_states(rng):
-        table = bloch_matrix(state).R
+        table = bloch_matrix(state)
         for directions in direction_sets(rng):
             new = _cond_entropy_field(table, *directions)
             ref = reference_field(table, *directions)
@@ -109,7 +109,7 @@ def test_bloch_matrix_matches_trace_loop_bitwise(rng):
         for a in range(4):
             for b in range(4):
                 loop[a, b] = np.trace(state.matrix @ pairs[a][b]).real
-        assert np.array_equal(bits(bloch_matrix(state).R), bits(loop))
+        assert np.array_equal(bits(bloch_matrix(state)), bits(loop))
 
 
 def test_scan_memory_does_not_grow_with_the_grid(rng):

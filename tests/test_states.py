@@ -5,7 +5,6 @@ import pytest
 
 from catcorr import (
     AlgebraSpec,
-    BlochMatrix,
     DomainError,
     Parity,
     SuperpositionSpec,
@@ -21,6 +20,7 @@ from catcorr import (
     superposition_vector,
     werner_limit_state,
 )
+from catcorr.states import PAULI
 
 
 def spec(p, parity, n):
@@ -236,15 +236,19 @@ def test_bloch_matrix_round_trip(rng):
         n = int(rng.integers(2, 9))
         state = reduced_rho12(spec(p, Parity.EVEN, n))
         table = bloch_matrix(state)
-        assert isinstance(table, BlochMatrix)
-        assert table.R[0, 0] == pytest.approx(1.0, abs=1e-12)
-        back = table.to_density()
-        assert np.max(np.abs(back.matrix - state.matrix)) < 1e-12
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        assert table[0, 0] == pytest.approx(1.0, abs=1e-12)
+        back = sum(
+            table[a, b] * np.kron(PAULI[a], PAULI[b]) for a in range(4) for b in range(4)
+        )
+        assert np.max(np.abs(back / 4.0 - state.matrix)) < 1e-12
 
 
 def test_bloch_matrix_nonzero_pattern():
     state = reduced_rho12(spec(0.7, Parity.ODD, 5))
-    r = bloch_matrix(state).R
+    r = bloch_matrix(state)
     assert r.shape == (4, 4)
     assert r.dtype.kind == "f"
     nonzero = {(a, b) for a in range(4) for b in range(4) if abs(r[a, b]) > 1e-12}

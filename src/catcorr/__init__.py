@@ -33,7 +33,7 @@ from .dynamics import (
     discord_t,
     sudden_death_time,
 )
-from .errors import ConvergenceError, DomainError, WernerLimitRequired
+from .errors import ConvergenceError, DomainError
 from .states import (
     Parity,
     PureBipartition,
@@ -46,7 +46,6 @@ from .states import (
     pure_bipartition,
     reduced_rho12,
     superposition_vector,
-    werner_limit_state,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +63,6 @@ __all__ = [
     "PureBipartition",
     "SuperpositionSpec",
     "TwoQubitState",
-    "WernerLimitRequired",
     "apply_dephasing",
     "binary_entropy",
     "bloch_matrix",
@@ -91,5 +89,4 @@ __all__ = [
     "superposition_vector",
     "von_neumann_entropy",
     "werner_discord",
-    "werner_limit_state",
 ]

@@ -21,7 +21,6 @@ from .correlations import (
     discord_brute_force,
     discord_mixed_closed,
     discord_pure,
-    werner_discord,
 )
 from .dynamics import (
     DephasingChannel,
@@ -31,14 +30,8 @@ from .dynamics import (
     discord_t,
     sudden_death_time,
 )
-from .errors import ConvergenceError, DomainError, WernerLimitRequired
-from .states import (
-    Parity,
-    SuperpositionSpec,
-    pure_bipartition,
-    reduced_rho12,
-    werner_limit_state,
-)
+from .errors import ConvergenceError, DomainError
+from .states import Parity, SuperpositionSpec, pure_bipartition, reduced_rho12
 
 P_MAX_DEFAULT = 0.999
 P_STEPS_DEFAULT = 500
@@ -62,8 +55,8 @@ def _check_sweep(steps: int, p_max: float | None = None) -> None:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
+    if isinstance(value, float):
+        return f"{value:.12g}"
     return str(value)
 
 
@@ -193,24 +186,9 @@ def _report_lines(label: str, report) -> list[str]:
 
 def run_point(args) -> list[str]:
     """Full closed-form report, brute-force cross-check and residual for a
-    single parameter point, plus the pure splitting when --k is given; with
-    --werner-limit, the report on the p -> 1 odd-parity limit state."""
+    single parameter point, plus the pure splitting when --k is given."""
     grid = _parse_grid(args.grid)
-    if args.werner_limit:
-        given = [
-            "--" + name.replace("_", "-")
-            for name in ("p", "parity", "algebra", "z", "rep_param", "k")
-            if getattr(args, name) is not None
-        ]
-        if given:
-            raise UsageError(f"{', '.join(given)} cannot be combined with --werner-limit")
-        return _werner_point(args.n, grid)
-    if args.parity is None:
-        raise UsageError("--parity is required unless --werner-limit is given")
-    try:
-        spec = _resolve_spec(args)
-    except WernerLimitRequired as exc:
-        raise WernerLimitRequired(f"{exc}; rerun with --werner-limit") from None
+    spec = _resolve_spec(args)
     closed = discord_mixed_closed(spec)
     brute = discord_brute_force(reduced_rho12(spec), grid=grid)
     lines = [
@@ -234,20 +212,6 @@ def run_point(args) -> list[str]:
         lines.append(f"pure_concurrence = {_fmt(pure.concurrence)}")
         lines.append(f"pure_discord_bits = {_fmt(pure.discord)}")
     return lines
-
-
-def _werner_point(n: int, grid: tuple[int, int]) -> list[str]:
-    """Report on the p -> 1 odd-parity limit state for n modes."""
-    state = werner_limit_state(n)
-    closed = werner_discord(n)
-    brute = discord_brute_force(state, grid=grid)
-    return [
-        f"werner limit, n = {n}",
-        f"discord_closed_bits = {_fmt(closed)}",
-        f"discord_brute_force_bits = {_fmt(brute.discord)}",
-        f"closed_minus_brute = {_fmt(closed - brute.discord)}",
-        f"concurrence = {_fmt(concurrence_x(state))}",
-    ]
 
 
 def run_overlap(args) -> list[str]:
@@ -348,10 +312,9 @@ def build_parser() -> _Parser:
     point = sub.add_parser(
         "point", parents=[spec, out], help="closed-form report plus brute-force check"
     )
-    point.add_argument("--parity", choices=("even", "odd"), default=None)
+    point.add_argument("--parity", choices=("even", "odd"), required=True)
     point.add_argument("--k", type=int, default=None)
     point.add_argument("--grid", default="181x361")
-    point.add_argument("--werner-limit", action="store_true")
     point.set_defaults(run=run_point)
 
     sweep = sub.add_parser(
@@ -394,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"catcorr: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, WernerLimitRequired, ConvergenceError, ValueError) as exc:
+    except (DomainError, ConvergenceError, ValueError) as exc:
         print(f"catcorr: {exc}", file=sys.stderr)
         return 3
     return 0

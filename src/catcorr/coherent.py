@@ -22,6 +22,8 @@ from .errors import ConvergenceError, DomainError
 
 DEFAULT_SERIES_TOL = 1e-14
 SERIES_TERM_CAP = 10**6
+# roundoff-level excursions of an overlap beyond [0, 1] that are clamped
+OVERLAP_SLACK = 1e-12
 
 
 class AlgebraKind(Enum):
@@ -106,7 +108,7 @@ class Overlap:
 
     def __post_init__(self) -> None:
         v = float(self.value)
-        if not -1e-12 <= v <= 1.0 + 1e-12:
+        if not -OVERLAP_SLACK <= v <= 1.0 + OVERLAP_SLACK:
             raise DomainError(
                 f"overlap {v} lies outside [0, 1]; amplitude {self.z} is outside "
                 f"the admissible domain of {self.algebra.kind.value}"
@@ -155,7 +157,10 @@ def overlap_series(
     carried as two positive log-sums.  Terms are added until the latest
     one falls below tol (relative to the running sum, with a 100x safety
     margin so slowly decaying su(1,1) tails stay inside the contract);
-    exceeding the term cap raises ConvergenceError.
+    exceeding the term cap raises ConvergenceError, up front for an su(2)
+    ladder of more than term_cap terms.  A sum that ends negative by more
+    than the clamp but within its rounding bound has lost its sign to the
+    cancellation of the two halves, and also raises ConvergenceError.
     """
     if tol <= 0.0:
         raise DomainError(f"series tolerance must be positive, got {tol}")
@@ -164,6 +169,10 @@ def overlap_series(
         raise DomainError(f"su(1,1) amplitudes live on the open unit disc, got |z|={abs(z)}")
     if x == 0.0:
         return Overlap(1.0, alg, z)
+    if alg.kind is AlgebraKind.SU2 and 2.0 * alg.rep_param > term_cap:
+        raise ConvergenceError(
+            f"su(2) ladder of {2.0 * alg.rep_param:g} terms exceeds the cap of {term_cap}"
+        )
     log_x = math.log(x)
     log_stop = math.log(tol) - math.log(100.0)
     log_even = 0.0  # n = 0 term
@@ -172,11 +181,11 @@ def overlap_series(
     n = 0
     while True:
         n += 1
-        if n > term_cap:
-            raise ConvergenceError(f"overlap series did not converge in {term_cap} terms")
         f_n = structure_function(alg, n)
         if f_n == 0.0:
             break  # finite su(2) ladder exhausted
+        if n > term_cap:
+            raise ConvergenceError(f"overlap series did not converge in {term_cap} terms")
         log_coeff += math.log(f_n) - 2.0 * math.log(n)
         log_term = log_coeff + n * log_x
         if n % 2 == 0:
@@ -187,4 +196,11 @@ def overlap_series(
             break
     log_den = _logaddexp(log_even, log_odd)
     p = math.exp(log_even - log_den) - math.exp(log_odd - log_den)
+    # the halves are carried as logarithms up to log_den in size, so each of
+    # the n terms can cost p about eps * log_den in rounding
+    if -n * math.ulp(1.0) * (1.0 + log_den) <= p < -OVERLAP_SLACK:
+        raise ConvergenceError(
+            f"overlap series lost its sign to cancellation: the even and odd "
+            f"halves differ by {p:.3g}, within the rounding of its {n} terms"
+        )
     return Overlap(p, alg, z)

@@ -126,10 +126,12 @@ def default_time_grid(
     spec: SuperpositionSpec, gamma_rate: float, steps: int = 200
 ) -> np.ndarray:
     """Uniform sweep times: [0, 3 t_death] when the death time is finite
-    and positive, otherwise [0, 5/rate].  A rate so small that the horizon
-    overflows is a domain error."""
+    and positive, otherwise [0, 5/rate].  A rate that is not finite and
+    positive, or so small that the horizon overflows, is a domain error."""
     if steps < 2:
         raise DomainError(f"need at least 2 time steps, got {steps}")
+    if not 0.0 < gamma_rate < math.inf:
+        raise DomainError(f"decay rate must be positive and finite, got {gamma_rate}")
     t_death = sudden_death_time(spec, gamma_rate)
     horizon = 3.0 * t_death if 0.0 < t_death < math.inf else 5.0 / gamma_rate
     if not horizon < math.inf:

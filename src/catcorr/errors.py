@@ -7,8 +7,3 @@ class DomainError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """A series or iteration failed to converge within its hard cap."""
-
-
-class WernerLimitRequired(ValueError):
-    """The requested parameters are degenerate (overlap 1 with odd parity);
-    the caller should use the dedicated Werner-limit operations instead."""

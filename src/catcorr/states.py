@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .coherent import AlgebraSpec, Overlap
-from .errors import DomainError, WernerLimitRequired
+from .errors import DomainError
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -52,8 +52,10 @@ class SuperpositionSpec:
     """Parameters of the balanced superposition: overlap p in [0, 1],
     branch parity and mode count n >= 2, with optional provenance of p.
 
-    p = 1 with odd parity is degenerate (the branches cancel); that limit
-    is served by `werner_limit_state` and `werner_discord` instead.
+    p = 1 with odd parity is the p -> 1 limit of the odd branch, the
+    shared-single-excitation (W-type) state: the superposition vector
+    itself vanishes there, but every closed form is continuous and takes
+    its limit value (`werner_discord` gives the pair discord explicitly).
     """
 
     p: float
@@ -75,19 +77,10 @@ class SuperpositionSpec:
             raise DomainError(f"mode count must be an integer >= 2, got {self.n}")
         if not isinstance(self.n, int):
             object.__setattr__(self, "n", int(self.n))
-        if self.p == 1.0 and self.parity is Parity.ODD:
-            raise WernerLimitRequired(
-                "overlap 1 with odd parity is degenerate; use werner_limit_state(n) "
-                "or werner_discord(n) for this limit"
-            )
 
     @classmethod
     def from_overlap(cls, overlap: Overlap, parity: Parity, n: int) -> "SuperpositionSpec":
         return cls(overlap.value, parity, n, algebra=overlap.algebra, z=overlap.z)
-
-    @property
-    def branch_sign(self) -> int:
-        return self.parity.sign
 
     @property
     def q(self) -> float:
@@ -96,8 +89,14 @@ class SuperpositionSpec:
 
 
 def normalization(spec: SuperpositionSpec) -> float:
-    """Normalization prefactor [2 + 2 p^n sign]^(-1/2) of the superposition."""
-    return 1.0 / math.sqrt(2.0 + 2.0 * spec.p**spec.n * spec.branch_sign)
+    """Normalization prefactor [2 + 2 p^n sign]^(-1/2) of the superposition.
+
+    The odd superposition vanishes at p = 1, so it has no prefactor there.
+    """
+    norm_sq = 2.0 + 2.0 * spec.p**spec.n * spec.parity.sign
+    if norm_sq == 0.0:
+        raise DomainError("the odd superposition vanishes at p = 1 and cannot be normalized")
+    return 1.0 / math.sqrt(norm_sq)
 
 
 def _block_weights(p: float, size: int) -> tuple[float, float]:
@@ -140,7 +139,7 @@ def pure_bipartition(spec: SuperpositionSpec, k: int) -> PureBipartition:
     a_k, b_k = _block_weights(p, k)
     a_r, b_r = _block_weights(p, n - k)
     c00 = c01 = c10 = c11 = 0.0
-    if spec.branch_sign == 1:
+    if spec.parity.sign == 1:
         norm = 2.0 * normalization(spec)
         c00, c11 = norm * a_k * a_r, norm * b_k * b_r
     else:
@@ -218,7 +217,7 @@ def superposition_vector(spec: SuperpositionSpec, max_modes: int = 12) -> np.nda
     n = spec.n
     a, b = _block_weights(spec.p, 1)
     norm = normalization(spec)
-    sign = spec.branch_sign
+    sign = spec.parity.sign
     amps = np.zeros(2**n)
     for idx in range(2**n):
         w = idx.bit_count()
@@ -262,7 +261,7 @@ def _pair_entries(spec: SuperpositionSpec) -> tuple[float, float, float, float]:
     is a^2 b^2 (1 - c q)/(1 + c p^n) = (1 - c q)(1 - c p)/4 * (1 + c p)/(1 + c p^n).
     Every closed form of the pair derives from these four numbers.
     """
-    p, n, c = spec.p, spec.n, spec.branch_sign
+    p, n, c = spec.p, spec.n, spec.parity.sign
     a2 = (1.0 + p) / 2.0
     b2 = (1.0 - p) / 2.0
     outer = _pow_ratio(p, n - 2, n, c)
@@ -293,21 +292,6 @@ def bloch_matrix(state: TwoQubitState) -> np.ndarray:
     table = np.trace(products, axis1=1, axis2=2).real.reshape(4, 4).copy()
     table.setflags(write=False)
     return table
-
-
-def werner_limit_state(n: int) -> TwoQubitState:
-    """Two-mode reduction of the n-mode single-excitation (W-type) state.
-
-    Population (n-2)/n on |00>, 1/n on each of |01>, |10> with coherence
-    1/n between them, nothing on |11>.  For n = 2 this is the Bell state
-    (|01> + |10>)/sqrt(2).
-    """
-    if n != int(n) or n < 2:
-        raise DomainError(f"mode count must be an integer >= 2, got {n}")
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = (n - 2) / n
-    m[1, 1] = m[2, 2] = m[1, 2] = m[2, 1] = 1.0 / n
-    return TwoQubitState(m)
 
 
 def marginals(state: TwoQubitState) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,6 @@ from catcorr import (
     sudden_death_time,
     superposition_vector,
     werner_discord,
-    werner_limit_state,
 )
 
 P_GRID = [0.05 * k for k in range(1, 20)]
@@ -155,13 +154,16 @@ def test_criterion_5_limit_cases():
     ends_exact = all(v == 0.0 for v in end_vals)
     # (d) shared-excitation limit: scan oracle vs closed expression
     worst_w = max(
-        abs(discord_brute_force(werner_limit_state(n)).discord - werner_discord(n))
+        abs(
+            discord_brute_force(reduced_rho12(SuperpositionSpec(1.0, Parity.ODD, n))).discord
+            - werner_discord(n)
+        )
         for n in range(3, 9)
     )
     # (e) its concurrence is 2/n, also as the odd-branch overlap approaches 1
     worst_c = max(
         max(
-            abs(concurrence_x(werner_limit_state(n)) - 2.0 / n),
+            abs(concurrence_x(reduced_rho12(SuperpositionSpec(1.0, Parity.ODD, n))) - 2.0 / n),
             abs(
                 discord_mixed_closed(
                     SuperpositionSpec(1.0 - 1e-9, Parity.ODD, n)

@@ -105,14 +105,36 @@ def test_point_report(capsys):
 
 
 def test_point_werner_limit(capsys):
-    code, out, _ = run_cli(capsys, ["point", "--n", "4", "--werner-limit"])
+    code, out, _ = run_cli(capsys, ["point", "--p", "1", "--n", "4", "--parity", "odd"])
     assert code == 0
     report = parse_report(out)
-    assert float(report["discord_closed_bits"]) == pytest.approx(
+    assert float(report["discord_bits"]) == pytest.approx(
         werner_discord(4), abs=1e-11
     )
     assert abs(float(report["closed_minus_brute"])) < 1e-9
     assert float(report["concurrence"]) == pytest.approx(0.5, abs=1e-11)
+
+
+def test_w_limit_is_an_ordinary_spec(capsys):
+    # odd parity at p = 1 goes through the same commands as any other point
+    code, out, _ = run_cli(capsys, ["point", "--p", "1", "--n", "5", "--parity", "odd"])
+    assert code == 0
+    report = parse_report(out)
+    assert float(report["discord_bits"]) == pytest.approx(werner_discord(5), abs=1e-11)
+    assert float(report["concurrence"]) == 0.4
+    # p = exp(-2 |z|^2) = 1 at z = 0
+    code, out, _ = run_cli(
+        capsys, ["point", "--algebra", "glauber", "--z", "0", "--n", "3", "--parity", "odd"]
+    )
+    assert code == 0
+    report = parse_report(out)
+    assert float(report["p"]) == 1.0
+    assert float(report["discord_bits"]) == pytest.approx(werner_discord(3), abs=1e-11)
+    code, out, _ = run_cli(
+        capsys, ["dynamics", "--p", "1", "--n", "4", "--parity", "odd", "--gamma-rate", "1"]
+    )
+    assert code == 0
+    assert "t0=inf" in out.splitlines()[0]  # the W pair never loses its entanglement
 
 
 def test_point_algebra_route(capsys):
@@ -199,8 +221,12 @@ def test_out_file_matches_stdout(tmp_path, capsys):
 
 
 def test_usage_errors_exit_one(capsys):
+    # argparse itself reports a missing --parity and the deleted --werner-limit
+    assert _main_code(["point", "--p", "0.5", "--n", "4"]) == 1
+    assert "--parity" in capsys.readouterr().err
+    assert _main_code(["point", "--n", "5", "--werner-limit"]) == 1
+    assert capsys.readouterr().out == ""
     cases = [
-        ["point", "--p", "0.5", "--n", "4"],  # parity missing
         ["point", "--p", "0.5", "--n", "4", "--parity", "even", "--grid", "banana"],
         ["figure", "2", "--p-max", "1.5"],
         ["figure", "2", "--p-steps", "1"],
@@ -285,10 +311,16 @@ def test_rep_param_with_glauber_is_usage_error(capsys, argv):
     ],
 )
 def test_ignored_flags_are_usage_errors(capsys, argv):
-    code, out, err = run_cli(capsys, argv)
+    code = _main_code(argv)
+    out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
-    assert err.startswith("catcorr: --")
+    if "--werner-limit" in argv:
+        # the flag is gone: argparse refuses it, or the --parity it stood in for
+        assert ": error: " in err
+        assert "--werner-limit" in err or "--parity" in err
+    else:
+        assert err.startswith("catcorr: --")
 
 
 def test_io_errors_exit_two(capsys):
@@ -301,7 +333,7 @@ def test_io_errors_exit_two(capsys):
 
 def test_domain_errors_exit_three(capsys):
     cases = [
-        ["point", "--p", "1.0", "--n", "4", "--parity", "odd"],
+        ["point", "--p", "1.5", "--n", "4", "--parity", "odd"],
         ["overlap", "--algebra", "su11", "--z", "1.2", "--rep-param", "1"],
         ["overlap", "--algebra", "su2", "--z", "0.5"],  # rep param missing
         ["point", "--algebra", "su2", "--z", "2.0", "--rep-param", "0.5",
@@ -311,6 +343,9 @@ def test_domain_errors_exit_three(capsys):
          "--grid", "1000000x1000000"],  # above the cap, rejected before allocating
         ["overlap", "--algebra", "su2", "--z", "0.3", "--rep-param", "inf"],
         ["overlap", "--algebra", "su2", "--z", "0.3", "--rep-param", "nan"],
+        # the series loses its sign to cancellation / its ladder exceeds the cap
+        ["overlap", "--algebra", "su2", "--z", "0.3", "--rep-param", "1e5"],
+        ["overlap", "--algebra", "su2", "--z", "0.3", "--rep-param", "1e9"],
         ["point", "--algebra", "su2", "--z", "0.3", "--rep-param", "inf",
          "--n", "3", "--parity", "even"],
         # 5/rate overflows: rejected before the time grid turns into NaN
@@ -321,12 +356,6 @@ def test_domain_errors_exit_three(capsys):
         code, _, err = run_cli(capsys, argv)
         assert code == 3, argv
         assert "catcorr:" in err
-
-
-def test_werner_pointer_in_degenerate_error(capsys):
-    code, _, err = run_cli(capsys, ["point", "--p", "1.0", "--n", "4", "--parity", "odd"])
-    assert code == 3
-    assert "--werner-limit" in err
 
 
 def test_point_uncorrelated_example(capsys):
@@ -376,7 +405,7 @@ def test_module_entry_point_and_determinism():
 
 
 def test_module_entry_point_domain_exit():
-    proc = _run_module(["point", "--p", "1.0", "--n", "4", "--parity", "odd"])
+    proc = _run_module(["point", "--p", "0.5", "--n", "1", "--parity", "odd"])
     assert proc.returncode == 3
 
 

@@ -9,6 +9,7 @@ from catcorr import (
     ConvergenceError,
     DomainError,
     Overlap,
+    coherent,
     overlap_closed,
     overlap_series,
     structure_function,
@@ -125,6 +126,34 @@ def test_series_su2_ladder_is_exact():
 def test_series_su2_negative_kernel_rejected():
     with pytest.raises(DomainError):
         overlap_series(AlgebraSpec.su2(0.5), 2.0)
+    # half-integer spins beyond the unit circle have a truly negative kernel
+    for j, z in ((2.5, 1.5), (10.5, 3.0)):
+        with pytest.raises(DomainError, match="admissible domain"):
+            overlap_series(AlgebraSpec.su2(j), z)
+
+
+def test_series_su2_ladder_above_the_cap_fails_before_summing(monkeypatch):
+    def no_terms(alg, n):
+        raise AssertionError("summed a ladder that cannot fit under the cap")
+
+    monkeypatch.setattr(coherent, "structure_function", no_terms)
+    for j, cap in ((1e9, 10**6), (6.0, 10)):
+        with pytest.raises(ConvergenceError, match="ladder"):
+            overlap_series(AlgebraSpec.su2(j), 0.3, term_cap=cap)
+
+
+def test_series_su2_ladder_of_exactly_the_cap():
+    # 2j = 10 terms under a cap of 10: the ladder ends before the cap bites
+    alg = AlgebraSpec.su2(5.0)
+    series = overlap_series(alg, 3.0, term_cap=10).value
+    assert abs(series - overlap_closed(alg, 3.0).value) < 1e-12
+
+
+def test_series_su2_cancellation_is_a_convergence_error():
+    # at large spin the even and odd halves both tend to 1/2 and the true
+    # overlap underflows to 0; rounding leaves the sum at about -7e-12
+    with pytest.raises(ConvergenceError, match="cancellation"):
+        overlap_series(AlgebraSpec.su2(1e5), 0.3)
 
 
 def test_series_tolerance_contract():

@@ -5,6 +5,7 @@ import pytest
 
 from catcorr import (
     CorrelationReport,
+    DephasingChannel,
     DomainError,
     MeasurementBasis,
     Parity,
@@ -13,19 +14,20 @@ from catcorr import (
     binary_entropy,
     concurrence_pure,
     concurrence_x,
+    concurrence_t,
     conditional_entropy,
     discord_brute_force,
     discord_mixed_closed,
     discord_pure,
+    discord_t,
     koashi_winter_min,
     mutual_information,
     pure_bipartition,
     reduced_rho12,
     von_neumann_entropy,
     werner_discord,
-    werner_limit_state,
 )
-from catcorr.states import PAULI
+from catcorr.states import PAULI, _pair_entries
 
 
 def spec(p, parity, n):
@@ -38,8 +40,6 @@ def random_specs(rng, count, p_max=1.0):
         p = float(rng.uniform(0.0, p_max))
         n = int(rng.integers(2, 10))
         parity = Parity.EVEN if rng.integers(2) else Parity.ODD
-        if parity is Parity.ODD and p == 1.0:
-            continue
         out.append(spec(p, parity, n))
     return out
 
@@ -195,7 +195,9 @@ def test_discord_pure_odd_limit_profile():
 
 def test_concurrence_x_on_werner_family():
     for n in range(2, 9):
-        assert concurrence_x(werner_limit_state(n)) == pytest.approx(2.0 / n, abs=1e-14)
+        assert concurrence_x(reduced_rho12(spec(1.0, Parity.ODD, n))) == pytest.approx(
+            2.0 / n, abs=1e-14
+        )
 
 
 def test_concurrence_x_matches_closed_form(rng):
@@ -353,7 +355,7 @@ def test_purification_complement_concurrence(rng):
         psi[:, :, 0] = math.sqrt(max(lam_even, 0.0)) * v_even.reshape(2, 2)
         psi[:, :, 1] = math.sqrt(max(lam_odd, 0.0)) * v_odd.reshape(2, 2)
         rho23 = np.einsum("ijk,ilm->jklm", psi, psi).reshape(4, 4)
-        p, n, c = s.p, s.n, s.branch_sign
+        p, n, c = s.p, s.n, s.parity.sign
         priced = p * p * (1.0 - p * p) * (1.0 - p ** (2 * n - 4)) / (1.0 + p**n * c) ** 2
         got = concurrence_x(TwoQubitState(rho23))
         assert got == pytest.approx(math.sqrt(max(priced, 0.0)), abs=1e-10)
@@ -495,9 +497,41 @@ def test_odd_branch_approaches_werner_discord():
     assert abs(near - limit) < abs(far - limit)
 
 
+def test_closed_form_at_odd_p_one_is_werner_discord():
+    # the general closed form needs no special case at the W-type limit;
+    # the explicit W formula is its independent reference
+    for n in range(2, 201):
+        closed = discord_mixed_closed(spec(1.0, Parity.ODD, n))
+        assert abs(closed.discord - werner_discord(n)) <= 1e-14, n
+        assert closed.concurrence == pytest.approx(2.0 / n, abs=1e-14)
+
+
+def _closed_values(s):
+    """Every closed-form number of one spec, flattened."""
+    report = discord_mixed_closed(s)
+    values = list(_pair_entries(s))
+    values += [report.mutual_info, report.classical_corr, report.discord]
+    values += [report.concurrence, report.eof, report.s_cond_min]
+    values += [report.argmin.theta, report.argmin.phi]
+    for k in range(1, s.n):
+        bp = pure_bipartition(s, k)
+        values += [bp.c00, bp.c01, bp.c10, bp.c11]
+    for gamma in (0.0, 0.3, 0.9):
+        channel = DephasingChannel.from_gamma(gamma)
+        values += [concurrence_t(s, channel), discord_t(s, channel)]
+    return np.array(values)
+
+
+def test_closed_forms_are_continuous_at_odd_p_one():
+    for n in range(2, 51):
+        at = _closed_values(spec(1.0, Parity.ODD, n))
+        near = _closed_values(spec(1.0 - 1e-12, Parity.ODD, n))
+        assert np.max(np.abs(at - near)) <= 1e-9, n
+
+
 def test_werner_discord_vs_brute_force():
     for n in range(2, 7):
-        brute = discord_brute_force(werner_limit_state(n))
+        brute = discord_brute_force(reduced_rho12(spec(1.0, Parity.ODD, n)))
         assert brute.discord == pytest.approx(werner_discord(n), abs=1e-9)
         assert brute.concurrence == pytest.approx(2.0 / n, abs=1e-12)
 

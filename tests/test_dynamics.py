@@ -286,3 +286,8 @@ def test_default_time_grid_shapes():
     for p in (0.5, 0.0):
         with pytest.raises(DomainError, match="horizon"):
             default_time_grid(spec(p, Parity.ODD, 4), 1e-320)
+    # an infinite rate gives a zero death time and a zero 5/rate horizon,
+    # so it would span no time at all
+    for rate in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(DomainError, match="decay rate"):
+            default_time_grid(spec(0.5, Parity.ODD, 4), rate)

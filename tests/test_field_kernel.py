@@ -19,7 +19,6 @@ from catcorr import (
     bloch_matrix,
     discord_brute_force,
     reduced_rho12,
-    werner_limit_state,
 )
 from catcorr.correlations import _FIELD_BLOCK, _cond_entropy_field, _direction_grid
 from catcorr.states import PAULI
@@ -66,7 +65,7 @@ def kernel_states(rng):
             states.append(reduced_rho12(SuperpositionSpec(p, parity, n)))
     # Bell state: every conditional state is pure, so x rounds to 1 at
     # almost every direction
-    states.append(werner_limit_state(2))
+    states.append(reduced_rho12(SuperpositionSpec(1.0, Parity.ODD, 2)))
     # |00><00| measured along z: the second outcome has weight 0
     ground = np.zeros((4, 4), dtype=complex)
     ground[0, 0] = 1.0

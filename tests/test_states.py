@@ -9,7 +9,6 @@ from catcorr import (
     Parity,
     SuperpositionSpec,
     TwoQubitState,
-    WernerLimitRequired,
     bloch_matrix,
     marginals,
     normalization,
@@ -18,7 +17,6 @@ from catcorr import (
     pure_bipartition,
     reduced_rho12,
     superposition_vector,
-    werner_limit_state,
 )
 from catcorr.states import PAULI
 
@@ -34,9 +32,8 @@ def test_spec_validation():
         spec(1.1, Parity.EVEN, 3)
     with pytest.raises(DomainError):
         spec(0.5, Parity.EVEN, 1)
-    with pytest.raises(WernerLimitRequired):
-        spec(1.0, Parity.ODD, 4)
     spec(1.0, Parity.EVEN, 4)  # GHZ-like limit is fine
+    spec(1.0, Parity.ODD, 4)  # and so is the W-type limit of the odd branch
     # a parity given as its string value would fail only later, in the forms
     with pytest.raises(DomainError):
         spec(0.5, "even", 3)
@@ -58,7 +55,7 @@ def test_spec_validation():
 
 def test_spec_derived_quantities():
     s = spec(0.5, Parity.ODD, 4)
-    assert s.branch_sign == -1.0
+    assert s.parity.sign == -1
     assert s.q == 0.25
     s2 = spec(0.3, Parity.EVEN, 2)
     assert s2.q == 1.0  # p**0
@@ -90,8 +87,6 @@ def test_pure_bipartition_amplitudes_normalized(rng):
         n = int(rng.integers(2, 9))
         k = int(rng.integers(1, n))
         parity = Parity.EVEN if rng.integers(2) else Parity.ODD
-        if parity is Parity.ODD and p == 1.0:
-            continue
         bp = pure_bipartition(spec(p, parity, n), k)
         c = bp.amplitudes()
         assert np.vdot(c, c).real == pytest.approx(1.0, abs=1e-12)
@@ -220,8 +215,6 @@ def test_analytic_eigenvalues_match_solver(rng):
         p = float(rng.uniform(0.0, 1.0))
         n = int(rng.integers(2, 10))
         parity = Parity.EVEN if rng.integers(2) else Parity.ODD
-        if parity is Parity.ODD and p == 1.0:
-            continue
         state = reduced_rho12(spec(p, parity, n))
         analytic = state.eigenvalues()
         solver = np.sort(np.linalg.eigvalsh(state.matrix))[::-1]
@@ -270,7 +263,7 @@ def test_marginals_partial_traces(rng):
 
 def test_werner_limit_state_structure():
     for n in range(2, 9):
-        state = werner_limit_state(n)
+        state = reduced_rho12(spec(1.0, Parity.ODD, n))
         m = state.matrix
         assert m[0, 0].real == pytest.approx((n - 2) / n, abs=1e-15)
         assert m[1, 1].real == pytest.approx(1.0 / n, abs=1e-15)
@@ -278,15 +271,35 @@ def test_werner_limit_state_structure():
         assert m[3, 3].real == pytest.approx(0.0, abs=1e-15)
         assert m[1, 2].real == pytest.approx(1.0 / n, abs=1e-15)
     with pytest.raises(DomainError):
-        werner_limit_state(1)
+        reduced_rho12(spec(1.0, Parity.ODD, 1))
 
 
 def test_werner_limit_is_odd_p_to_one_limit():
     # approaching p -> 1 on the odd branch lands on the shared-excitation state
     n = 5
     near = reduced_rho12(spec(1.0 - 1e-9, Parity.ODD, n)).matrix
-    limit = werner_limit_state(n).matrix
+    limit = reduced_rho12(spec(1.0, Parity.ODD, n)).matrix
     assert np.max(np.abs(near - limit)) < 1e-7
+
+
+def test_odd_p_one_is_the_w_state_exactly():
+    # the shared-single-excitation pair: (n-2)/n on |00>, 1/n on |01>, |10>
+    # and between them, nothing on |11>
+    for n in range(2, 9):
+        w = np.zeros((4, 4), dtype=complex)
+        w[0, 0] = (n - 2) / n
+        w[1, 1] = w[2, 2] = w[1, 2] = w[2, 1] = 1.0 / n
+        rho = reduced_rho12(spec(1.0, Parity.ODD, n)).matrix
+        assert np.array_equal(rho, w), n
+
+
+def test_odd_p_one_has_no_superposition_vector():
+    # the two branches cancel, so the state itself does not exist there
+    s = spec(1.0, Parity.ODD, 4)
+    with pytest.raises(DomainError, match="vanishes"):
+        normalization(s)
+    with pytest.raises(DomainError, match="vanishes"):
+        superposition_vector(s)
 
 
 def test_even_p_one_collapses_to_vacuum():

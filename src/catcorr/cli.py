@@ -196,8 +196,8 @@ def run_point(args) -> list[str]:
         f"n = {spec.n}",
         f"parity = {spec.parity.value}",
     ]
-    if spec.algebra is not None:
-        lines.insert(0, f"algebra = {_KIND_NAMES[spec.algebra.kind]} z = {spec.z}")
+    if args.algebra is not None:
+        lines.insert(0, f"algebra = {args.algebra} z = {_parse_complex(args.z)}")
     lines += _report_lines("", closed)
     lines.append(f"discord_brute_force_bits = {_fmt(brute.discord)}")
     lines.append(f"closed_minus_brute = {_fmt(closed.discord - brute.discord)}")
@@ -221,7 +221,7 @@ def run_overlap(args) -> list[str]:
     closed = overlap_closed(alg, z)
     series = overlap_series(alg, z)
     return [
-        f"algebra = {_KIND_NAMES[alg.kind]}"
+        f"algebra = {args.algebra}"
         + (f" rep_param = {_fmt(alg.rep_param)}" if alg.rep_param is not None else ""),
         f"z = {z}",
         f"overlap_closed = {_fmt(closed.value)}",
@@ -256,7 +256,6 @@ _ALGEBRAS = {
     "su2": AlgebraKind.SU2,
     "su11": AlgebraKind.SU11,
 }
-_KIND_NAMES = {kind: name for name, kind in _ALGEBRAS.items()}
 
 
 def _resolve_algebra(args) -> AlgebraSpec:
@@ -284,6 +283,9 @@ def _resolve_spec(args) -> SuperpositionSpec:
     return SuperpositionSpec(args.p, parity, args.n)
 
 
+# building the parser costs about a millisecond; repeated in-process main()
+# calls reuse one, and each parse_args call makes a fresh namespace
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None)
@@ -340,15 +342,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _shared_parser() -> _Parser:
-    # building the parser costs about a millisecond; repeated in-process
-    # main() calls reuse one, and each parse_args call makes a fresh namespace
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _emit(args.out, args.run(args))
     except UsageError as exc:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _is_whole
 
 DEFAULT_SERIES_TOL = 1e-14
 SERIES_TERM_CAP = 10**6
@@ -77,7 +77,7 @@ def structure_function(alg: AlgebraSpec, n: int) -> float:
     n(2j + 1 - n) for su(2).  The su(2) ladder terminates where F first
     vanishes again, at n = 2j + 1; larger n is a domain error.
     """
-    if n != int(n) or n < 0:
+    if not _is_whole(n) or n < 0:
         raise DomainError(f"level index must be a nonnegative integer, got {n}")
     n = int(n)
     if alg.kind is AlgebraKind.HARMONIC:
@@ -162,7 +162,7 @@ def overlap_series(
     than the clamp but within its rounding bound has lost its sign to the
     cancellation of the two halves, and also raises ConvergenceError.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # negated, so that NaN is refused too
         raise DomainError(f"series tolerance must be positive, got {tol}")
     x = abs(z) ** 2
     if alg.kind is AlgebraKind.SU11 and x >= 1.0:

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _is_whole
 from .states import (
     PSD_TOL,
     PAULI,
     PureBipartition,
     SuperpositionSpec,
     TwoQubitState,
-    _block_eigenvalues,
     _pair_entries,
     bloch_matrix,
     marginals,
@@ -125,21 +124,23 @@ def binary_entropy(x: float) -> float:
 
 
 def von_neumann_entropy(state) -> float:
-    """Von Neumann entropy in bits.
+    """Von Neumann entropy in bits, from the dense eigensolver.
 
-    Accepts a TwoQubitState (X-shaped ones use the analytic block
-    eigenvalues) or a square Hermitian PSD ndarray of any dimension.
+    Accepts a TwoQubitState (validated on construction) or a finite,
+    square, Hermitian PSD ndarray of any dimension.
     """
     if isinstance(state, TwoQubitState):
-        vals = state.eigenvalues()
+        vals = np.linalg.eigvalsh(state.matrix)
     else:
         m = np.asarray(state, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"density matrix must be square, got shape {m.shape}")
+        # the checks below are comparisons, which a NaN entry would pass
+        if not np.isfinite(m).all():
+            raise DomainError("density matrix has a non-finite entry")
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise DomainError("density matrix must be Hermitian")
         vals = np.linalg.eigvalsh(m)
-    vals = np.asarray(vals, dtype=float)
     if vals.min() < -PSD_TOL:
         raise DomainError("density matrix has a negative eigenvalue beyond tolerance")
     vals = np.clip(vals, 0.0, 1.0)
@@ -371,6 +372,13 @@ def _golden_section(fun, lo: float, hi: float, step_tol: float = LINE_SEARCH_STE
     return d, fd
 
 
+def _block_eigenvalues(d1: float, d2: float, off: complex) -> tuple[float, float]:
+    """Eigenvalues of the Hermitian 2x2 block [[d1, off], [conj(off), d2]]."""
+    mean = 0.5 * (d1 + d2)
+    radius = math.hypot(0.5 * (d1 - d2), abs(off))
+    return mean + radius, mean - radius
+
+
 def _discord_x(
     r00: float, r11: float, r22: float, r33: float, c03: float, c12: float
 ) -> float:
@@ -430,9 +438,10 @@ def discord_brute_force(
     """Correlation report with the conditional-entropy minimum found by an
     exhaustive scan over projective measurement directions.
 
-    Fully independent of the closed forms: entropies come from eigenvalue
-    solvers and the minimum from direct evaluation of the measurement
-    average.  `grid` = (n_theta, n_phi) sets the steps of the theta-phi
+    Fully independent of the closed forms: the entropies S(A), S(B) and
+    S(AB) come from the dense eigensolver (`von_neumann_entropy`), the
+    minimum from direct evaluation of the measurement average and the
+    concurrence from the matrix entries (`concurrence_x`).  `grid` = (n_theta, n_phi) sets the steps of the theta-phi
     grid linspace(0, pi, n_theta) x linspace(0, 2 pi, n_phi) (default
     181 x 361, floor 64 x 128, at most MAX_GRID_DIRECTIONS points).  Since
     d and -d give the same average, only the rows theta <= pi/2 are
@@ -524,7 +533,7 @@ def werner_discord(n: int) -> float:
 
     Equals 1 at n = 2 and decays to zero for large n.
     """
-    if n != int(n) or n < 2:
+    if not _is_whole(n) or n < 2:
         raise DomainError(f"mode count must be an integer >= 2, got {n}")
     root = math.sqrt(n * n - 4.0 * n + 8.0) / n
     return (

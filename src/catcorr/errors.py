@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types, and the whole-number check behind several of them,
+shared across the package."""
 
 
 class DomainError(ValueError):
@@ -7,3 +8,11 @@ class DomainError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """A series or iteration failed to converge within its hard cap."""
+
+
+def _is_whole(x) -> bool:
+    """True when x is a whole number; False for NaN, +-inf, 3.5 or a non-number."""
+    try:
+        return x == int(x)
+    except (TypeError, ValueError, OverflowError):
+        return False

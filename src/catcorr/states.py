@@ -18,8 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .coherent import AlgebraSpec, Overlap
-from .errors import DomainError
+from .coherent import Overlap
+from .errors import DomainError, _is_whole
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -50,7 +50,7 @@ class Parity(Enum):
 @dataclass(frozen=True)
 class SuperpositionSpec:
     """Parameters of the balanced superposition: overlap p in [0, 1],
-    branch parity and mode count n >= 2, with optional provenance of p.
+    branch parity and mode count n >= 2.
 
     p = 1 with odd parity is the p -> 1 limit of the odd branch, the
     shared-single-excitation (W-type) state: the superposition vector
@@ -61,26 +61,20 @@ class SuperpositionSpec:
     p: float
     parity: Parity
     n: int
-    algebra: AlgebraSpec | None = None
-    z: complex | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise DomainError(f"overlap must lie in [0, 1], got {self.p}")
         if not isinstance(self.parity, Parity):
             raise DomainError(f"parity must be a Parity, got {self.parity!r}")
-        try:
-            whole = self.n == int(self.n)
-        except (TypeError, ValueError, OverflowError):  # NaN, +-inf, not a number
-            whole = False
-        if not whole or self.n < 2:
+        if not _is_whole(self.n) or self.n < 2:
             raise DomainError(f"mode count must be an integer >= 2, got {self.n}")
         if not isinstance(self.n, int):
             object.__setattr__(self, "n", int(self.n))
 
     @classmethod
     def from_overlap(cls, overlap: Overlap, parity: Parity, n: int) -> "SuperpositionSpec":
-        return cls(overlap.value, parity, n, algebra=overlap.algebra, z=overlap.z)
+        return cls(overlap.value, parity, n)
 
     @property
     def q(self) -> float:
@@ -132,7 +126,7 @@ def pure_bipartition(spec: SuperpositionSpec, k: int) -> PureBipartition:
     a_k sqrt(R(n-k)) and a_(n-k) sqrt(R(k)) with R(m) = (1 - p^m)/(1 - p^n),
     which stays accurate as p -> 1 where b and N^-1 both vanish.
     """
-    if k != int(k) or not 1 <= k <= spec.n - 1:
+    if not _is_whole(k) or not 1 <= k <= spec.n - 1:
         raise DomainError(f"block size must satisfy 1 <= k <= n-1, got k={k}, n={spec.n}")
     k = int(k)
     p, n = spec.p, spec.n
@@ -152,8 +146,9 @@ def pure_bipartition(spec: SuperpositionSpec, k: int) -> PureBipartition:
 class TwoQubitState:
     """A validated two-qubit density matrix, basis (|00>, |01>, |10>, |11>).
 
-    Construction enforces Hermiticity and unit trace to 1e-12 and
-    positive semidefiniteness to -1e-10; the matrix is stored read-only.
+    Construction enforces finite entries, Hermiticity and unit trace to
+    1e-12 and positive semidefiniteness to -1e-10; the matrix is stored
+    read-only.
     """
 
     matrix: np.ndarray
@@ -162,6 +157,9 @@ class TwoQubitState:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise DomainError(f"expected a 4x4 matrix, got shape {m.shape}")
+        # every check below is a comparison, which a NaN entry would pass
+        if not np.isfinite(m).all():
+            raise DomainError("density matrix has a non-finite entry")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise DomainError("density matrix is not Hermitian")
         tr = m.trace()
@@ -181,48 +179,30 @@ class TwoQubitState:
         mask[idx, 3 - idx] = False
         return bool(np.max(np.abs(self.matrix[mask])) <= X_STRUCTURE_TOL)
 
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in descending order.
-
-        X-shaped matrices decouple into two 2x2 blocks, solved
-        analytically; anything else goes through the dense eigensolver.
-        """
-        m = self.matrix
-        if self.is_x:
-            vals = np.array(
-                _block_eigenvalues(m[0, 0].real, m[3, 3].real, m[0, 3])
-                + _block_eigenvalues(m[1, 1].real, m[2, 2].real, m[1, 2])
-            )
-        else:
-            vals = np.linalg.eigvalsh(m)
-        return np.sort(vals)[::-1]
-
-
-def _block_eigenvalues(d1: float, d2: float, off: complex) -> tuple[float, float]:
-    mean = 0.5 * (d1 + d2)
-    radius = math.hypot(0.5 * (d1 - d2), abs(off))
-    return mean + radius, mean - radius
-
 
 def superposition_vector(spec: SuperpositionSpec, max_modes: int = 12) -> np.ndarray:
     """Expand the superposition in the 2^n logical product basis.
 
     Per mode, |z> maps to a|0> + b|1> and |-z> to a|0> - b|1> with
     a = sqrt((1+p)/2), b = sqrt((1-p)/2); the amplitude of a basis label
-    is then fixed by its bit weight.  Meant as a desk-scale oracle, so n
-    is capped (default 12).
+    is then fixed by its bit weight.  The vector is divided by its own
+    2-norm, so this oracle shares no normalization with the closed forms.
+    Meant as a desk-scale oracle, so n is capped (default 12).
     """
     if spec.n > max_modes:
         raise DomainError(f"explicit expansion capped at {max_modes} modes, got n={spec.n}")
     n = spec.n
-    a, b = _block_weights(spec.p, 1)
-    norm = normalization(spec)
+    a = math.sqrt((1.0 + spec.p) / 2.0)
+    b = math.sqrt((1.0 - spec.p) / 2.0)
     sign = spec.parity.sign
     amps = np.zeros(2**n)
     for idx in range(2**n):
         w = idx.bit_count()
-        amps[idx] = norm * a ** (n - w) * b**w * (1 + sign * (-1) ** w)
-    return amps
+        amps[idx] = a ** (n - w) * b**w * (1 + sign * (-1) ** w)
+    norm = np.linalg.norm(amps)
+    if norm == 0.0:
+        raise DomainError("the odd superposition vanishes at p = 1 and cannot be normalized")
+    return amps / norm
 
 
 def partial_trace_pair(state_vector: np.ndarray) -> TwoQubitState:

@@ -258,7 +258,7 @@ def test_criterion_7_dephasing_dynamics(rng):
         7,
         "dephasing dynamics",
         ok,
-        f"closed vs spin-flip concurrence gap = {worst_conc:.1e} (tol 1e-10, 20 specs x "
+        f"closed vs Kraus-evolved concurrence gap = {worst_conc:.1e} (tol 1e-10, 20 specs x "
         f"200 times); death-time formula gap = {worst_t0:.1e} (tol 1e-12); zero past "
         f"death = {dead_ok}; min discord at 2 t0 = {min_disc:.1e} (> 1e-9)",
     )

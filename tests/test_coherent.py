@@ -165,6 +165,12 @@ def test_series_tolerance_contract():
         overlap_series(HARMONIC, 1.0, tol=0.0)
 
 
+def test_series_tolerance_nan_refused():
+    # refused up front, not after summing to the term cap
+    with pytest.raises(DomainError, match="tolerance"):
+        overlap_series(HARMONIC, 1.0, tol=math.nan)
+
+
 def test_series_term_cap():
     with pytest.raises(ConvergenceError):
         overlap_series(AlgebraSpec.su11(4.0), 0.95, term_cap=10)

@@ -112,6 +112,13 @@ def test_von_neumann_entropy_rejects_bad_input():
         von_neumann_entropy(np.diag([1.5, -0.5]))
 
 
+def test_von_neumann_entropy_rejects_nan():
+    # a NaN entry passes every comparison, and the filter on positive
+    # eigenvalues would drop it as if it were zero, giving -0.0
+    with pytest.raises(DomainError, match="non-finite"):
+        von_neumann_entropy(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+
+
 # ------------------------------------------------------------- pure states
 
 

@@ -16,8 +16,11 @@ from catcorr import (
     partial_trace_pair,
     pure_bipartition,
     reduced_rho12,
+    structure_function,
     superposition_vector,
+    werner_discord,
 )
+from catcorr.correlations import _block_eigenvalues
 from catcorr.states import PAULI
 
 
@@ -53,6 +56,23 @@ def test_spec_validation():
             spec(0.5, Parity.EVEN, n)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 3.5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: SuperpositionSpec(0.5, Parity.EVEN, x),
+        lambda x: pure_bipartition(SuperpositionSpec(0.5, Parity.EVEN, 6), x),
+        lambda x: structure_function(AlgebraSpec.su11(1.5), x),
+        lambda x: werner_discord(x),
+    ],
+    ids=["spec_n", "block_size", "structure_level", "werner_n"],
+)
+def test_whole_number_arguments_refuse_non_integers(call, x):
+    # int(x) raises ValueError for NaN and OverflowError for inf
+    with pytest.raises(DomainError):
+        call(x)
+
+
 def test_spec_derived_quantities():
     s = spec(0.5, Parity.ODD, 4)
     assert s.parity.sign == -1
@@ -61,12 +81,12 @@ def test_spec_derived_quantities():
     assert s2.q == 1.0  # p**0
 
 
-def test_from_overlap_carries_algebra():
+def test_from_overlap_takes_the_overlap_value():
     alg = AlgebraSpec.su11(0.5)
-    s = SuperpositionSpec.from_overlap(overlap_closed(alg, 0.3), Parity.EVEN, 3)
+    overlap = overlap_closed(alg, 0.3)
+    s = SuperpositionSpec.from_overlap(overlap, Parity.EVEN, 3)
     assert s.p == pytest.approx(0.8348623853211009, abs=1e-15)
-    assert s.algebra is alg
-    assert s.z == 0.3
+    assert s == SuperpositionSpec(overlap.value, Parity.EVEN, 3)
 
 
 def test_normalization_frozen_value():
@@ -193,6 +213,16 @@ def test_two_qubit_state_validation():
         TwoQubitState(np.eye(3, dtype=complex) / 3.0)
 
 
+def test_two_qubit_state_rejects_nan():
+    # one NaN on the diagonal passes every comparison-based check
+    one = np.diag([math.nan, 0.5, 0.3, 0.2]).astype(complex)
+    with pytest.raises(DomainError, match="non-finite"):
+        TwoQubitState(one)
+    # an all-NaN matrix fails as a domain error, not inside the eigensolver
+    with pytest.raises(DomainError, match="non-finite"):
+        TwoQubitState(np.full((4, 4), math.nan, dtype=complex))
+
+
 def test_two_qubit_state_matrix_read_only():
     state = TwoQubitState(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
     with pytest.raises(ValueError):
@@ -215,11 +245,13 @@ def test_analytic_eigenvalues_match_solver(rng):
         p = float(rng.uniform(0.0, 1.0))
         n = int(rng.integers(2, 10))
         parity = Parity.EVEN if rng.integers(2) else Parity.ODD
-        state = reduced_rho12(spec(p, parity, n))
-        analytic = state.eigenvalues()
-        solver = np.sort(np.linalg.eigvalsh(state.matrix))[::-1]
+        m = reduced_rho12(spec(p, parity, n)).matrix
+        analytic = np.sort(
+            _block_eigenvalues(m[0, 0].real, m[3, 3].real, m[0, 3])
+            + _block_eigenvalues(m[1, 1].real, m[2, 2].real, m[1, 2])
+        )
+        solver = np.linalg.eigvalsh(m)  # ascending
         worst = max(worst, float(np.max(np.abs(analytic - solver))))
-        assert np.all(np.diff(analytic) <= 1e-15)  # descending
     assert worst < 1e-12
 
 
@@ -291,6 +323,15 @@ def test_odd_p_one_is_the_w_state_exactly():
         w[1, 1] = w[2, 2] = w[1, 2] = w[2, 1] = 1.0 / n
         rho = reduced_rho12(spec(1.0, Parity.ODD, n)).matrix
         assert np.array_equal(rho, w), n
+
+
+def test_superposition_vector_normalizes_itself():
+    # 1 - p = 1e-12 on the odd branch, where the closed prefactor
+    # 1/sqrt(2 - 2 p^n) loses digits (norm 1 - 1.25e-12 at n = 6)
+    for n in range(2, 9):
+        for parity in Parity:
+            vec = superposition_vector(spec(1.0 - 1e-12, parity, n))
+            assert abs(np.linalg.norm(vec) - 1.0) <= 1e-15, (n, parity)
 
 
 def test_odd_p_one_has_no_superposition_vector():

@@ -14,11 +14,12 @@ import pytest
 from catcorr import DomainError, Parity, SuperpositionSpec
 from catcorr.correlations import (
     _X_THETA_POINTS,
+    _block_eigenvalues,
     _discord_x,
     _golden_section,
     binary_entropy,
 )
-from catcorr.states import _block_eigenvalues, _pair_entries
+from catcorr.states import _pair_entries
 
 
 def reference_discord_x(

@@ -1,0 +1,170 @@
+"""The batched patch refinement of the scan against the loop it replaced.
+
+`discord_brute_force` evaluates the refinement patches of every remaining
+level in one field call and evaluates again only after a level improves.
+`reference_brute_force` below is the scan with one field call per level,
+unchanged but for the name and its return value: the scan must return the
+same bits on every state.
+"""
+
+import math
+
+import numpy as np
+
+from catcorr import (
+    DephasingChannel,
+    MeasurementBasis,
+    Parity,
+    SuperpositionSpec,
+    TwoQubitState,
+    apply_dephasing,
+    bloch_matrix,
+    discord_brute_force,
+    marginals,
+    reduced_rho12,
+    von_neumann_entropy,
+)
+from catcorr import correlations
+from catcorr.correlations import (
+    _PATCH_POINTS,
+    _PATCH_SHRINK,
+    _PATCH_STEP_TOL,
+    _cond_entropy_field,
+    _direction_grid,
+)
+from catcorr.states import PAULI
+
+GRIDS = ((181, 361), (64, 128))
+
+
+def reference_brute_force(state, grid):
+    n_theta, n_phi = grid
+    table = bloch_matrix(state)
+    theta, phi, d1, d2, d3 = _direction_grid(n_theta, n_phi)
+    values = _cond_entropy_field(table, d1, d2, d3)
+    flat = int(np.argmin(values))  # first occurrence: lexicographic (theta, phi)
+    i, j = divmod(flat, n_phi)
+    best_theta, best_phi = float(theta[i]), float(phi[j])
+    best_val = float(values[i, j])
+
+    st, ct = math.sin(best_theta), math.cos(best_theta)
+    sp, cp = math.sin(best_phi), math.cos(best_phi)
+    best_dir = np.array([st * cp, st * sp, ct])
+    offsets = np.linspace(-1.0, 1.0, _PATCH_POINTS)
+    u, v = np.repeat(offsets, _PATCH_POINTS), np.tile(offsets, _PATCH_POINTS)
+    tangent = np.outer([ct * cp, ct * sp, -st], u) + np.outer([-sp, cp, 0.0], v)
+    h = max(math.pi / (n_theta - 1), 2.0 * math.pi / (n_phi - 1))
+    while h > _PATCH_STEP_TOL:
+        patch = best_dir[:, None] + h * tangent
+        patch /= np.linalg.norm(patch, axis=0)
+        patch_vals = _cond_entropy_field(table, *patch)
+        k = int(np.argmin(patch_vals))
+        if patch_vals[k] < best_val:
+            best_val = float(patch_vals[k])
+            best_dir = patch[:, k]
+            x, y, z = best_dir.tolist()
+            best_theta, best_phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
+        h /= _PATCH_SHRINK
+
+    # the tie-rule directions (pi/2, 0) and (best_theta, 0) in one call
+    tie_theta = (math.pi / 2.0, best_theta)
+    equatorial, at_phi0 = _cond_entropy_field(
+        table,
+        np.array([math.sin(th) for th in tie_theta]),
+        np.zeros(2),
+        np.array([math.cos(th) for th in tie_theta]),
+    ).tolist()
+    if equatorial <= best_val + 1e-12:
+        best_theta, best_phi = math.pi / 2.0, 0.0
+        best_val = min(best_val, equatorial)
+    elif at_phi0 <= best_val + 1e-12:  # flat phi direction
+        best_phi = 0.0
+        best_val = min(best_val, at_phi0)
+    best_phi %= 2.0 * math.pi
+
+    rho_a, rho_b = marginals(state)
+    s_a = von_neumann_entropy(rho_a)
+    s_b = von_neumann_entropy(rho_b)
+    s_ab = von_neumann_entropy(state)
+    info = s_a + s_b - s_ab
+    disc = s_a + best_val - s_ab
+    return disc, best_val, best_theta, best_phi, info
+
+
+def scan_bits(state, grid):
+    rep = discord_brute_force(state, grid=grid)
+    fields = (rep.discord, rep.s_cond_min, rep.argmin.theta, rep.argmin.phi, rep.mutual_info)
+    return [float(x).hex() for x in fields]
+
+
+def random_full_rank_state(rng):
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m = g @ g.conj().T
+    return TwoQubitState(m / m.trace().real)
+
+
+def seeded_pair_specs(rng, count):
+    for _ in range(count):
+        parity = Parity.EVEN if rng.integers(2) else Parity.ODD
+        yield SuperpositionSpec(float(rng.uniform(0.0, 1.0)), parity, int(rng.integers(2, 9)))
+
+
+def pole_rotated_states(rng):
+    # the construction of test_brute_force_finds_minima_near_the_poles:
+    # rotate the first qubit so that the optimum sits next to a pole
+    for _ in range(4):
+        state = random_full_rank_state(rng)
+        d_opt = np.array(discord_brute_force(state).argmin.direction())
+        for target_theta in (1e-3, 0.02, 0.05, math.pi - 0.02):
+            target_phi = rng.uniform(0.0, 2.0 * math.pi)
+            target = np.array(MeasurementBasis(target_theta, target_phi).direction())
+            axis = np.cross(d_opt, target)
+            angle = math.atan2(np.linalg.norm(axis), d_opt @ target)
+            n_sigma = sum(c * pauli for c, pauli in zip(axis / np.linalg.norm(axis), PAULI[1:]))
+            rot = math.cos(angle / 2.0) * PAULI[0] - 1j * math.sin(angle / 2.0) * n_sigma
+            u = np.kron(rot, PAULI[0])
+            m = u @ state.matrix @ u.conj().T
+            yield TwoQubitState(0.5 * (m + m.conj().T))
+
+
+def edge_states():
+    ground = np.zeros((4, 4), dtype=complex)
+    ground[0, 0] = 1.0
+    return [
+        TwoQubitState(ground),
+        reduced_rho12(SuperpositionSpec(1.0, Parity.ODD, 2)),  # Bell state
+        TwoQubitState(np.eye(4, dtype=complex) / 4.0),
+    ]
+
+
+def test_batched_refinement_matches_sequential_loop_bitwise(rng):
+    pairs = [reduced_rho12(s) for s in seeded_pair_specs(rng, 60)]
+    dephased = [
+        apply_dephasing(reduced_rho12(s), DephasingChannel.from_gamma(float(rng.random())))
+        for s in seeded_pair_specs(rng, 30)
+    ]
+    states = pairs + dephased + list(pole_rotated_states(rng)) + edge_states()
+    states += [random_full_rank_state(rng) for _ in range(200)]
+    for state in states:
+        for grid in GRIDS:
+            ref = [float(x).hex() for x in reference_brute_force(state, grid)]
+            assert scan_bits(state, grid) == ref, (state.matrix, grid)
+
+
+def test_pair_state_scan_makes_few_field_calls(rng, monkeypatch):
+    # the grid, the tie rule and one batched refinement call per improving
+    # level; the sequential loop made 15 calls at the default grid
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _cond_entropy_field(*args)
+
+    monkeypatch.setattr(correlations, "_cond_entropy_field", counted)
+    per_scan = []
+    for spec in seeded_pair_specs(rng, 100):
+        calls.clear()
+        discord_brute_force(reduced_rho12(spec))
+        per_scan.append(len(calls))
+    assert max(per_scan) <= 8
+    assert sum(per_scan) / len(per_scan) <= 5.0

@@ -17,6 +17,10 @@ import numpy as np
 from . import __version__
 from .coherent import AlgebraKind, AlgebraSpec, overlap_closed, overlap_series
 from .correlations import (
+    _check_correlations,
+    _concurrence_pure,
+    _pair_correlations,
+    _pure_correlations,
     concurrence_x,
     discord_brute_force,
     discord_mixed_closed,
@@ -31,7 +35,7 @@ from .dynamics import (
     sudden_death_time,
 )
 from .errors import ConvergenceError, DomainError
-from .states import Parity, SuperpositionSpec, pure_bipartition, reduced_rho12
+from .states import Parity, SuperpositionSpec, _pure_amplitudes, pure_bipartition, reduced_rho12
 
 P_MAX_DEFAULT = 0.999
 P_STEPS_DEFAULT = 500
@@ -91,14 +95,17 @@ def run_figure(args) -> list[str]:
         ),
         "p,n,parity,discord",
     ]
-    # tolist() gives the same floats as float(np.float64), bit for bit
-    p_values = np.linspace(0.0, args.p_max, args.p_steps).tolist()
+    # tolist() gives the same floats as float(np.float64), bit for bit; each p
+    # is printed once per sweep
+    grid = [(p, _fmt(p)) for p in np.linspace(0.0, args.p_max, args.p_steps).tolist()]
     for n in n_list:
         for parity in parities:
-            sign = Parity(parity)
-            for p in p_values:
-                report = discord_mixed_closed(SuperpositionSpec(p, sign, n))
-                lines.append(f"{_fmt(p)},{n},{parity},{_fmt(report.discord)}")
+            # one spec validates (n, parity) for every p in [0, p_max]
+            sign = SuperpositionSpec(args.p_max, Parity(parity), n).parity.sign
+            for p, p_text in grid:
+                fields = _pair_correlations(p, n, sign)
+                _check_correlations(*fields)
+                lines.append(f"{p_text},{n},{parity},{_fmt(fields[2])}")
     return lines
 
 
@@ -118,16 +125,16 @@ def run_sweep_pure(args) -> list[str]:
         ),
         "p,n,k,parity,concurrence,discord",
     ]
-    p_values = np.linspace(0.0, args.p_max, args.p_steps).tolist()
+    grid = [(p, _fmt(p)) for p in np.linspace(0.0, args.p_max, args.p_steps).tolist()]
     for parity in parities:
-        sign = Parity(parity)
-        for p in p_values:
-            bp = pure_bipartition(SuperpositionSpec(p, sign, n), k)
-            report = discord_pure(bp)
-            lines.append(
-                f"{_fmt(p)},{n},{k},{parity},"
-                f"{_fmt(report.concurrence)},{_fmt(report.discord)}"
-            )
+        # one splitting validates (n, k, parity) for every p in [0, p_max]
+        pure_bipartition(SuperpositionSpec(args.p_max, Parity(parity), n), k)
+        sign = Parity(parity).sign
+        for p, p_text in grid:
+            conc = _concurrence_pure(*_pure_amplitudes(p, n, sign, k))
+            fields = _pure_correlations(conc)
+            _check_correlations(*fields)
+            lines.append(f"{p_text},{n},{k},{parity},{_fmt(conc)},{_fmt(fields[2])}")
     return lines
 
 
@@ -288,17 +295,35 @@ def _resolve_spec(args) -> SuperpositionSpec:
 @functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", default=None)
+    out.add_argument(
+        "--out", default=None, help="write the output to this file instead of stdout"
+    )
     p_sweep = argparse.ArgumentParser(add_help=False)
-    p_sweep.add_argument("--p-steps", type=int, default=P_STEPS_DEFAULT)
-    p_sweep.add_argument("--p-max", type=float, default=P_MAX_DEFAULT)
+    p_sweep.add_argument(
+        "--p-steps", type=int, default=P_STEPS_DEFAULT,
+        help=f"number of p values from 0 to --p-max, 2 to {MAX_SWEEP_STEPS} (default %(default)s)",
+    )
+    p_sweep.add_argument(
+        "--p-max", type=float, default=P_MAX_DEFAULT,
+        help="largest overlap p of the sweep, in (0, 1) (default %(default)s)",
+    )
     algebra = argparse.ArgumentParser(add_help=False)
-    algebra.add_argument("--algebra", choices=sorted(_ALGEBRAS), default=None)
-    algebra.add_argument("--z", default=None)
-    algebra.add_argument("--rep-param", type=float, default=None)
+    algebra.add_argument(
+        "--algebra", choices=sorted(_ALGEBRAS), default=None,
+        help="coherent-state family whose overlap at --z sets p",
+    )
+    algebra.add_argument(
+        "--z", default=None, help="coherent amplitude, a Python complex such as 0.3+0.1j"
+    )
+    algebra.add_argument(
+        "--rep-param", type=float, default=None,
+        help="spin j of su2 or Bargmann index k of su11, a positive half-integer",
+    )
     spec = argparse.ArgumentParser(add_help=False, parents=[algebra])
-    spec.add_argument("--p", type=float, default=None)
-    spec.add_argument("--n", type=int, required=True)
+    spec.add_argument(
+        "--p", type=float, default=None, help="overlap p = <z|-z> in [0, 1], instead of --algebra"
+    )
+    spec.add_argument("--n", type=int, required=True, help="mode count, at least 2")
 
     parser = _Parser(prog="catcorr", description=__doc__)
     parser.add_argument("--version", action="version", version=f"catcorr {__version__}")
@@ -307,32 +332,59 @@ def build_parser() -> _Parser:
     fig = sub.add_parser(
         "figure", parents=[p_sweep, out], help="discord-versus-p sweep for a standard panel"
     )
-    fig.add_argument("fig", type=int, choices=(1, 2, 3))
-    fig.add_argument("--n", type=int, nargs="+", default=None)
+    fig.add_argument(
+        "fig", type=int, choices=(1, 2, 3),
+        help="panel: 1 is n = 2 with both parities, 2 even and 3 odd parity at n = 4, 5, 25",
+    )
+    fig.add_argument(
+        "--n", type=int, nargs="+", default=None, help="mode counts in place of the panel's own"
+    )
     fig.set_defaults(run=run_figure)
 
     point = sub.add_parser(
         "point", parents=[spec, out], help="closed-form report plus brute-force check"
     )
-    point.add_argument("--parity", choices=("even", "odd"), required=True)
-    point.add_argument("--k", type=int, default=None)
-    point.add_argument("--grid", default="181x361")
+    point.add_argument(
+        "--parity", choices=("even", "odd"), required=True,
+        help="relative sign of the two branches",
+    )
+    point.add_argument(
+        "--k", type=int, default=None, help="also report the pure k|(n-k) splitting"
+    )
+    point.add_argument(
+        "--grid", default="181x361",
+        help="measurement scan grid NTHETAxNPHI (default %(default)s)",
+    )
     point.set_defaults(run=run_point)
 
     sweep = sub.add_parser(
         "sweep-pure", parents=[p_sweep, out], help="pure-splitting concurrence and discord sweep"
     )
-    sweep.add_argument("--n", type=int, required=True)
-    sweep.add_argument("--k", type=int, required=True)
-    sweep.add_argument("--parity", choices=("even", "odd", "both"), default="both")
+    sweep.add_argument("--n", type=int, required=True, help="mode count, at least 2")
+    sweep.add_argument(
+        "--k", type=int, required=True, help="block size of the k|(n-k) splitting"
+    )
+    sweep.add_argument(
+        "--parity", choices=("even", "odd", "both"), default="both",
+        help="relative sign of the two branches (default %(default)s)",
+    )
     sweep.set_defaults(run=run_sweep_pure)
 
     dyn = sub.add_parser(
         "dynamics", parents=[spec, out], help="dephasing sweep with sudden-death marker"
     )
-    dyn.add_argument("--parity", choices=("even", "odd"), required=True)
-    dyn.add_argument("--gamma-rate", type=float, required=True)
-    dyn.add_argument("--t-steps", type=int, default=T_STEPS_DEFAULT)
+    dyn.add_argument(
+        "--parity", choices=("even", "odd"), required=True,
+        help="relative sign of the two branches",
+    )
+    dyn.add_argument(
+        "--gamma-rate", type=float, required=True,
+        help="dephasing rate; gamma(t) = 1 - exp(-rate t)",
+    )
+    dyn.add_argument(
+        "--t-steps", type=int, default=T_STEPS_DEFAULT,
+        help=f"number of time points, 2 to {MAX_SWEEP_STEPS} (default %(default)s)",
+    )
     dyn.set_defaults(run=run_dynamics)
 
     over = sub.add_parser(

@@ -24,6 +24,8 @@ DEFAULT_SERIES_TOL = 1e-14
 SERIES_TERM_CAP = 10**6
 # roundoff-level excursions of an overlap beyond [0, 1] that are clamped
 OVERLAP_SLACK = 1e-12
+# largest rounding bound of a returned series sum: the oracle's 1e-10 tolerance
+_SERIES_ROUNDING_MAX = 1e-10
 
 
 class AlgebraKind(Enum):
@@ -158,9 +160,10 @@ def overlap_series(
     one falls below tol (relative to the running sum, with a 100x safety
     margin so slowly decaying su(1,1) tails stay inside the contract);
     exceeding the term cap raises ConvergenceError, up front for an su(2)
-    ladder of more than term_cap terms.  A sum that ends negative by more
-    than the clamp but within its rounding bound has lost its sign to the
-    cancellation of the two halves, and also raises ConvergenceError.
+    ladder of more than term_cap terms.  The two halves cancel, so the
+    sum of n terms carries a rounding bound of n eps (1 + log of its size);
+    a sum whose bound exceeds 1e-10, or that ends negative by more than the
+    clamp but within the bound, also raises ConvergenceError.
     """
     if not tol > 0.0:  # negated, so that NaN is refused too
         raise DomainError(f"series tolerance must be positive, got {tol}")
@@ -198,9 +201,10 @@ def overlap_series(
     p = math.exp(log_even - log_den) - math.exp(log_odd - log_den)
     # the halves are carried as logarithms up to log_den in size, so each of
     # the n terms can cost p about eps * log_den in rounding
-    if -n * math.ulp(1.0) * (1.0 + log_den) <= p < -OVERLAP_SLACK:
+    rounding = n * math.ulp(1.0) * (1.0 + log_den)
+    if rounding > _SERIES_ROUNDING_MAX or -rounding <= p < -OVERLAP_SLACK:
         raise ConvergenceError(
-            f"overlap series lost its sign to cancellation: the even and odd "
-            f"halves differ by {p:.3g}, within the rounding of its {n} terms"
+            f"overlap series lost its value to cancellation: the even and odd halves "
+            f"differ by {p:.3g}, and the rounding of its {n} terms reaches {rounding:.3g}"
         )
     return Overlap(p, alg, z)

@@ -23,7 +23,7 @@ from .states import (
     PureBipartition,
     SuperpositionSpec,
     TwoQubitState,
-    _pair_entries,
+    _pair_entries_at,
     bloch_matrix,
     marginals,
 )
@@ -92,22 +92,27 @@ class CorrelationReport:
     argmin: MeasurementBasis
 
     def __post_init__(self) -> None:
-        # negated comparisons, so that a NaN field fails every check
-        if not abs(self.discord - (self.mutual_info - self.classical_corr)) <= 1e-9:
-            raise DomainError("discord must equal mutual information minus classical part")
-        if not (
-            self.mutual_info >= -1e-12
-            and self.classical_corr >= -1e-12
-            and self.discord >= -1e-12
-            and self.eof >= -1e-12
-            and self.s_cond_min >= -1e-12
-        ):
-            # the loop only words the error
-            for name in ("mutual_info", "classical_corr", "discord", "eof", "s_cond_min"):
-                if not getattr(self, name) >= -1e-12:
-                    raise DomainError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if not -1e-12 <= self.concurrence <= 1.0 + 1e-12:
-            raise DomainError(f"concurrence must lie in [0, 1], got {self.concurrence}")
+        _check_correlations(self.mutual_info, self.classical_corr, self.discord,
+                            self.concurrence, self.eof, self.s_cond_min)
+
+
+def _check_correlations(
+    mutual_info: float, classical_corr: float, discord: float,
+    concurrence: float, eof: float, s_cond_min: float,
+) -> None:
+    """The checks of every CorrelationReport, on its fields but argmin."""
+    # negated comparisons, so that a NaN field fails every check
+    if not abs(discord - (mutual_info - classical_corr)) <= 1e-9:
+        raise DomainError("discord must equal mutual information minus classical part")
+    if not (mutual_info >= -1e-12 and classical_corr >= -1e-12 and discord >= -1e-12
+            and eof >= -1e-12 and s_cond_min >= -1e-12):
+        # the loop only words the error
+        names = ("mutual_info", "classical_corr", "discord", "eof", "s_cond_min")
+        for name, value in zip(names, (mutual_info, classical_corr, discord, eof, s_cond_min)):
+            if not value >= -1e-12:
+                raise DomainError(f"{name} must be nonnegative, got {value}")
+    if not -1e-12 <= concurrence <= 1.0 + 1e-12:
+        raise DomainError(f"concurrence must lie in [0, 1], got {concurrence}")
 
 
 # optimal measurement of the closed forms: discord_mixed_closed and discord_pure
@@ -154,7 +159,11 @@ def von_neumann_entropy(state) -> float:
 
 def concurrence_pure(bp: PureBipartition) -> float:
     """Concurrence 2 |c00 c11 - c01 c10| of the pure block splitting."""
-    return 2.0 * abs(bp.c00 * bp.c11 - bp.c01 * bp.c10)
+    return _concurrence_pure(bp.c00, bp.c01, bp.c10, bp.c11)
+
+
+def _concurrence_pure(c00: float, c01: float, c10: float, c11: float) -> float:
+    return 2.0 * abs(c00 * c11 - c01 * c10)
 
 
 def discord_pure(bp: PureBipartition) -> CorrelationReport:
@@ -165,17 +174,13 @@ def discord_pure(bp: PureBipartition) -> CorrelationReport:
     classical correlation and entanglement of formation all equal the
     marginal entropy H((1 + sqrt(1 - C^2))/2).
     """
-    conc = concurrence_pure(bp)
+    return CorrelationReport(*_pure_correlations(concurrence_pure(bp)), _EQUATORIAL)
+
+
+def _pure_correlations(conc: float) -> tuple[float, ...]:
+    """The fields but argmin of `discord_pure` at concurrence conc."""
     ent = _eof_from_concurrence(conc)
-    return CorrelationReport(
-        mutual_info=2.0 * ent,
-        classical_corr=ent,
-        discord=ent,
-        concurrence=conc,
-        eof=ent,
-        s_cond_min=0.0,
-        argmin=_EQUATORIAL,
-    )
+    return 2.0 * ent, ent, ent, conc, ent, 0.0
 
 
 def concurrence_x(state: TwoQubitState) -> float:
@@ -323,26 +328,23 @@ def discord_mixed_closed(spec: SuperpositionSpec) -> CorrelationReport:
     optimal measurement is equatorial.  Discord = marginal entropy +
     that minimum - joint entropy.
     """
-    r00, r33, r03, r11 = _pair_entries(spec)
+    return CorrelationReport(*_pair_correlations(spec.p, spec.n, spec.parity.sign), _EQUATORIAL)
+
+
+def _pair_correlations(p: float, n: int, sign: int) -> tuple[float, ...]:
+    """The fields but argmin of `discord_mixed_closed` for a valid (p, n, sign)."""
+    r00, r33, r03, r11 = _pair_entries_at(p, n, sign)
     lam_even, lam_odd = r00 + r33, 2.0 * r11
     # binary entropies take the smaller eigenvalue, which carries full
     # relative precision; r00 >= r33 makes r33 + r11 the smaller marginal one
     s_marg = binary_entropy(r33 + r11)
     s_joint = binary_entropy(min(lam_even, lam_odd))
-    q_sq = 4.0 * spec.p**2 * lam_even * lam_odd / (1.0 + spec.p**2)
+    q_sq = 4.0 * p**2 * lam_even * lam_odd / (1.0 + p**2)
     s_min = _eof_from_concurrence(math.sqrt(q_sq))
     info = 2.0 * s_marg - s_joint
     disc = s_marg + s_min - s_joint
     conc = 2.0 * abs(r03 - r11)
-    return CorrelationReport(
-        mutual_info=info,
-        classical_corr=info - disc,
-        discord=disc,
-        concurrence=conc,
-        eof=_eof_from_concurrence(conc),
-        s_cond_min=s_min,
-        argmin=_EQUATORIAL,
-    )
+    return info, info - disc, disc, conc, _eof_from_concurrence(conc), s_min
 
 
 @functools.lru_cache(maxsize=4)

@@ -87,7 +87,11 @@ def normalization(spec: SuperpositionSpec) -> float:
 
     The odd superposition vanishes at p = 1, so it has no prefactor there.
     """
-    norm_sq = 2.0 + 2.0 * spec.p**spec.n * spec.parity.sign
+    return _normalization(spec.p, spec.n, spec.parity.sign)
+
+
+def _normalization(p: float, n: int, sign: int) -> float:
+    norm_sq = 2.0 + 2.0 * p**n * sign
     if norm_sq == 0.0:
         raise DomainError("the odd superposition vanishes at p = 1 and cannot be normalized")
     return 1.0 / math.sqrt(norm_sq)
@@ -129,17 +133,18 @@ def pure_bipartition(spec: SuperpositionSpec, k: int) -> PureBipartition:
     if not _is_whole(k) or not 1 <= k <= spec.n - 1:
         raise DomainError(f"block size must satisfy 1 <= k <= n-1, got k={k}, n={spec.n}")
     k = int(k)
-    p, n = spec.p, spec.n
+    return PureBipartition(k, spec.n, *_pure_amplitudes(spec.p, spec.n, spec.parity.sign, k))
+
+
+def _pure_amplitudes(p: float, n: int, sign: int, k: int) -> tuple[float, float, float, float]:
+    """(c00, c01, c10, c11) of `pure_bipartition` for a valid (p, n, sign, k)."""
     a_k, b_k = _block_weights(p, k)
     a_r, b_r = _block_weights(p, n - k)
-    c00 = c01 = c10 = c11 = 0.0
-    if spec.parity.sign == 1:
-        norm = 2.0 * normalization(spec)
-        c00, c11 = norm * a_k * a_r, norm * b_k * b_r
-    else:
-        c01 = a_k * math.sqrt(_pow_ratio(p, n - k, n, -1))
-        c10 = a_r * math.sqrt(_pow_ratio(p, k, n, -1))
-    return PureBipartition(k=k, n=n, c00=c00, c01=c01, c10=c10, c11=c11)
+    if sign == 1:
+        norm = 2.0 * _normalization(p, n, sign)
+        return norm * a_k * a_r, 0.0, 0.0, norm * b_k * b_r
+    c01 = a_k * math.sqrt(_pow_ratio(p, n - k, n, -1))
+    return 0.0, c01, a_r * math.sqrt(_pow_ratio(p, k, n, -1)), 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,11 +246,15 @@ def _pair_entries(spec: SuperpositionSpec) -> tuple[float, float, float, float]:
     is a^2 b^2 (1 - c q)/(1 + c p^n) = (1 - c q)(1 - c p)/4 * (1 + c p)/(1 + c p^n).
     Every closed form of the pair derives from these four numbers.
     """
-    p, n, c = spec.p, spec.n, spec.parity.sign
+    return _pair_entries_at(spec.p, spec.n, spec.parity.sign)
+
+
+def _pair_entries_at(p: float, n: int, c: int) -> tuple[float, float, float, float]:
+    """`_pair_entries` of a valid (p, n, branch sign c), as plain floats."""
     a2 = (1.0 + p) / 2.0
     b2 = (1.0 - p) / 2.0
     outer = _pow_ratio(p, n - 2, n, c)
-    one_exc = 0.25 * (1.0 - c * spec.q) * (1.0 - c * p) * _pow_ratio(p, 1, n, c)
+    one_exc = 0.25 * (1.0 - c * p ** (n - 2)) * (1.0 - c * p) * _pow_ratio(p, 1, n, c)
     return outer * a2 * a2, outer * b2 * b2, outer * a2 * b2, one_exc
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import math
 import subprocess
@@ -13,7 +14,7 @@ from catcorr import (
     sudden_death_time,
     werner_discord,
 )
-from catcorr.cli import MAX_SWEEP_STEPS, UsageError, _check_sweep, main
+from catcorr.cli import MAX_SWEEP_STEPS, UsageError, _check_sweep, build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -415,6 +416,19 @@ def _main_code(argv):
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def test_every_flag_has_help(capsys):
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(commands.choices) == ["dynamics", "figure", "overlap", "point", "sweep-pure"]
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            assert action.help and action.help != argparse.SUPPRESS, (name, action.dest)
+    assert _main_code(["point", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--grid GRID" in out
+    assert "measurement scan grid" in out
 
 
 def test_reused_parser_leaks_no_state(capsys):

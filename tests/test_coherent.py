@@ -156,6 +156,23 @@ def test_series_su2_cancellation_is_a_convergence_error():
         overlap_series(AlgebraSpec.su2(1e5), 0.3)
 
 
+@pytest.mark.parametrize("j", [1e5, 3e5, 5e5])
+def test_series_refuses_a_sum_whose_rounding_exceeds_the_contract(j):
+    # these sums end 2.0e-10, 4.7e-10 and 1.1e-9 above the true overlap of
+    # about 0; their rounding bounds are 4.7e-6 to 1.2e-4
+    with pytest.raises(ConvergenceError, match="cancellation"):
+        overlap_series(AlgebraSpec.su2(j), 1.2)
+
+
+def test_series_rounding_check_keeps_ordinary_inputs():
+    # README's overlap example, and the su(1,1) input whose rounding bound,
+    # 5.7e-13, is the largest among the overlap commands of closed_sweep
+    # seeds 0-29 in bench/
+    cases = [(AlgebraSpec.su11(0.5), 0.3), (AlgebraSpec.su11(3.0), -0.895846 - 0.079354j)]
+    for alg, z in cases:
+        assert abs(overlap_series(alg, z).value - overlap_closed(alg, z).value) < 1e-10
+
+
 def test_series_tolerance_contract():
     for tol in (1e-6, 1e-10, 1e-14):
         closed = overlap_closed(HARMONIC, 1.2).value

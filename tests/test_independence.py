@@ -39,8 +39,11 @@ MODULES = [
 CLOSED_FORMS = {
     "catcorr.states": (
         "_pair_entries",
+        "_pair_entries_at",
         "_pow_ratio",
         "_block_weights",
+        "_normalization",
+        "_pure_amplitudes",
         "normalization",
         "pure_bipartition",
         "reduced_rho12",
@@ -49,6 +52,9 @@ CLOSED_FORMS = {
         "_block_eigenvalues",
         "_discord_x",
         "_golden_section",
+        "_pair_correlations",
+        "_pure_correlations",
+        "_concurrence_pure",
         "discord_mixed_closed",
         "discord_pure",
         "concurrence_pure",

@@ -21,7 +21,6 @@ from .correlations import (
     discord_mixed_closed,
     discord_pure,
     koashi_winter_min,
-    mutual_information,
     von_neumann_entropy,
     werner_discord,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "discord_t",
     "koashi_winter_min",
     "marginals",
-    "mutual_information",
     "normalization",
     "overlap_closed",
     "overlap_series",

@@ -162,8 +162,9 @@ def overlap_series(
     exceeding the term cap raises ConvergenceError, up front for an su(2)
     ladder of more than term_cap terms.  The two halves cancel, so the
     sum of n terms carries a rounding bound of n eps (1 + log of its size);
-    a sum whose bound exceeds 1e-10, or that ends negative by more than the
-    clamp but within the bound, also raises ConvergenceError.
+    a sum whose bound exceeds 1e-10, which is refused as soon as the running
+    bound does, or that ends negative by more than the clamp but within the
+    bound, also raises ConvergenceError.
     """
     if not tol > 0.0:  # negated, so that NaN is refused too
         raise DomainError(f"series tolerance must be positive, got {tol}")
@@ -195,7 +196,15 @@ def overlap_series(
             log_even = _logaddexp(log_even, log_term)
         else:
             log_odd = _logaddexp(log_odd, log_term)
-        if log_term < log_stop + _logaddexp(log_even, log_odd):
+        log_sum = _logaddexp(log_even, log_odd)
+        # the bound below only grows with n, so a sum it refuses now would
+        # be refused at the end
+        if n * math.ulp(1.0) * (1.0 + log_sum) > _SERIES_ROUNDING_MAX:
+            raise ConvergenceError(
+                f"overlap series lost its value to cancellation: the rounding of "
+                f"its first {n} terms already exceeds {_SERIES_ROUNDING_MAX:g}"
+            )
+        if log_term < log_stop + log_sum:
             break
     log_den = _logaddexp(log_even, log_odd)
     p = math.exp(log_even - log_den) - math.exp(log_odd - log_den)

@@ -23,7 +23,7 @@ from .states import (
     PureBipartition,
     SuperpositionSpec,
     TwoQubitState,
-    _pair_entries_at,
+    _pair_block,
     bloch_matrix,
     marginals,
 )
@@ -214,13 +214,6 @@ def _eof_from_concurrence(conc: float) -> float:
     return binary_entropy(0.5 * c_sq / (1.0 + math.sqrt(max(0.0, 1.0 - c_sq))))
 
 
-def mutual_information(spec: SuperpositionSpec) -> float:
-    """Closed-form mutual information of the two-mode reduction:
-    2 H(marginal eigenvalue) - H(joint eigenvalue), see
-    `discord_mixed_closed`."""
-    return discord_mixed_closed(spec).mutual_info
-
-
 def conditional_entropy(state: TwoQubitState, basis: MeasurementBasis) -> float:
     """Average entropy of the second qubit after measuring the first
     along `basis`, weighted by the outcome probabilities."""
@@ -317,30 +310,27 @@ def koashi_winter_min(spec: SuperpositionSpec) -> float:
 def discord_mixed_closed(spec: SuperpositionSpec) -> CorrelationReport:
     """Closed-form correlation report of the two-mode reduction.
 
-    Everything derives from the pair-state entries rho00, rho33, rho03 and
-    rho11 = rho22 = rho12: the marginal eigenvalues are rho33 + rho11 and
-    its complement, the rank-two joint state has eigenvalues
-    lam_even = rho00 + rho33 and lam_odd = 2 rho11, and the concurrence is
-    2 |rho03 - rho11|.  The rank-two purification adds a single ancilla
-    qubit, so the minimum conditional entropy (Koashi-Winter) equals the
-    entanglement of formation between the unmeasured mode and the ancilla,
-    H((1 + sqrt(1 - Q))/2) with Q = 4 p^2 lam_even lam_odd / (1 + p^2); the
-    optimal measurement is equatorial.  Discord = marginal entropy +
-    that minimum - joint entropy.
+    Everything derives from `_pair_block`, with n - 2 traced modes: the
+    marginal eigenvalues are rho33 + rho11 and its complement, the
+    rank-two joint state has eigenvalues lam_even = rho00 + rho33 and
+    lam_odd = 2 rho11, and the concurrence is 2 |rho03 - rho11|.  The
+    traced modes purify the pair, so the minimum conditional entropy
+    (Koashi-Winter) equals the entanglement of formation between the
+    unmeasured mode and the traced block, H((1 + sqrt(1 - C^2))/2) with C
+    the block concurrence of `_pair_block`; the optimal measurement is
+    equatorial.  Discord = marginal entropy + that minimum - joint entropy.
     """
     return CorrelationReport(*_pair_correlations(spec.p, spec.n, spec.parity.sign), _EQUATORIAL)
 
 
 def _pair_correlations(p: float, n: int, sign: int) -> tuple[float, ...]:
     """The fields but argmin of `discord_mixed_closed` for a valid (p, n, sign)."""
-    r00, r33, r03, r11 = _pair_entries_at(p, n, sign)
-    lam_even, lam_odd = r00 + r33, 2.0 * r11
+    r00, r33, r03, r11, kw_conc = _pair_block(p, n - 2, sign)
     # binary entropies take the smaller eigenvalue, which carries full
     # relative precision; r00 >= r33 makes r33 + r11 the smaller marginal one
     s_marg = binary_entropy(r33 + r11)
-    s_joint = binary_entropy(min(lam_even, lam_odd))
-    q_sq = 4.0 * p**2 * lam_even * lam_odd / (1.0 + p**2)
-    s_min = _eof_from_concurrence(math.sqrt(q_sq))
+    s_joint = binary_entropy(min(r00 + r33, 2.0 * r11))
+    s_min = _eof_from_concurrence(kw_conc)
     info = 2.0 * s_marg - s_joint
     disc = s_marg + s_min - s_joint
     conc = 2.0 * abs(r03 - r11)

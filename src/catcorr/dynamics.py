@@ -15,7 +15,7 @@ import numpy as np
 
 from .correlations import _discord_x
 from .errors import DomainError
-from .states import SuperpositionSpec, TwoQubitState, _pair_entries
+from .states import SuperpositionSpec, TwoQubitState, _pair_block
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def concurrence_t(spec: SuperpositionSpec, channel: DephasingChannel) -> float:
     populations alone, so the concurrence is
     2 max(0, (1-gamma) rho03 - rho11, (1-gamma) rho11 - rho03).
     """
-    _, _, r03, r11 = _pair_entries(spec)
+    _, _, r03, r11, _ = _pair_block(spec.p, spec.n - 2, spec.parity.sign)
     decay = 1.0 - channel.gamma
     return 2.0 * max(0.0, decay * r03 - r11, decay * r11 - r03)
 
@@ -117,7 +117,7 @@ def discord_t(spec: SuperpositionSpec, channel: DephasingChannel) -> float:
     check.  Once dephasing raises the rank above two this is an upper
     bound on the unrestricted-POVM discord.
     """
-    r00, r33, r03, r11 = _pair_entries(spec)
+    r00, r33, r03, r11, _ = _pair_block(spec.p, spec.n - 2, spec.parity.sign)
     decay = 1.0 - channel.gamma
     return _discord_x(r00, r11, r11, r33, decay * r03, decay * r11)
 

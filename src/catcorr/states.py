@@ -87,11 +87,7 @@ def normalization(spec: SuperpositionSpec) -> float:
 
     The odd superposition vanishes at p = 1, so it has no prefactor there.
     """
-    return _normalization(spec.p, spec.n, spec.parity.sign)
-
-
-def _normalization(p: float, n: int, sign: int) -> float:
-    norm_sq = 2.0 + 2.0 * p**n * sign
+    norm_sq = 2.0 + 2.0 * spec.p**spec.n * spec.parity.sign
     if norm_sq == 0.0:
         raise DomainError("the odd superposition vanishes at p = 1 and cannot be normalized")
     return 1.0 / math.sqrt(norm_sq)
@@ -141,10 +137,10 @@ def _pure_amplitudes(p: float, n: int, sign: int, k: int) -> tuple[float, float,
     a_k, b_k = _block_weights(p, k)
     a_r, b_r = _block_weights(p, n - k)
     if sign == 1:
-        norm = 2.0 * _normalization(p, n, sign)
+        norm = 2.0 / math.sqrt(2.0 + 2.0 * p**n)  # twice `normalization`
         return norm * a_k * a_r, 0.0, 0.0, norm * b_k * b_r
-    c01 = a_k * math.sqrt(_pow_ratio(p, n - k, n, -1))
-    return 0.0, c01, a_r * math.sqrt(_pow_ratio(p, k, n, -1)), 0.0
+    c01 = a_k * math.sqrt(_pow_ratio(p, n - k, n))
+    return 0.0, c01, a_r * math.sqrt(_pow_ratio(p, k, n)), 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,14 +216,9 @@ def partial_trace_pair(state_vector: np.ndarray) -> TwoQubitState:
     return TwoQubitState(block @ block.conj().T)
 
 
-def _pow_ratio(p: float, m: int, n: int, sign: int) -> float:
-    """(1 + sign p^m) / (1 + sign p^n).
-
-    With sign -1 both factors vanish as p -> 1, so the ratio is evaluated
-    without cancellation, with limit m/n at p = 1.
-    """
-    if sign == 1:
-        return (1.0 + p**m) / (1.0 + p**n)
+def _pow_ratio(p: float, m: float, n: float) -> float:
+    """(1 - p^m) / (1 - p^n), evaluated without cancellation as p -> 1,
+    where both factors vanish, with limit m/n at p = 1."""
     if p == 0.0:
         return 0.0 if m == 0 else 1.0  # p^0 = 1 even at p = 0
     if p == 1.0:
@@ -236,32 +227,40 @@ def _pow_ratio(p: float, m: int, n: int, sign: int) -> float:
     return math.expm1(m * lp) / math.expm1(n * lp)
 
 
-def _pair_entries(spec: SuperpositionSpec) -> tuple[float, float, float, float]:
-    """The distinct entries (rho00, rho33, rho03, rho11) of the two-mode
-    reduction, with rho11 = rho22 = rho12; every other entry is zero.
+def _pair_block(p: float, m: float, sign: int) -> tuple[float, float, float, float, float]:
+    """Two single modes of the superposition after tracing out a block of
+    m other modes: the distinct X entries (rho00, rho33, rho03, rho11) of
+    the pair, with rho11 = rho22 = rho12 and every other entry zero, and
+    the concurrence between the second mode and the traced block.
 
-    With a^2 = (1+p)/2, b^2 = (1-p)/2, branch sign c and cross weight
-    q = p^(n-2), the even block (rho00, rho33, rho03) is
-    (a^4, b^4, a^2 b^2) (1 + c q)/(1 + c p^n) and the one-excitation entry
-    is a^2 b^2 (1 - c q)/(1 + c p^n) = (1 - c q)(1 - c p)/4 * (1 + c p)/(1 + c p^n).
-    Every closed form of the pair derives from these four numbers.
+    With a^2 = (1+p)/2, b^2 = (1-p)/2, a_m^2 = (1+p^m)/2, b_m^2 = (1-p^m)/2,
+    branch sign s and w = (1 + s p^m)/(1 + s p^(m+2)), the even block
+    (rho00, rho33, rho03) is (a^4, b^4, a^2 b^2) w and
+    rho11 = (1 - s p^m)(1 - s p)/4 * (1 + s p)/(1 + s p^(m+2)).  The block
+    purifies the rank-two pair, so by Koashi-Winter the least conditional
+    entropy of the second mode, after a measurement on the first, is the
+    entanglement of formation of the second mode against the block, whose
+    concurrence is 4 p a b a_m b_m / (1 + s p^(m+2)) = 2 p sqrt(rho11 w).
+    Every closed form of the pair derives from these five numbers; the odd
+    ratios, whose factors vanish as p -> 1, go through `_pow_ratio`.
     """
-    return _pair_entries_at(spec.p, spec.n, spec.parity.sign)
-
-
-def _pair_entries_at(p: float, n: int, c: int) -> tuple[float, float, float, float]:
-    """`_pair_entries` of a valid (p, n, branch sign c), as plain floats."""
     a2 = (1.0 + p) / 2.0
     b2 = (1.0 - p) / 2.0
-    outer = _pow_ratio(p, n - 2, n, c)
-    one_exc = 0.25 * (1.0 - c * p ** (n - 2)) * (1.0 - c * p) * _pow_ratio(p, 1, n, c)
-    return outer * a2 * a2, outer * b2 * b2, outer * a2 * b2, one_exc
+    if sign == 1:
+        p_m, p_n = p**m, p ** (m + 2)
+        outer = (1.0 + p_m) / (1.0 + p_n)
+        one_exc = 0.25 * (1.0 - p_m) * (1.0 - p) * ((1.0 + p) / (1.0 + p_n))
+    else:
+        outer = _pow_ratio(p, m, m + 2)
+        one_exc = 0.25 * (1.0 + p**m) * (1.0 + p) * _pow_ratio(p, 1, m + 2)
+    kw_conc = 2.0 * p * math.sqrt(one_exc * outer)
+    return outer * a2 * a2, outer * b2 * b2, outer * a2 * b2, one_exc, kw_conc
 
 
 def reduced_rho12(spec: SuperpositionSpec) -> TwoQubitState:
     """Closed-form reduction to the first two modes: a rank-two X state
-    with the entries of `_pair_entries`."""
-    r00, r33, r03, r11 = _pair_entries(spec)
+    with the entries of `_pair_block`."""
+    r00, r33, r03, r11, _ = _pair_block(spec.p, spec.n - 2, spec.parity.sign)
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = r00
     m[3, 3] = r33

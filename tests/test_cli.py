@@ -476,3 +476,30 @@ def test_readme_outputs_are_pinned(capsys, command):
     assert code == 0
     out = out.replace(f"version={__version__}", f"version={_PINNED_VERSION}")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _README_DIGESTS[command]
+
+
+# sha256 of the closed-form lines of the README `point` examples, every
+# line but the two that come from the scan, whose last digits depend on
+# the LAPACK build; taken before the pair kernel read the Koashi-Winter
+# term from the traced block
+_README_POINT_DIGESTS = {
+    "point --p 0.5 --n 4 --parity even --k 2":
+        "210c0950c8651338fe243fa07f0620356cb7ac056073557252fffe9f278752a0",
+    "point --algebra glauber --z 1.0 --n 4 --parity even":
+        "b5edec11a7833234055700062a2f1d984f42c9f1b9fa8809960da63d8f7c1d94",
+    "point --p 1 --n 5 --parity odd":
+        "e66ae2bb11c5fbfc801404313f76527f69f8dc55f358e4ac6a5658ba4f324051",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_README_POINT_DIGESTS))
+def test_readme_point_closed_forms_are_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, command.split())
+    assert code == 0
+    closed = [
+        line for line in out.splitlines(keepends=True)
+        if not line.startswith(("discord_brute_force_bits", "closed_minus_brute"))
+    ]
+    assert len(closed) == len(out.splitlines()) - 2
+    digest = hashlib.sha256("".join(closed).encode("utf-8")).hexdigest()
+    assert digest == _README_POINT_DIGESTS[command]

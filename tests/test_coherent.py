@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,9 +160,12 @@ def test_series_su2_cancellation_is_a_convergence_error():
 @pytest.mark.parametrize("j", [1e5, 3e5, 5e5])
 def test_series_refuses_a_sum_whose_rounding_exceeds_the_contract(j):
     # these sums end 2.0e-10, 4.7e-10 and 1.1e-9 above the true overlap of
-    # about 0; their rounding bounds are 4.7e-6 to 1.2e-4
-    with pytest.raises(ConvergenceError, match="cancellation"):
+    # about 0; their rounding bounds are 4.7e-6 to 1.2e-4.  The running bound
+    # passes 1e-10 after 215 to 236 of their 1.2e5 to 5.9e5 terms, and the
+    # series stops there
+    with pytest.raises(ConvergenceError, match="cancellation") as info:
         overlap_series(AlgebraSpec.su2(j), 1.2)
+    assert int(re.search(r"(\d+) terms", str(info.value)).group(1)) < 1000
 
 
 def test_series_rounding_check_keeps_ordinary_inputs():

@@ -22,13 +22,12 @@ from catcorr import (
     discord_pure,
     discord_t,
     koashi_winter_min,
-    mutual_information,
     pure_bipartition,
     reduced_rho12,
     von_neumann_entropy,
     werner_discord,
 )
-from catcorr.states import PAULI, _pair_entries
+from catcorr.states import PAULI, _pair_block
 
 
 def spec(p, parity, n):
@@ -266,7 +265,7 @@ def test_mutual_information_against_entropy_oracle(rng):
         s_joint = von_neumann_entropy(state)
         rho_a = state.matrix.reshape(2, 2, 2, 2)
         s_marg = von_neumann_entropy(np.einsum("ikjk->ij", rho_a))
-        assert mutual_information(s) == pytest.approx(
+        assert discord_mixed_closed(s).mutual_info == pytest.approx(
             2.0 * s_marg - s_joint, abs=1e-11
         )
 
@@ -530,7 +529,7 @@ def test_closed_form_at_odd_p_one_is_werner_discord():
 def _closed_values(s):
     """Every closed-form number of one spec, flattened."""
     report = discord_mixed_closed(s)
-    values = list(_pair_entries(s))
+    values = list(_pair_block(s.p, s.n - 2, s.parity.sign))
     values += [report.mutual_info, report.classical_corr, report.discord]
     values += [report.concurrence, report.eof, report.s_cond_min]
     values += [report.argmin.theta, report.argmin.phi]

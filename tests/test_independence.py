@@ -38,11 +38,9 @@ MODULES = [
 ]
 CLOSED_FORMS = {
     "catcorr.states": (
-        "_pair_entries",
-        "_pair_entries_at",
+        "_pair_block",
         "_pow_ratio",
         "_block_weights",
-        "_normalization",
         "_pure_amplitudes",
         "normalization",
         "pure_bipartition",

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from catcorr import (
     SuperpositionSpec,
     TwoQubitState,
     bloch_matrix,
+    concurrence_x,
     marginals,
     normalization,
     overlap_closed,
@@ -21,7 +23,7 @@ from catcorr import (
     werner_discord,
 )
 from catcorr.correlations import _block_eigenvalues
-from catcorr.states import PAULI
+from catcorr.states import PAULI, _pair_block
 
 
 def spec(p, parity, n):
@@ -175,6 +177,44 @@ def test_reduced_rho12_against_full_trace(rng):
     brute = partial_trace_pair(superposition_vector(bell)).matrix
     worst = max(worst, float(np.max(np.abs(reduced_rho12(bell).matrix - brute))))
     assert worst < 1e-12
+
+
+def three_block_vector(p, m, sign):
+    """Normalized superposition with its modes grouped in blocks of 1, 1
+    and m, each block a qubit on which |+-z> of all its modes is
+    a_j |0> +- b_j |1>, a_j^2 = (1 + p^j)/2 and b_j^2 = (1 - p^j)/2.
+
+    p^j is taken exactly and rounded once, so b_j keeps full relative
+    precision as p -> 1; the vector is divided by its own norm."""
+    plus = minus = np.ones(1)
+    for size in (1, 1, m):
+        power = Fraction(p) ** size
+        a, b = math.sqrt((1 + power) / 2), math.sqrt((1 - power) / 2)
+        plus = np.kron(plus, [a, b])
+        minus = np.kron(minus, [a, -b])
+    vec = plus + sign * minus
+    return (vec / np.linalg.norm(vec)).reshape(2, 2, 2)
+
+
+def test_pair_block_against_three_block_oracle():
+    overlaps = [0.0, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99]
+    overlaps += [1.0 - 10.0**-k for k in range(3, 7)]
+    for parity in Parity:
+        for m in range(41):
+            for p in overlaps:
+                r00, r33, r03, r11, kw_conc = _pair_block(p, m, parity.sign)
+                psi = three_block_vector(p, m, parity.sign)
+                # tracing out the block leaves the pair
+                pair = np.einsum("ijk,lnk->ijln", psi, psi).reshape(4, 4)
+                closed = np.zeros((4, 4))
+                closed[0, 0], closed[3, 3] = r00, r33
+                closed[0, 3] = closed[3, 0] = r03
+                closed[1, 1] = closed[2, 2] = closed[1, 2] = closed[2, 1] = r11
+                assert np.max(np.abs(pair - closed)) <= 1e-14, (parity, m, p)
+                # tracing out the first mode leaves the second against the block
+                rest = np.einsum("ijk,iln->jkln", psi, psi).reshape(4, 4)
+                got = concurrence_x(TwoQubitState(rest))
+                assert abs(got - kw_conc) <= 1e-12, (parity, m, p)
 
 
 def test_reduced_rho12_worked_example():

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from catcorr import DomainError, Parity, SuperpositionSpec
+from catcorr import DomainError, Parity
 from catcorr.correlations import (
     _X_THETA_POINTS,
     _block_eigenvalues,
@@ -19,7 +19,7 @@ from catcorr.correlations import (
     _golden_section,
     binary_entropy,
 )
-from catcorr.states import _pair_entries
+from catcorr.states import _pair_block
 
 
 def reference_discord_x(
@@ -69,7 +69,7 @@ def dephased_pair_entries(rng):
     for parity in Parity:
         for n in (2, 3, 4, 7, 20, 50):
             for p in overlaps:
-                r00, r33, r03, r11 = _pair_entries(SuperpositionSpec(p, parity, n))
+                r00, r33, r03, r11, _ = _pair_block(p, n - 2, parity.sign)
                 for gamma in [0.0, 1.0] + rng.random(3).tolist():
                     decay = 1.0 - gamma
                     yield r00, r11, r11, r33, decay * r03, decay * r11

@@ -358,18 +358,19 @@ def _direction_grid(n_theta: int, n_phi: int):
 
 def _golden_section(fun, lo: float, hi: float, step_tol: float = LINE_SEARCH_STEP_TOL):
     """Golden-section minimum of a scalar function on [lo, hi]."""
+    golden = _GOLDEN
     a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
+    c = b - golden * (b - a)
+    d = a + golden * (b - a)
     fc, fd = fun(c), fun(d)
     while b - a > step_tol:
         if fc <= fd:
             b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
+            c = b - golden * (b - a)
             fc = fun(c)
         else:
             a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
+            d = a + golden * (b - a)
             fd = fun(d)
     if fc <= fd:
         return c, fc
@@ -404,28 +405,49 @@ def _discord_x(
     b3 = r00 - r11 + r22 - r33
     t33 = r00 - r11 - r22 + r33
     t_perp = 2.0 * (abs(c03) + abs(c12))
-    log2 = math.log2
+    cos, sin, sqrt, log2 = math.cos, math.sin, math.sqrt, math.log2
 
     def s_cond(theta: float) -> float:
         # binary_entropy written out: x = (1 - r)/2 lies in (0, 1/2] for
         # r < 1, a pure conditional (r >= 1) contributes exactly 0, and a
-        # NaN length raises as binary_entropy would
-        cos_t = math.cos(theta)
-        trans = (t_perp * math.sin(theta)) ** 2
+        # NaN length raises as binary_entropy would.  The two outcomes
+        # (1 +- a3 cos t, b3 +- T33 cos t) are written out rather than
+        # looped over a sign: negation is exact, so the bits are those of
+        # the loop, and the dephasing_dynamics benchmark ran about 1.1x
+        # faster.  (...) ** 2 stays: float ** calls libm pow, which differed
+        # from x * x in 2527 of 3e6 uniform doubles in [0, 1) on glibc
+        cos_t = cos(theta)
+        ac = a3 * cos_t
+        tc = t33 * cos_t
+        trans = (t_perp * sin(theta)) ** 2
         total = 0.0
-        for sign in (1.0, -1.0):
-            weight = 1.0 + sign * a3 * cos_t  # twice the outcome probability
-            if weight > 2e-15:
-                r = math.sqrt(trans + (b3 + sign * t33 * cos_t) ** 2) / weight
-                if r < 1.0:
-                    x = 0.5 - 0.5 * r
-                    total += 0.5 * weight * (-x * log2(x) - (1.0 - x) * log2(1.0 - x))
-                elif r != r:
-                    raise DomainError(f"conditional Bloch length is NaN at theta {theta}")
+        weight = 1.0 + ac  # twice the outcome probability
+        if weight > 2e-15:
+            r = sqrt(trans + (b3 + tc) ** 2) / weight
+            if r < 1.0:
+                x = 0.5 - 0.5 * r
+                y = 1.0 - x
+                total += 0.5 * weight * (-x * log2(x) - y * log2(y))
+            elif r != r:
+                raise DomainError(f"conditional Bloch length is NaN at theta {theta}")
+        weight = 1.0 - ac
+        if weight > 2e-15:
+            r = sqrt(trans + (b3 - tc) ** 2) / weight
+            if r < 1.0:
+                x = 0.5 - 0.5 * r
+                y = 1.0 - x
+                total += 0.5 * weight * (-x * log2(x) - y * log2(y))
+            elif r != r:
+                raise DomainError(f"conditional Bloch length is NaN at theta {theta}")
         return total
 
+    # first minimum of the grid: a tie keeps the smaller theta
     step = 0.5 * math.pi / (_X_THETA_POINTS - 1)
-    best_val, i = min((s_cond(k * step), k) for k in range(_X_THETA_POINTS))
+    best_val, i = s_cond(0.0), 0
+    for k in range(1, _X_THETA_POINTS):
+        value = s_cond(k * step)
+        if value < best_val:
+            best_val, i = value, k
     _, val = _golden_section(
         s_cond, max(0.0, (i - 1) * step), min(0.5 * math.pi, (i + 1) * step)
     )

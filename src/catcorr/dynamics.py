@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import _discord_x
-from .errors import DomainError
+from .errors import DomainError, _is_whole
 from .states import SuperpositionSpec, TwoQubitState, _pair_block
 
 
@@ -127,13 +127,15 @@ def default_time_grid(
 ) -> np.ndarray:
     """Uniform sweep times: [0, 3 t_death] when the death time is finite
     and positive, otherwise [0, 5/rate].  A rate that is not finite and
-    positive, or so small that the horizon overflows, is a domain error."""
-    if steps < 2:
-        raise DomainError(f"need at least 2 time steps, got {steps}")
+    positive, or so small that the horizon overflows, is a domain error,
+    and so is a step count that is not a whole number of at least 2 (a
+    whole float such as 3.0 is accepted)."""
+    if not _is_whole(steps) or steps < 2:
+        raise DomainError(f"need a whole number of at least 2 time steps, got {steps!r}")
     if not 0.0 < gamma_rate < math.inf:
         raise DomainError(f"decay rate must be positive and finite, got {gamma_rate}")
     t_death = sudden_death_time(spec, gamma_rate)
     horizon = 3.0 * t_death if 0.0 < t_death < math.inf else 5.0 / gamma_rate
     if not horizon < math.inf:
         raise DomainError(f"time horizon overflows at decay rate {gamma_rate}")
-    return np.linspace(0.0, horizon, steps)
+    return np.linspace(0.0, horizon, int(steps))

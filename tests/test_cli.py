@@ -478,6 +478,27 @@ def test_readme_outputs_are_pinned(capsys, command):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _README_DIGESTS[command]
 
 
+# sha256 of two `dynamics` outputs that are not README examples, a pair
+# near p = 1 with discords of 1e-11 and below and a nearly orthogonal odd
+# pair; a change to the polar-angle search of discord_t moves their
+# printed digits (a golden-section tolerance of sqrt(eps) instead of 1e-10
+# changes 51 and 2 of their rows)
+_DYNAMICS_DIGESTS = {
+    "dynamics --p 0.999999 --n 3 --parity even --gamma-rate 1.3":
+        "eca7e812efc1796e6b6cc3387150e9e72cf7b2107bfd81c7acfaa645f284291c",
+    "dynamics --p 0.05 --n 4 --parity odd --gamma-rate 1.3":
+        "73596b0e3f5e3cec658179456f0e7cce1910d475fc171ffe58781be31ceadd3f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DYNAMICS_DIGESTS))
+def test_dynamics_search_outputs_are_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, command.split())
+    assert code == 0
+    out = out.replace(f"version={__version__}", f"version={_PINNED_VERSION}")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _DYNAMICS_DIGESTS[command]
+
+
 # sha256 of the closed-form lines of the README `point` examples, every
 # line but the two that come from the scan, whose last digits depend on
 # the LAPACK build; taken before the pair kernel read the Koashi-Winter

@@ -291,3 +291,17 @@ def test_default_time_grid_shapes():
     for rate in (math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(DomainError, match="decay rate"):
             default_time_grid(spec(0.5, Parity.ODD, 4), rate)
+
+
+def test_default_time_grid_accepts_a_whole_float_step_count():
+    s = spec(0.5, Parity.ODD, 4)
+    for steps in (3.0, np.float64(3.0), np.int64(3)):
+        grid = default_time_grid(s, 1.0, steps=steps)
+        assert np.array_equal(grid, default_time_grid(s, 1.0, steps=3))
+
+
+def test_default_time_grid_refuses_a_step_count_that_is_not_whole():
+    # all but 1.0 leaked a TypeError, from numpy's linspace or from <
+    for steps in (2.5, math.nan, math.inf, -math.inf, "5", None, 1.0):
+        with pytest.raises(DomainError, match="time steps"):
+            default_time_grid(spec(0.5, Parity.ODD, 4), 1.0, steps=steps)

@@ -65,7 +65,7 @@ def random_x_entries(rng, count):
 
 
 def dephased_pair_entries(rng):
-    overlaps = [0.05, 0.5, 0.9, 0.999] + [1.0 - 10.0 ** -k for k in range(4, 10)]
+    overlaps = [0.05, 0.5, 0.9, 0.999] + [1.0 - 10.0 ** -k for k in range(4, 13)]
     for parity in Parity:
         for n in (2, 3, 4, 7, 20, 50):
             for p in overlaps:
@@ -81,6 +81,13 @@ BOUNDARY_ENTRIES = [
     (0.9272, 0.0, 0.0612, 0.0116, 0.0809, 0.0),
     (0.0387, 0.0888, 0.0, 0.8725, -0.1487, 0.0),
     (0.0059, 0.0136, 0.9802, 0.0003, -0.0007, -0.1068),
+    # dephased pairs near p = 1 whose optimum is an interior well next to
+    # theta = 0 (theta* ~ 7.5e-4 and ~ 4.0e-3), below s(0) by 4.1e-10 and
+    # 2.8e-8: only the golden-section comparisons find it
+    (0.9999972472605235, 1.2512449887640687e-06, 1.2512449887640687e-06,
+     2.5024949875150816e-07, 0.00033966112149885134, 8.495758916917835e-07),
+    (0.9999907410715136, 4.504340307865265e-06, 4.504340307865265e-06,
+     2.5024787057648767e-07, 0.0003134477866445946, 2.822365256167071e-06),
     # |00><00|: the outcome of -z has probability 0
     (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
     # Bell states: every conditional state is pure, r = 1

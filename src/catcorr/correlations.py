@@ -238,15 +238,23 @@ def _cond_entropy_field(table, d1, d2, d3):
     in one contiguous row, with offset = (1, R[0,1], R[0,2], R[0,3]); the
     rest runs in place on those rows.  Every element goes through the same
     operations in the same order for any block size or input shape.
+
+    The dot products skip coefficients that are exactly zero, which X
+    states have in most slots.  The bits cannot change: directions are
+    finite, so a skipped term is a signed zero and x + (+-0) = x for any
+    x != 0.  Only the sign of a zero w_b can differ, and that sign is lost
+    in 1 +- w_b and in the square of offset_b +- w_b.
     """
     shape = np.shape(d1)
     d1, d2, d3 = np.ravel(d1), np.ravel(d2), np.ravel(d3)
     size = d1.size
     out = np.empty(size)
     m = min(size, _FIELD_BLOCK)
-    rows = table[1:, :, None]
-    offset = (1.0, table[0, 1], table[0, 2], table[0, 3])
-    dots, tmp = np.empty((4, m)), np.empty((4, m))
+    offset = np.array([1.0, table[0, 1], table[0, 2], table[0, 3]])[:, None]
+    # the nonzero (i, R[i+1,b]) of each column, in order; X states keep at
+    # most one per column
+    terms = [[(i, c) for i, c in enumerate(col) if c != 0.0] for col in table[1:].T.tolist()]
+    dots, tmp = np.empty((4, m)), np.empty(m)
     # buffers are flat so that the views of a shorter last block stay
     # contiguous
     stacked = np.empty(8 * m)
@@ -255,30 +263,35 @@ def _cond_entropy_field(table, d1, d2, d3):
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, size, m):
             k = min(m, size - lo)
-            w, t = dots[:, :k], tmp[:, :k]
-            np.multiply(rows[0], d1[lo : lo + k], out=w)
-            w += np.multiply(rows[1], d2[lo : lo + k], out=t)
-            w += np.multiply(rows[2], d3[lo : lo + k], out=t)
+            d = (d1[lo : lo + k], d2[lo : lo + k], d3[lo : lo + k])
+            w, t = dots[:, :k], tmp[:k]
+            for wb, col in zip(w, terms):
+                if not col:
+                    wb.fill(0.0)
+                    continue
+                (i, c), *rest = col
+                np.multiply(d[i], c, out=wb)
+                for i, c in rest:
+                    wb += np.multiply(d[i], c, out=t)
             sv = stacked[: 8 * k].reshape(4, 2 * k)
-            for b in range(4):
-                np.add(w[b], offset[b], out=sv[b, :k])
-                np.subtract(offset[b], w[b], out=sv[b, k:])
+            np.add(w, offset, out=sv[:, :k])
+            np.subtract(offset, w, out=sv[:, k:])
             nw = neg_weight[: 2 * k]
-            dead, unit = (buf[: 2 * k] for buf in flags)
+            live, unit = (buf[: 2 * k] for buf in flags)
 
             # sv[0] = 1 + s.R[1:, 0] is twice the outcome probability; the
             # weight carries the entropy's sign, -0.5 q, and NaN is dead
             q = sv[0]
             np.multiply(q, -0.5, out=nw)
-            np.less(nw, -1e-15, out=dead)
-            np.logical_not(dead, out=dead)
+            np.less(nw, -1e-15, out=live)
             v = sv[1:]
             np.multiply(v, v, out=v)
             r = v[0]
             r += v[1]
             r += v[2]
             np.sqrt(r, out=r)
-            r /= np.abs(q, out=q)
+            # q > 2e-15 wherever the outcome is live, so q = |q| there
+            r /= q
 
             # H(x) at x = (1 + r)/2, negated; x >= 1 (r >= 1) is masked below
             x = r
@@ -294,7 +307,7 @@ def _cond_entropy_field(table, d1, d2, d3):
 
             # dead outcomes and pure conditionals contribute exactly 0
             h *= nw
-            dead |= unit
+            dead = np.less_equal(live, unit, out=live)
             np.copyto(h, 0.0, where=dead)
             np.add(h[:k], h[k:], out=out[lo : lo + k])
     return out.reshape(shape)
@@ -471,7 +484,8 @@ def discord_brute_force(
 
     `grid` = (n_theta, n_phi) sets the steps of the theta-phi grid
     linspace(0, pi, n_theta) x linspace(0, 2 pi, n_phi) (default 181 x 361,
-    floor 64 x 128, at most MAX_GRID_DIRECTIONS points).  Since d and -d
+    floor 64 x 128, at most MAX_GRID_DIRECTIONS points; a whole float such
+    as 181.0 is accepted, 181.5 or NaN is a domain error).  Since d and -d
     give the same average, only the rows theta <= pi/2 are evaluated; the
     first minimum in (theta, phi) order is kept.  It is refined on local
     patches of 9 x 9 directions spanning +-h along the unit tangents of the
@@ -488,6 +502,9 @@ def discord_brute_force(
     states) resolve deterministically.
     """
     n_theta, n_phi = grid
+    if not (_is_whole(n_theta) and _is_whole(n_phi)):
+        raise DomainError(f"scan grid sizes must be whole numbers, got {grid}")
+    n_theta, n_phi = int(n_theta), int(n_phi)
     if n_theta < 64 or n_phi < 128:
         raise DomainError(f"scan grid must be at least 64 x 128, got {grid}")
     if n_theta * n_phi > MAX_GRID_DIRECTIONS:

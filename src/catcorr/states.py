@@ -209,8 +209,8 @@ def superposition_vector(spec: SuperpositionSpec, max_modes: int = 12) -> np.nda
 def partial_trace_pair(state_vector: np.ndarray) -> TwoQubitState:
     """Reduce a pure 2^n-mode state to its first two modes."""
     psi = np.asarray(state_vector, dtype=complex).ravel()
-    n = int(round(math.log2(psi.size)))
-    if 2**n != psi.size or n < 2:
+    # a power of two has a single bit set
+    if psi.size < 4 or psi.size & (psi.size - 1):
         raise DomainError(f"state vector length {psi.size} is not 2^n with n >= 2")
     block = psi.reshape(4, -1)
     return TwoQubitState(block @ block.conj().T)

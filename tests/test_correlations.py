@@ -390,6 +390,15 @@ def test_brute_force_grid_floor():
         discord_brute_force(state, grid=(32, 64))
 
 
+def test_brute_force_grid_sizes_must_be_whole():
+    state = reduced_rho12(spec(0.5, Parity.EVEN, 3))
+    for grid in ((181.5, 361), (181, 361.5), (math.nan, 361), (181, math.nan)):
+        with pytest.raises(DomainError, match="whole numbers"):
+            discord_brute_force(state, grid=grid)
+    whole = discord_brute_force(state, grid=(64.0, np.float64(128.0)))
+    assert whole == discord_brute_force(state, grid=(64, 128))
+
+
 def test_brute_force_grid_cap_rejects_before_allocating():
     # 10^12 directions would need terabytes; the cap must fire first
     state = reduced_rho12(spec(0.5, Parity.EVEN, 3))

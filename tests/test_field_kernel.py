@@ -13,9 +13,11 @@ import tracemalloc
 import numpy as np
 
 from catcorr import (
+    DephasingChannel,
     Parity,
     SuperpositionSpec,
     TwoQubitState,
+    apply_dephasing,
     bloch_matrix,
     discord_brute_force,
     reduced_rho12,
@@ -71,7 +73,36 @@ def kernel_states(rng):
     ground[0, 0] = 1.0
     states.append(TwoQubitState(ground))
     states.append(TwoQubitState(np.eye(4, dtype=complex) / 4.0))
+    # the kernel skips zero table coefficients: a pair state rotated about z
+    # on the first qubit has two nonzero coefficients in the transverse
+    # columns, and a complex coherence makes R[1,2] and R[2,1] nonzero
+    pair = reduced_rho12(SuperpositionSpec(0.6, Parity.EVEN, 3))
+    turn = np.kron(np.diag([1.0, np.exp(0.7j)]), np.eye(2))
+    states.append(TwoQubitState(turn @ pair.matrix @ turn.conj().T))
+    complex_x = pair.matrix.copy()
+    complex_x[0, 3] *= np.exp(0.4j)
+    complex_x[3, 0] = np.conj(complex_x[0, 3])
+    complex_x[1, 2] *= np.exp(-1.1j)
+    complex_x[2, 1] = np.conj(complex_x[1, 2])
+    states.append(TwoQubitState(complex_x))
+    # dephasing raises the pair to rank 4
+    states.append(apply_dephasing(pair, DephasingChannel.from_gamma(0.4)))
     return states
+
+
+def signed_zero_tables():
+    """X tables with every zero slot set to -0.0, so the offsets R[0,1] and
+    R[0,2] are -0.0, and copies with one column of coefficients all zero."""
+    tables = []
+    for spec in (SuperpositionSpec(0.7, Parity.ODD, 5), SuperpositionSpec(1.0, Parity.ODD, 2)):
+        table = np.array(bloch_matrix(reduced_rho12(spec)))
+        table[table == 0.0] = -0.0
+        tables.append(table)
+        for b, zero in ((0, -0.0), (1, 0.0), (3, -0.0)):
+            flat = table.copy()
+            flat[1:, b] = zero
+            tables.append(flat)
+    return tables
 
 
 def direction_sets(rng):
@@ -88,8 +119,8 @@ def direction_sets(rng):
 def test_field_matches_per_outcome_reference_bitwise(rng):
     # the default half grid and 33 x 129 both end in a shorter block
     assert (91 * 361) % _FIELD_BLOCK and (33 * 129) % _FIELD_BLOCK
-    for state in kernel_states(rng):
-        table = bloch_matrix(state)
+    tables = [bloch_matrix(state) for state in kernel_states(rng)]
+    for table in tables + signed_zero_tables():
         for directions in direction_sets(rng):
             new = _cond_entropy_field(table, *directions)
             ref = reference_field(table, *directions)

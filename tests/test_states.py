@@ -159,6 +159,12 @@ def test_superposition_vector_mode_cap():
         superposition_vector(spec(0.5, Parity.EVEN, 13), max_modes=12)
 
 
+def test_partial_trace_pair_rejects_bad_lengths():
+    for size in (0, 1, 2, 3, 6, 12):
+        with pytest.raises(DomainError, match=f"length {size} is not 2\\^n"):
+            partial_trace_pair(np.ones(size) / math.sqrt(max(size, 1)))
+
+
 def test_reduced_rho12_against_full_trace(rng):
     # closed-form pair state vs brute partial trace of the full 2**n vector
     worst = 0.0

@@ -105,7 +105,7 @@ def run_figure(args) -> list[str]:
             for p, p_text in grid:
                 fields = _pair_correlations(p, n, sign)
                 _check_correlations(*fields)
-                lines.append(f"{p_text},{n},{parity},{_fmt(fields[2])}")
+                lines.append(f"{p_text},{n},{parity},{_fmt(fields[1])}")
     return lines
 
 
@@ -134,7 +134,7 @@ def run_sweep_pure(args) -> list[str]:
             conc = _concurrence_pure(*_pure_amplitudes(p, n, sign, k))
             fields = _pure_correlations(conc)
             _check_correlations(*fields)
-            lines.append(f"{p_text},{n},{k},{parity},{_fmt(conc)},{_fmt(fields[2])}")
+            lines.append(f"{p_text},{n},{k},{parity},{_fmt(conc)},{_fmt(fields[1])}")
     return lines
 
 
@@ -324,6 +324,10 @@ def build_parser() -> _Parser:
         "--p", type=float, default=None, help="overlap p = <z|-z> in [0, 1], instead of --algebra"
     )
     spec.add_argument("--n", type=int, required=True, help="mode count, at least 2")
+    spec.add_argument(
+        "--parity", choices=("even", "odd"), required=True,
+        help="relative sign of the two branches",
+    )
 
     parser = _Parser(prog="catcorr", description=__doc__)
     parser.add_argument("--version", action="version", version=f"catcorr {__version__}")
@@ -343,10 +347,6 @@ def build_parser() -> _Parser:
 
     point = sub.add_parser(
         "point", parents=[spec, out], help="closed-form report plus brute-force check"
-    )
-    point.add_argument(
-        "--parity", choices=("even", "odd"), required=True,
-        help="relative sign of the two branches",
     )
     point.add_argument(
         "--k", type=int, default=None, help="also report the pure k|(n-k) splitting"
@@ -372,10 +372,6 @@ def build_parser() -> _Parser:
 
     dyn = sub.add_parser(
         "dynamics", parents=[spec, out], help="dephasing sweep with sudden-death marker"
-    )
-    dyn.add_argument(
-        "--parity", choices=("even", "odd"), required=True,
-        help="relative sign of the two branches",
     )
     dyn.add_argument(
         "--gamma-rate", type=float, required=True,

@@ -25,6 +25,7 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 X_STRUCTURE_TOL = 1e-12
+MAX_VECTOR_MODES = 12
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -112,10 +113,6 @@ class PureBipartition:
     c10: float
     c11: float
 
-    def amplitudes(self) -> np.ndarray:
-        """Amplitudes ordered (|00>, |01>, |10>, |11>)."""
-        return np.array([self.c00, self.c01, self.c10, self.c11])
-
 
 def pure_bipartition(spec: SuperpositionSpec, k: int) -> PureBipartition:
     """Write the superposition as two logical qubits of k and n - k modes.
@@ -181,17 +178,17 @@ class TwoQubitState:
         return bool(np.max(np.abs(self.matrix[mask])) <= X_STRUCTURE_TOL)
 
 
-def superposition_vector(spec: SuperpositionSpec, max_modes: int = 12) -> np.ndarray:
+def superposition_vector(spec: SuperpositionSpec) -> np.ndarray:
     """Expand the superposition in the 2^n logical product basis.
 
     Per mode, |z> maps to a|0> + b|1> and |-z> to a|0> - b|1> with
     a = sqrt((1+p)/2), b = sqrt((1-p)/2); the amplitude of a basis label
     is then fixed by its bit weight.  The vector is divided by its own
     2-norm, so this oracle shares no normalization with the closed forms.
-    Meant as a desk-scale oracle, so n is capped (default 12).
+    Meant as a desk-scale oracle, so n is capped at MAX_VECTOR_MODES.
     """
-    if spec.n > max_modes:
-        raise DomainError(f"explicit expansion capped at {max_modes} modes, got n={spec.n}")
+    if spec.n > MAX_VECTOR_MODES:
+        raise DomainError(f"explicit expansion capped at {MAX_VECTOR_MODES} modes, got n={spec.n}")
     n = spec.n
     a = math.sqrt((1.0 + spec.p) / 2.0)
     b = math.sqrt((1.0 - spec.p) / 2.0)

@@ -27,6 +27,7 @@ from catcorr import (
     von_neumann_entropy,
     werner_discord,
 )
+from catcorr.correlations import _eof_from_concurrence
 from catcorr.states import PAULI, _pair_block
 
 
@@ -131,9 +132,8 @@ def test_concurrence_pure_matches_amplitudes(rng):
     for s in random_specs(rng, 30, p_max=0.999):
         k = int(rng.integers(1, s.n))
         bp = pure_bipartition(s, k)
-        c = bp.amplitudes()
         assert concurrence_pure(bp) == pytest.approx(
-            2.0 * abs(c[0] * c[3] - c[1] * c[2]), abs=1e-15
+            2.0 * abs(bp.c00 * bp.c11 - bp.c01 * bp.c10), abs=1e-15
         )
 
 
@@ -180,7 +180,7 @@ def test_discord_pure_agrees_with_brute_force(rng):
     for s in random_specs(rng, 6, p_max=0.98):
         k = int(rng.integers(1, s.n))
         bp = pure_bipartition(s, k)
-        c = bp.amplitudes().astype(complex)
+        c = np.array([bp.c00, bp.c01, bp.c10, bp.c11], dtype=complex)
         state = TwoQubitState(np.outer(c, c.conj()))
         brute = discord_brute_force(state)
         assert brute.discord == pytest.approx(discord_pure(bp).discord, abs=1e-6)
@@ -247,13 +247,23 @@ def test_non_x_concurrence_of_rotated_pair_states(rng):
     # rank-two pair states, fresh or dephased, hidden by local unitaries:
     # square roots of the rounding-level spin-flip eigenvalues would miss
     # concurrence_t by about 1e-8 here
-    for s in random_specs(rng, 100, p_max=0.999):
+    def gap(s):
         channel = DephasingChannel.from_gamma(float(rng.choice([0.0, rng.random()])))
         u = np.kron(_random_local_unitary(rng), _random_local_unitary(rng))
         m = u @ apply_dephasing(reduced_rho12(s), channel).matrix @ u.conj().T
         rotated = TwoQubitState(0.5 * (m + m.conj().T))
         assert not rotated.is_x
-        assert concurrence_x(rotated) == pytest.approx(concurrence_t(s, channel), abs=1e-12)
+        return abs(concurrence_x(rotated) - concurrence_t(s, channel))
+
+    for s in random_specs(rng, 100, p_max=0.999):
+        assert gap(s) <= 1e-12
+    # odd states nearer p = 1 lose precision all the same: sqrt(rho) takes
+    # square roots of rounding-level eigenvalues of rho.  Worst gaps over 400
+    # draws with n <= 50: 6.4e-12 at 1 - p = 1e-4, 2.2e-8 at 1e-8, 2.9e-8 at
+    # 1e-12
+    for one_minus_p, envelope in ((1e-4, 5e-11), (1e-8, 1e-7), (1e-12, 1e-7)):
+        for n in rng.integers(2, 51, size=10).tolist():
+            assert gap(spec(1.0 - one_minus_p, Parity.ODD, n)) <= envelope, (one_minus_p, n)
 
 
 # ----------------------------------------------------- closed-form discord
@@ -581,34 +591,31 @@ def test_measurement_basis_validation():
 
 def test_correlation_report_validation():
     basis = MeasurementBasis(math.pi / 2.0, 0.0)
-    CorrelationReport(1.0, 0.4, 0.6, 0.5, 0.6, 0.2, basis)
+    report = CorrelationReport(1.0, 0.6, 0.5, 0.2, basis)
+    assert report.classical_corr == 1.0 - 0.6
+    assert report.eof == _eof_from_concurrence(report.concurrence)
     with pytest.raises(DomainError):
-        CorrelationReport(1.0, 0.4, 0.7, 0.5, 0.6, 0.2, basis)
+        CorrelationReport(1.0, -0.2, 0.5, 0.2, basis)
     with pytest.raises(DomainError):
-        CorrelationReport(1.0, 1.2, -0.2, 0.5, 0.6, 0.2, basis)
-    with pytest.raises(DomainError):
-        CorrelationReport(1.0, 0.4, 0.6, 1.5, 0.6, 0.2, basis)
-    # the first negative field, in declaration order, names the error
+        CorrelationReport(1.0, 0.6, 1.5, 0.2, basis)
+    # the first negative value names the error: the stored fields in
+    # declaration order, with classical_corr = I - D right after discord
     negative = {
-        "mutual_info": (-0.1, -0.3, 0.2, 0.6, 0.2),
-        "classical_corr": (0.2, -0.1, 0.3, 0.6, 0.2),
-        "discord": (0.2, 0.4, -0.2, 0.6, 0.2),
-        "eof": (1.0, 0.4, 0.6, -0.1, 0.2),
-        "s_cond_min": (1.0, 0.4, 0.6, 0.6, -0.1),
+        "mutual_info": (-0.1, 0.2, 0.2),
+        "discord": (0.2, -0.2, 0.2),
+        "classical_corr": (0.2, 0.3, 0.2),
+        "s_cond_min": (1.0, 0.6, -0.1),
     }
-    for name, (info, cc, disc, eof, s_min) in negative.items():
+    for name, (info, disc, s_min) in negative.items():
         with pytest.raises(DomainError, match=f"^{name} must be nonnegative, got -"):
-            CorrelationReport(info, cc, disc, 0.5, eof, s_min, basis)
+            CorrelationReport(info, disc, 0.5, s_min, basis)
 
 
-@pytest.mark.parametrize(
-    "field",
-    ["mutual_info", "classical_corr", "discord", "concurrence", "eof", "s_cond_min"],
-)
+@pytest.mark.parametrize("field", ["mutual_info", "discord", "concurrence", "s_cond_min"])
 def test_correlation_report_rejects_nan(field):
     values = dict(
-        mutual_info=1.0, classical_corr=0.4, discord=0.6, concurrence=0.5, eof=0.6,
-        s_cond_min=0.2, argmin=MeasurementBasis(math.pi / 2.0, 0.0),
+        mutual_info=1.0, discord=0.6, concurrence=0.5, s_cond_min=0.2,
+        argmin=MeasurementBasis(math.pi / 2.0, 0.0),
     )
     values[field] = math.nan
     with pytest.raises(DomainError):

@@ -110,7 +110,7 @@ def test_pure_bipartition_amplitudes_normalized(rng):
         k = int(rng.integers(1, n))
         parity = Parity.EVEN if rng.integers(2) else Parity.ODD
         bp = pure_bipartition(spec(p, parity, n), k)
-        c = bp.amplitudes()
+        c = np.array([bp.c00, bp.c01, bp.c10, bp.c11])
         assert np.vdot(c, c).real == pytest.approx(1.0, abs=1e-12)
         assert bp.k == k
         assert np.all(np.abs(c) <= 1.0 + 1e-12)
@@ -156,7 +156,7 @@ def test_superposition_vector_parity_support():
 
 def test_superposition_vector_mode_cap():
     with pytest.raises(DomainError):
-        superposition_vector(spec(0.5, Parity.EVEN, 13), max_modes=12)
+        superposition_vector(spec(0.5, Parity.EVEN, 13))
 
 
 def test_partial_trace_pair_rejects_bad_lengths():

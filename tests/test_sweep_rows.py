@@ -165,18 +165,18 @@ def test_rows_match_the_report_route_property():
 ARGMIN = MeasurementBasis(0.0, 0.0)
 # report fields but argmin, each set failing one check of CorrelationReport
 BAD_FIELDS = [
-    (0.0, 1e-9, -1e-9, 0.5, 0.1, 0.0),  # negative discord
-    (-1e-9, -1e-9, 0.0, 0.5, 0.1, 0.0),  # negative mutual information
-    (1e-9, 2e-9, -1e-9, 0.5, 0.1, 0.0),  # negative discord, classical part above I
-    (0.3, 0.1, 0.2, 0.5, -1e-9, 0.0),  # negative EoF
-    (0.3, 0.1, 0.2, 0.5, 0.1, -1e-9),  # negative s_cond_min
-    (0.3, 0.1, 0.2, -1e-9, 0.1, 0.0),  # concurrence below 0
-    (0.3, 0.1, 0.2, 1.0 + 1e-9, 0.1, 0.0),  # concurrence above 1
-    (0.3, 0.1, math.nan, 0.5, 0.1, 0.0),  # NaN discord
-    (math.nan, 0.1, 0.2, 0.5, 0.1, 0.0),  # NaN mutual information
-    (0.3, 0.1, 0.2, 0.5, math.nan, 0.0),  # NaN EoF
-    (0.3, 0.1, 0.2, 0.5, 0.1, math.nan),  # NaN s_cond_min
-    (0.3, 0.1, 0.2, math.nan, 0.1, 0.0),  # NaN concurrence
+    (0.0, -1e-9, 0.5, 0.0),  # negative discord
+    (-1e-9, 0.0, 0.5, 0.0),  # negative mutual information
+    (1e-9, -1e-9, 0.5, 0.0),  # negative discord, classical part above I
+    (0.1, 0.1 + 1e-9, 0.5, 0.0),  # discord above I: negative classical part
+    (0.3, 0.2, 0.5, -1e-9),  # negative s_cond_min
+    (0.3, 0.2, -1e-9, 0.0),  # concurrence below 0
+    (0.3, 0.2, 1.0 + 1e-9, 0.0),  # concurrence above 1
+    (0.3, math.nan, 0.5, 0.0),  # NaN discord
+    (math.nan, 0.2, 0.5, 0.0),  # NaN mutual information
+    (-1e-9, -2e-9, 0.5, 0.0),  # negative mutual information and discord
+    (0.3, 0.2, 0.5, math.nan),  # NaN s_cond_min
+    (0.3, 0.2, math.nan, 0.0),  # NaN concurrence
 ]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,16 +31,22 @@ from .states import (
 
 DEFAULT_GRID = (181, 361)
 # largest n_theta * n_phi the scan accepts, about 30x the default grid; the
-# field itself allocates only its output of n_theta * n_phi / 2 floats plus
-# buffers for one block of _FIELD_BLOCK directions
+# field itself allocates only its output of n_theta * n_phi / 2 floats, and
+# each thread keeps buffers for one block of _FIELD_BLOCK directions
 MAX_GRID_DIRECTIONS = 2_000_000
 # directions per block of the conditional-entropy field: sixteen rows of the
-# default grid, whose buffers take about 0.85 MB.  Full default-grid scans of
-# pair states were fastest at 16 rows, on a 2-CPU Xeon with 2 MB of L2 per
-# core; the grid field alone took 1.27 ms there, against 1.39 ms at 8 rows,
-# 1.23 ms at 12, 1.38 ms at 24 and 1.51 ms at 32, but full scans ran 5%
-# slower at 12 rows than at 16
+# default grid, whose buffers take 0.72 MB.  With the buffers kept between
+# calls, full default-grid scans of pair states on a 2-CPU Xeon with 2 MB of
+# L2 per core took, relative to 16 rows (medians over interleaved rounds),
+# 1.15x at 8 rows, 1.02-1.04x at 12 and 0.99-1.00x at 24 and 32; the grid
+# field alone 1.26x, 1.06x and 0.99-1.00x.  Larger blocks gained nothing
+# clear and would keep more memory per thread
 _FIELD_BLOCK = 16 * 361
+# per-thread work buffers of the field, kept between calls (`_field_buffers`)
+# so that no call faults in fresh pages; not a module global, since numpy
+# releases the GIL inside its loops and two threads would overwrite each
+# other's blocks
+_field_arena = threading.local()
 # refinement patch: _PATCH_POINTS x _PATCH_POINTS tangent offsets spanning
 # +-h around the best direction, h starting at one grid step and divided by
 # _PATCH_SHRINK per level (so the next patch spans one spacing of this one)
@@ -107,14 +114,19 @@ def _check_correlations(
 ) -> None:
     """The checks of every CorrelationReport, on its fields but argmin."""
     classical_corr = mutual_info - discord
-    # negated comparisons, so that a NaN field fails every check
-    if not (mutual_info >= -1e-12 and discord >= -1e-12 and classical_corr >= -1e-12
-            and s_cond_min >= -1e-12):
+    # negated comparisons, so that a NaN field fails every check; on a qubit
+    # pair I <= 2 and D, J, S_min <= 1, which also rejects infinities
+    if not (-1e-12 <= mutual_info <= 2.0 + 1e-12 and -1e-12 <= discord <= 1.0 + 1e-12
+            and -1e-12 <= classical_corr <= 1.0 + 1e-12
+            and -1e-12 <= s_cond_min <= 1.0 + 1e-12):
         # the loop only words the error; J after D, so a NaN discord is named as such
         names = ("mutual_info", "discord", "classical_corr", "s_cond_min")
-        for name, value in zip(names, (mutual_info, discord, classical_corr, s_cond_min)):
+        values = (mutual_info, discord, classical_corr, s_cond_min)
+        for name, value, bound in zip(names, values, (2.0, 1.0, 1.0, 1.0)):
             if not value >= -1e-12:
                 raise DomainError(f"{name} must be nonnegative, got {value}")
+            if not value <= bound + 1e-12:
+                raise DomainError(f"{name} must not exceed {bound:g}, got {value}")
     if not -1e-12 <= concurrence <= 1.0 + 1e-12:
         raise DomainError(f"concurrence must lie in [0, 1], got {concurrence}")
 
@@ -229,6 +241,26 @@ def conditional_entropy(state: TwoQubitState, basis: MeasurementBasis) -> float:
     )
 
 
+def _field_buffers(m: int):
+    """This thread's work buffers of `_cond_entropy_field` for blocks of at
+    least m directions, reallocated only when a call needs a longer block.
+
+    `stacked` and `neg_weight` are flat, and the rows of the others are
+    used as prefixes, so that the views of a shorter block stay contiguous.
+    """
+    buffers = getattr(_field_arena, "buffers", None)
+    if buffers is None or buffers[1].size < m:
+        buffers = (
+            np.empty((4, m)),  # dots
+            np.empty(m),  # tmp
+            np.empty(8 * m),  # stacked
+            np.empty(2 * m),  # neg_weight
+            np.empty((2, 2 * m), dtype=bool),  # flags
+        )
+        _field_arena.buffers = buffers
+    return buffers
+
+
 def _cond_entropy_field(table, d1, d2, d3):
     """Measurement-conditioned entropy, vectorized over direction arrays.
 
@@ -249,6 +281,11 @@ def _cond_entropy_field(table, d1, d2, d3):
     finite, so a skipped term is a signed zero and x + (+-0) = x for any
     x != 0.  Only the sign of a zero w_b can differ, and that sign is lost
     in 1 +- w_b and in the square of offset_b +- w_b.
+
+    The work buffers come from `_field_buffers` and stay allocated, per
+    thread, after the call returns: 0.72 MB for a thread that has evaluated
+    a full block.  Freeing them let the allocator hand the pages back to
+    the OS, so every default-grid call faulted them in again.
     """
     shape = np.shape(d1)
     d1, d2, d3 = np.ravel(d1), np.ravel(d2), np.ravel(d3)
@@ -259,12 +296,7 @@ def _cond_entropy_field(table, d1, d2, d3):
     # the nonzero (i, R[i+1,b]) of each column, in order; X states keep at
     # most one per column
     terms = [[(i, c) for i, c in enumerate(col) if c != 0.0] for col in table[1:].T.tolist()]
-    dots, tmp = np.empty((4, m)), np.empty(m)
-    # buffers are flat so that the views of a shorter last block stay
-    # contiguous
-    stacked = np.empty(8 * m)
-    neg_weight = np.empty(2 * m)
-    flags = np.empty((2, 2 * m), dtype=bool)
+    dots, tmp, stacked, neg_weight, flags = _field_buffers(m)
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, size, m):
             k = min(m, size - lo)

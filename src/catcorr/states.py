@@ -35,6 +35,9 @@ PAULI = (
 )
 # _PAULI_PAIRS[a, b] = sigma_a x sigma_b
 _PAULI_PAIRS = np.array([[np.kron(pa, pb) for pb in PAULI] for pa in PAULI])
+# the entries off the main and anti diagonals, which an X state leaves empty
+_OFF_X = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]], dtype=bool)
+_OFF_X.flags.writeable = False
 
 
 class Parity(Enum):
@@ -171,11 +174,7 @@ class TwoQubitState:
     @property
     def is_x(self) -> bool:
         """True when only the main and anti diagonals are populated."""
-        mask = np.ones((4, 4), dtype=bool)
-        idx = np.arange(4)
-        mask[idx, idx] = False
-        mask[idx, 3 - idx] = False
-        return bool(np.max(np.abs(self.matrix[mask])) <= X_STRUCTURE_TOL)
+        return bool(np.max(np.abs(self.matrix[_OFF_X])) <= X_STRUCTURE_TOL)
 
 
 def superposition_vector(spec: SuperpositionSpec) -> np.ndarray:

@@ -611,6 +611,25 @@ def test_correlation_report_validation():
             CorrelationReport(info, disc, 0.5, s_min, basis)
 
 
+def test_correlation_report_rejects_values_above_the_qubit_bounds():
+    basis = MeasurementBasis(math.pi / 2.0, 0.0)
+    with pytest.raises(DomainError, match=r"^mutual_info must not exceed 2, got inf$"):
+        CorrelationReport(math.inf, 0.5, 0.5, 0.1, basis)
+    with pytest.raises(DomainError, match=r"^s_cond_min must not exceed 1, got inf$"):
+        CorrelationReport(1.0, 0.6, 0.5, math.inf, basis)
+    # I <= 2 and D, J = I - D, S_min <= 1 on a qubit pair, with 1e-12 slack
+    CorrelationReport(2.0 + 1e-12, 1.0 + 1e-12, 1.0, 1.0 + 1e-12, basis)
+    above = {
+        "mutual_info": (2.0 + 1e-9, 1.0, 0.0),
+        "discord": (1.5, 1.0 + 1e-9, 0.0),
+        "classical_corr": (1.5, 0.4, 0.0),
+        "s_cond_min": (1.0, 0.6, 1.0 + 1e-9),
+    }
+    for name, (info, disc, s_min) in above.items():
+        with pytest.raises(DomainError, match=f"^{name} must not exceed"):
+            CorrelationReport(info, disc, 0.5, s_min, basis)
+
+
 @pytest.mark.parametrize("field", ["mutual_info", "discord", "concurrence", "s_cond_min"])
 def test_correlation_report_rejects_nan(field):
     values = dict(

@@ -8,6 +8,8 @@ for every input shape it serves (the scan grid, the refinement patch and
 the scalar tie-rule calls).
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,7 +24,12 @@ from catcorr import (
     discord_brute_force,
     reduced_rho12,
 )
-from catcorr.correlations import _FIELD_BLOCK, _cond_entropy_field, _direction_grid
+from catcorr.correlations import (
+    _FIELD_BLOCK,
+    _cond_entropy_field,
+    _direction_grid,
+    _field_arena,
+)
 from catcorr.states import PAULI
 
 
@@ -155,3 +162,62 @@ def test_scan_memory_does_not_grow_with_the_grid(rng):
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_field_after_calls_of_other_lengths_matches_reference_bitwise(rng):
+    # the work buffers are kept between calls and grow on demand: a short
+    # call, a full-block grid, a patch that fits in them, a short call again
+    table = bloch_matrix(random_full_rank_state(rng))
+    patch = rng.normal(size=(3, 1053))
+    patch /= np.linalg.norm(patch, axis=0)
+    for directions in (patch[:, :2], _direction_grid(181, 361)[2:], patch, patch[:, :2]):
+        new = _cond_entropy_field(table, *directions)
+        assert np.array_equal(bits(new), bits(reference_field(table, *directions)))
+
+
+def test_default_grid_field_reuses_the_thread_buffers(rng):
+    table = bloch_matrix(random_full_rank_state(rng))
+    grid = _direction_grid(181, 361)[2:]
+    _cond_entropy_field(table, *grid)
+    first = [buf.ctypes.data for buf in _field_arena.buffers]
+    _cond_entropy_field(table, *grid)
+    assert [buf.ctypes.data for buf in _field_arena.buffers] == first
+
+
+def report_hex(report):
+    values = (report.mutual_info, report.discord, report.concurrence, report.s_cond_min,
+              report.argmin.theta, report.argmin.phi)
+    return [float.hex(float(v)) for v in values]
+
+
+def test_concurrent_scans_match_a_single_thread_bitwise(rng):
+    # each thread keeps its own buffers; numpy releases the GIL in its loops,
+    # so shared buffers would mix the blocks of simultaneous scans
+    pair = reduced_rho12(SuperpositionSpec(0.6, Parity.EVEN, 3))
+    groups = [
+        [reduced_rho12(SuperpositionSpec(p, parity, 4)) for p, parity in
+         ((0.3, Parity.EVEN), (0.8, Parity.ODD))],
+        [apply_dephasing(pair, DephasingChannel.from_gamma(g)) for g in (0.2, 0.7)],
+        [random_full_rank_state(rng) for _ in range(2)],
+        [reduced_rho12(SuperpositionSpec(0.95, Parity.ODD, 7)), random_full_rank_state(rng)],
+    ]
+    expected = [[report_hex(discord_brute_force(s)) for s in group] for group in groups]
+    start = threading.Barrier(len(groups))
+    got = [None] * len(groups)
+
+    def scan(k):
+        start.wait()
+        got[k] = [report_hex(discord_brute_force(s)) for s in groups[k] * 3]
+
+    threads = [threading.Thread(target=scan, args=(k,)) for k in range(len(groups))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [group * 3 for group in expected]

@@ -151,17 +151,26 @@ def test_bloch_matrix_matches_trace_loop_bitwise(rng):
 
 def test_scan_memory_does_not_grow_with_the_grid(rng):
     # the cached directions are kept between scans and are not counted; the
-    # scan itself should need its 500 x 1999 field (8 MB) plus one block
+    # scan itself should need its 500 x 1999 field (8 MB) plus one block,
+    # whose buffers a fresh thread allocates inside the traced region
     grid = (1000, 1999)
     _direction_grid(*grid)
     state = random_full_rank_state(rng)
-    tracemalloc.start()
-    try:
-        discord_brute_force(state, grid=grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+    peaks = []
+
+    def scan():
+        tracemalloc.start()
+        try:
+            discord_brute_force(state, grid=grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=scan)
+    thread.start()
+    thread.join(timeout=60.0)
+    assert not thread.is_alive()
+    assert len(peaks) == 1 and peaks[0] < 16e6
 
 
 def test_field_after_calls_of_other_lengths_matches_reference_bitwise(rng):

@@ -40,7 +40,6 @@ from .states import (
     TwoQubitState,
     bloch_matrix,
     marginals,
-    normalization,
     partial_trace_pair,
     pure_bipartition,
     reduced_rho12,
@@ -76,7 +75,6 @@ __all__ = [
     "discord_t",
     "koashi_winter_min",
     "marginals",
-    "normalization",
     "overlap_closed",
     "overlap_series",
     "partial_trace_pair",

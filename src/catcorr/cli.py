@@ -85,6 +85,10 @@ def run_figure(args) -> list[str]:
     fig = args.fig
     n_list = args.n or FIGURE_N_DEFAULT[fig]
     parities = FIGURE_PARITIES[fig]
+    # as many rows as figure 2 at the largest --p-steps, checked before the first
+    rows = args.p_steps * len(n_list) * len(parities)
+    if rows > 3 * MAX_SWEEP_STEPS:
+        raise UsageError(f"a figure takes at most {3 * MAX_SWEEP_STEPS} rows, got {rows}")
     lines = [
         _meta(
             f"figure {fig}",
@@ -178,16 +182,16 @@ def run_dynamics(args) -> list[str]:
     return lines
 
 
-def _report_lines(label: str, report) -> list[str]:
+def _report_lines(report) -> list[str]:
     return [
-        f"{label}mutual_information_bits = {_fmt(report.mutual_info)}",
-        f"{label}classical_correlation_bits = {_fmt(report.classical_corr)}",
-        f"{label}discord_bits = {_fmt(report.discord)}",
-        f"{label}concurrence = {_fmt(report.concurrence)}",
-        f"{label}entanglement_of_formation_bits = {_fmt(report.eof)}",
-        f"{label}conditional_entropy_min_bits = {_fmt(report.s_cond_min)}",
-        f"{label}argmin_theta = {_fmt(report.argmin.theta)}",
-        f"{label}argmin_phi = {_fmt(report.argmin.phi)}",
+        f"mutual_information_bits = {_fmt(report.mutual_info)}",
+        f"classical_correlation_bits = {_fmt(report.classical_corr)}",
+        f"discord_bits = {_fmt(report.discord)}",
+        f"concurrence = {_fmt(report.concurrence)}",
+        f"entanglement_of_formation_bits = {_fmt(report.eof)}",
+        f"conditional_entropy_min_bits = {_fmt(report.s_cond_min)}",
+        f"argmin_theta = {_fmt(report.argmin.theta)}",
+        f"argmin_phi = {_fmt(report.argmin.phi)}",
     ]
 
 
@@ -205,7 +209,7 @@ def run_point(args) -> list[str]:
     ]
     if args.algebra is not None:
         lines.insert(0, f"algebra = {args.algebra} z = {_parse_complex(args.z)}")
-    lines += _report_lines("", closed)
+    lines += _report_lines(closed)
     lines.append(f"discord_brute_force_bits = {_fmt(brute.discord)}")
     lines.append(f"closed_minus_brute = {_fmt(closed.discord - brute.discord)}")
     if args.k is not None:
@@ -258,19 +262,12 @@ def _parse_complex(text: str) -> complex:
         raise UsageError(f"cannot parse amplitude {text!r} as a complex number") from exc
 
 
-_ALGEBRAS = {
-    "glauber": AlgebraKind.HARMONIC,
-    "su2": AlgebraKind.SU2,
-    "su11": AlgebraKind.SU11,
-}
-
-
 def _resolve_algebra(args) -> AlgebraSpec:
     if args.algebra is None or args.z is None:
         raise UsageError("--algebra and --z must be given together")
     if args.algebra == "glauber" and args.rep_param is not None:
         raise UsageError("--rep-param does not apply to --algebra glauber")
-    return AlgebraSpec(_ALGEBRAS[args.algebra], args.rep_param)
+    return AlgebraSpec(AlgebraKind(args.algebra), args.rep_param)
 
 
 def _resolve_spec(args) -> SuperpositionSpec:
@@ -309,7 +306,7 @@ def build_parser() -> _Parser:
     )
     algebra = argparse.ArgumentParser(add_help=False)
     algebra.add_argument(
-        "--algebra", choices=sorted(_ALGEBRAS), default=None,
+        "--algebra", choices=sorted(kind.value for kind in AlgebraKind), default=None,
         help="coherent-state family whose overlap at --z sets p",
     )
     algebra.add_argument(

@@ -20,7 +20,8 @@ from enum import Enum
 
 from .errors import ConvergenceError, DomainError, _is_whole
 
-DEFAULT_SERIES_TOL = 1e-14
+# the series stops once its latest term falls below this, relative to its sum
+SERIES_TOL = 1e-14
 SERIES_TERM_CAP = 10**6
 # roundoff-level excursions of an overlap beyond [0, 1] that are clamped
 OVERLAP_SLACK = 1e-12
@@ -29,9 +30,10 @@ _SERIES_ROUNDING_MAX = 1e-10
 
 
 class AlgebraKind(Enum):
-    """Ladder algebra selecting the coherent-state family."""
+    """Ladder algebra selecting the coherent-state family; the harmonic
+    oscillator's are Glauber's coherent states."""
 
-    HARMONIC = "harmonic"
+    HARMONIC = "glauber"
     SU2 = "su2"
     SU11 = "su11"
 
@@ -41,23 +43,28 @@ class AlgebraSpec:
     """A ladder algebra plus its representation parameter.
 
     For SU2 the parameter is the spin j, for SU11 the Bargmann index k;
-    both must be positive half-integers.  The harmonic oscillator carries
-    no parameter.
+    both must be positive half-integers, and a value within 1e-9 of one is
+    stored as that exact half-integer.  The harmonic oscillator carries no
+    parameter.
     """
 
     kind: AlgebraKind
     rep_param: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is AlgebraKind.HARMONIC:
-            return
         r = self.rep_param
+        if self.kind is AlgebraKind.HARMONIC:
+            if r is not None:
+                raise DomainError(f"glauber takes no representation parameter, got {r}")
+            return
         if r is None:
             raise DomainError(f"{self.kind.value} needs a representation parameter")
-        if not 0.0 < r < math.inf or abs(2.0 * r - round(2.0 * r)) > 1e-9:
+        two_r = 2.0 * r  # inf for a finite r that overflows
+        if not 0.5 < two_r < math.inf or abs(two_r - round(two_r)) > 1e-9:
             raise DomainError(
                 f"representation parameter must be a positive half-integer, got {r}"
             )
+        object.__setattr__(self, "rep_param", round(two_r) / 2)
 
     @classmethod
     def harmonic(cls) -> "AlgebraSpec":
@@ -86,7 +93,7 @@ def structure_function(alg: AlgebraSpec, n: int) -> float:
         return float(n)
     if alg.kind is AlgebraKind.SU11:
         return n * (2.0 * alg.rep_param - 1.0 + n)
-    top = int(round(2.0 * alg.rep_param)) + 1
+    top = int(2.0 * alg.rep_param) + 1
     if n > top:
         raise DomainError(
             f"su(2) ladder with j={alg.rep_param} ends at level {top}, got n={n}"
@@ -118,6 +125,17 @@ class Overlap:
         object.__setattr__(self, "value", min(max(v, 0.0), 1.0))
 
 
+def _amplitude_sq(alg: AlgebraSpec, z: complex) -> float:
+    """|z|^2, inf where it overflows; su(1,1) amplitudes must lie in the open unit disc."""
+    try:
+        x = abs(z) ** 2
+    except OverflowError:
+        x = math.inf
+    if alg.kind is AlgebraKind.SU11 and x >= 1.0:
+        raise DomainError(f"su(1,1) amplitudes live on the open unit disc, got z={z}")
+    return x
+
+
 def overlap_closed(alg: AlgebraSpec, z: complex) -> Overlap:
     """Closed-form overlap of |z> and |-z>.
 
@@ -125,14 +143,11 @@ def overlap_closed(alg: AlgebraSpec, z: complex) -> Overlap:
     ((1 - |z|^2)/(1 + |z|^2))^(2j) resp. ^(2k) for su(2) / su(1,1).
     su(1,1) amplitudes must satisfy |z| < 1.
     """
-    x = abs(z) ** 2
+    x = _amplitude_sq(alg, z)
     if alg.kind is AlgebraKind.HARMONIC:
         return Overlap(math.exp(-2.0 * x), alg, z)
-    if alg.kind is AlgebraKind.SU11 and x >= 1.0:
-        raise DomainError(f"su(1,1) amplitudes live on the open unit disc, got |z|={abs(z)}")
-    power = int(round(2.0 * alg.rep_param))
     base = (1.0 - x) / (1.0 + x)
-    return Overlap(base**power, alg, z)
+    return Overlap(base ** int(2.0 * alg.rep_param), alg, z)
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -144,12 +159,7 @@ def _logaddexp(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def overlap_series(
-    alg: AlgebraSpec,
-    z: complex,
-    tol: float = DEFAULT_SERIES_TOL,
-    term_cap: int = SERIES_TERM_CAP,
-) -> Overlap:
+def overlap_series(alg: AlgebraSpec, z: complex) -> Overlap:
     """Overlap summed directly from the coherent-state expansion.
 
     p = N(|z|)^2 sum_n (F(n)!/(n!)^2) (-|z|^2)^n, with N(|z|)^-2 the same
@@ -157,28 +167,24 @@ def overlap_series(
     incrementally in log space so large representation parameters cannot
     overflow; the even- and odd-n halves of the alternating numerator are
     carried as two positive log-sums.  Terms are added until the latest
-    one falls below tol (relative to the running sum, with a 100x safety
-    margin so slowly decaying su(1,1) tails stay inside the contract);
-    exceeding the term cap raises ConvergenceError, up front for an su(2)
-    ladder of more than term_cap terms.  The two halves cancel, so the
-    sum of n terms carries a rounding bound of n eps (1 + log of its size);
-    a sum whose bound exceeds 1e-10, which is refused as soon as the running
-    bound does, or that ends negative by more than the clamp but within the
-    bound, also raises ConvergenceError.
+    one falls below SERIES_TOL (relative to the running sum, with a 100x
+    safety margin so slowly decaying su(1,1) tails stay inside the
+    contract); exceeding SERIES_TERM_CAP raises ConvergenceError, up front
+    for an su(2) ladder of more terms than that.  The two halves cancel, so
+    the sum of n terms carries a rounding bound of n eps (1 + log of its
+    size); a sum whose bound exceeds 1e-10, which is refused as soon as the
+    running bound does, or that ends negative by more than the clamp but
+    within the bound, also raises ConvergenceError.
     """
-    if not tol > 0.0:  # negated, so that NaN is refused too
-        raise DomainError(f"series tolerance must be positive, got {tol}")
-    x = abs(z) ** 2
-    if alg.kind is AlgebraKind.SU11 and x >= 1.0:
-        raise DomainError(f"su(1,1) amplitudes live on the open unit disc, got |z|={abs(z)}")
+    x = _amplitude_sq(alg, z)
     if x == 0.0:
         return Overlap(1.0, alg, z)
-    if alg.kind is AlgebraKind.SU2 and 2.0 * alg.rep_param > term_cap:
+    if alg.kind is AlgebraKind.SU2 and 2.0 * alg.rep_param > SERIES_TERM_CAP:
         raise ConvergenceError(
-            f"su(2) ladder of {2.0 * alg.rep_param:g} terms exceeds the cap of {term_cap}"
+            f"su(2) ladder of {2.0 * alg.rep_param:g} terms exceeds the cap of {SERIES_TERM_CAP}"
         )
     log_x = math.log(x)
-    log_stop = math.log(tol) - math.log(100.0)
+    log_stop = math.log(SERIES_TOL) - math.log(100.0)
     log_even = 0.0  # n = 0 term
     log_odd = -math.inf
     log_coeff = 0.0  # log of F(n)!/(n!)^2, running
@@ -188,8 +194,8 @@ def overlap_series(
         f_n = structure_function(alg, n)
         if f_n == 0.0:
             break  # finite su(2) ladder exhausted
-        if n > term_cap:
-            raise ConvergenceError(f"overlap series did not converge in {term_cap} terms")
+        if n > SERIES_TERM_CAP:
+            raise ConvergenceError(f"overlap series did not converge in {SERIES_TERM_CAP} terms")
         log_coeff += math.log(f_n) - 2.0 * math.log(n)
         log_term = log_coeff + n * log_x
         if n % 2 == 0:

@@ -46,15 +46,13 @@ class DephasingChannel:
         return -math.expm1(-self.gamma_rate * self.t)
 
     @classmethod
-    def from_gamma(cls, gamma: float, gamma_rate: float = 1.0) -> "DephasingChannel":
-        """Channel reaching the prescribed gamma in [0, 1] at the given rate."""
+    def from_gamma(cls, gamma: float) -> "DephasingChannel":
+        """Channel reaching the prescribed gamma in [0, 1] at unit rate."""
         if not 0.0 <= gamma <= 1.0:
             raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
-        if gamma_rate <= 0.0:
-            raise DomainError(f"decay rate must be positive, got {gamma_rate}")
         if gamma == 1.0:
-            return cls(gamma_rate, math.inf)
-        return cls(gamma_rate, -math.log1p(-gamma) / gamma_rate)
+            return cls(1.0, math.inf)
+        return cls(1.0, -math.log1p(-gamma))
 
     def kraus_single(self) -> tuple[np.ndarray, np.ndarray]:
         g = self.gamma

@@ -86,17 +86,6 @@ class SuperpositionSpec:
         return self.p ** (self.n - 2)
 
 
-def normalization(spec: SuperpositionSpec) -> float:
-    """Normalization prefactor [2 + 2 p^n sign]^(-1/2) of the superposition.
-
-    The odd superposition vanishes at p = 1, so it has no prefactor there.
-    """
-    norm_sq = 2.0 + 2.0 * spec.p**spec.n * spec.parity.sign
-    if norm_sq == 0.0:
-        raise DomainError("the odd superposition vanishes at p = 1 and cannot be normalized")
-    return 1.0 / math.sqrt(norm_sq)
-
-
 def _block_weights(p: float, size: int) -> tuple[float, float]:
     pl = p**size
     return math.sqrt((1.0 + pl) / 2.0), math.sqrt((1.0 - pl) / 2.0)
@@ -109,8 +98,6 @@ class PureBipartition:
     Even parity populates |00> and |11>, odd parity |01> and |10>.
     """
 
-    k: int
-    n: int
     c00: float
     c01: float
     c10: float
@@ -128,8 +115,7 @@ def pure_bipartition(spec: SuperpositionSpec, k: int) -> PureBipartition:
     """
     if not _is_whole(k) or not 1 <= k <= spec.n - 1:
         raise DomainError(f"block size must satisfy 1 <= k <= n-1, got k={k}, n={spec.n}")
-    k = int(k)
-    return PureBipartition(k, spec.n, *_pure_amplitudes(spec.p, spec.n, spec.parity.sign, k))
+    return PureBipartition(*_pure_amplitudes(spec.p, spec.n, spec.parity.sign, int(k)))
 
 
 def _pure_amplitudes(p: float, n: int, sign: int, k: int) -> tuple[float, float, float, float]:
@@ -137,7 +123,7 @@ def _pure_amplitudes(p: float, n: int, sign: int, k: int) -> tuple[float, float,
     a_k, b_k = _block_weights(p, k)
     a_r, b_r = _block_weights(p, n - k)
     if sign == 1:
-        norm = 2.0 / math.sqrt(2.0 + 2.0 * p**n)  # twice `normalization`
+        norm = 2.0 / math.sqrt(2.0 + 2.0 * p**n)  # twice the prefactor 1/sqrt(2 + 2 p^n)
         return norm * a_k * a_r, 0.0, 0.0, norm * b_k * b_r
     c01 = a_k * math.sqrt(_pow_ratio(p, n - k, n))
     return 0.0, c01, a_r * math.sqrt(_pow_ratio(p, k, n)), 0.0

@@ -14,6 +14,7 @@ from catcorr import (
     sudden_death_time,
     werner_discord,
 )
+from catcorr import cli
 from catcorr.cli import MAX_SWEEP_STEPS, UsageError, _check_sweep, build_parser, main
 
 
@@ -147,6 +148,15 @@ def test_point_algebra_route(capsys):
     report = parse_report(out)
     assert report["algebra"].startswith("glauber")
     assert float(report["p"]) == pytest.approx(math.exp(-2.0), abs=1e-12)
+    # |z|^2 overflows at 1e200: p = 0 as at z = infj, below the algebra line
+    outs = []
+    for z in ("1e200", "infj"):
+        argv = ["point", "--algebra", "glauber", "--z", z, "--n", "4", "--parity", "even"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        outs.append(out.split("\n", 1)[1])
+    assert outs[0] == outs[1]
+    assert parse_report(outs[0])["p"] == "0"
 
 
 def test_sweep_pure_rows(capsys):
@@ -208,6 +218,14 @@ def test_overlap_report(capsys):
         0.8348623853211009, abs=1e-12
     )
     assert abs(float(report["closed_minus_series"])) < 1e-10
+    # a parameter within 1e-9 of 0.5 is the half-integer 0.5
+    for algebra in ("su11", "su2"):
+        exact, near = (
+            run_cli(capsys, ["overlap", "--algebra", algebra, "--z", "0.3", "--rep-param", r])
+            for r in ("0.5", "0.5000000004")
+        )
+        assert near == exact
+        assert exact[0] == 0
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
@@ -245,7 +263,7 @@ def test_usage_errors_exit_one(capsys):
         assert err.startswith("catcorr:")
 
 
-def test_sweep_sizes_above_the_cap_exit_one(capsys):
+def test_sweep_sizes_above_the_cap_exit_one(capsys, monkeypatch):
     # 10**12 points would need 8 TB for the grid alone; the cap is checked
     # before anything is allocated
     huge = str(10**12)
@@ -264,6 +282,25 @@ def test_sweep_sizes_above_the_cap_exit_one(capsys):
         with pytest.raises(UsageError):
             _check_sweep(MAX_SWEEP_STEPS + 1, p_max)
         _check_sweep(MAX_SWEEP_STEPS, p_max)
+
+    # --n takes any number of mode counts, so a figure also caps its rows at
+    # 3 * MAX_SWEEP_STEPS, those of figure 2 at the largest --p-steps; the
+    # count is checked before the first row, which here raises
+    class FirstRow(Exception):
+        pass
+
+    def first_row(*args):
+        raise FirstRow
+
+    monkeypatch.setattr(cli, "_pair_correlations", first_row)
+    # 1000 p values x 2 parities x 1500 mode counts = 3 * MAX_SWEEP_STEPS rows
+    argv = ["figure", "1", "--p-steps", "1000", "--n", *map(str, range(2, 1502))]
+    code, out, err = run_cli(capsys, argv + ["1502"])
+    assert code == 1
+    assert out == ""
+    assert f"at most {3 * MAX_SWEEP_STEPS} rows" in err
+    with pytest.raises(FirstRow):
+        main(argv)
 
 
 @pytest.mark.parametrize(
@@ -349,6 +386,9 @@ def test_domain_errors_exit_three(capsys):
         ["overlap", "--algebra", "su2", "--z", "0.3", "--rep-param", "1e9"],
         ["point", "--algebra", "su2", "--z", "0.3", "--rep-param", "inf",
          "--n", "3", "--parity", "even"],
+        # |z|^2 overflows and exits as --z inf does; 2r overflows
+        ["overlap", "--algebra", "glauber", "--z", "1e155"],
+        ["overlap", "--algebra", "su2", "--z", "0.3", "--rep-param", "1e308"],
         # 5/rate overflows: rejected before the time grid turns into NaN
         ["dynamics", "--p", "0.5", "--n", "4", "--parity", "even",
          "--gamma-rate", "1e-320"],

@@ -53,17 +53,36 @@ def test_rep_param_validation():
         AlgebraSpec.su11(-1.0)
     with pytest.raises(DomainError):
         AlgebraSpec(AlgebraKind.SU2)  # missing parameter
-    for bad in (math.inf, -math.inf, math.nan):
+    # 2r overflows for 1e308, and 1e-320 lies within 1e-9 of 0
+    for bad in (math.inf, -math.inf, math.nan, 1e308, 1e-320):
         with pytest.raises(DomainError, match="half-integer"):
             AlgebraSpec.su2(bad)
+    with pytest.raises(DomainError, match="glauber"):
+        AlgebraSpec(AlgebraKind.HARMONIC, 1.0)  # glauber takes no parameter
     AlgebraSpec.su2(1.5)  # fine
     AlgebraSpec.harmonic()  # no parameter needed
+    # a value within 1e-9 of a half-integer is stored as that half-integer
+    assert AlgebraSpec.su11(0.5 + 4e-10).rep_param == 0.5
+    assert AlgebraSpec.su2(3.0 - 4e-10) == AlgebraSpec.su2(3)
+
+
+@pytest.mark.parametrize("make", [AlgebraSpec.su11, AlgebraSpec.su2])
+@pytest.mark.parametrize("exact", [0.5, 3.0])
+def test_near_half_integer_parameters_give_the_bits_of_the_half_integer(make, exact):
+    # both routes read the stored half-integer, so the series stays within
+    # 1e-10 of the closed form and the finite su(2) ladder keeps its length
+    for near in (exact + 4e-10, exact - 4e-10):
+        for route in (overlap_closed, overlap_series):
+            assert route(make(near), 0.3).value == route(make(exact), 0.3).value
 
 
 def test_overlap_closed_glauber():
     assert overlap_closed(HARMONIC, 0.0).value == 1.0
     assert overlap_closed(HARMONIC, 1.0).value == pytest.approx(math.exp(-2.0), abs=1e-15)
     assert overlap_closed(HARMONIC, 1.0j).value == pytest.approx(math.exp(-2.0), abs=1e-15)
+    # |z|^2 or |z| itself overflows: the overlap is 0, as at z = inf
+    for huge in (1e155, 1e200j, complex(1e308, 1e308), math.inf):
+        assert overlap_closed(HARMONIC, huge).value == 0.0
 
 
 def test_overlap_closed_su2():
@@ -81,6 +100,9 @@ def test_overlap_closed_su11():
         overlap_closed(AlgebraSpec.su11(0.5), 1.0)
     with pytest.raises(DomainError):
         overlap_series(AlgebraSpec.su11(0.5), 1.2)
+    for route in (overlap_closed, overlap_series):
+        with pytest.raises(DomainError, match="unit disc"):
+            route(AlgebraSpec.su11(0.5), 1e200)  # |z|^2 overflows
 
 
 def test_overlap_value_range_enforced():
@@ -138,15 +160,18 @@ def test_series_su2_ladder_above_the_cap_fails_before_summing(monkeypatch):
         raise AssertionError("summed a ladder that cannot fit under the cap")
 
     monkeypatch.setattr(coherent, "structure_function", no_terms)
-    for j, cap in ((1e9, 10**6), (6.0, 10)):
-        with pytest.raises(ConvergenceError, match="ladder"):
-            overlap_series(AlgebraSpec.su2(j), 0.3, term_cap=cap)
+    with pytest.raises(ConvergenceError, match="ladder"):
+        overlap_series(AlgebraSpec.su2(1e9), 0.3)
+    monkeypatch.setattr(coherent, "SERIES_TERM_CAP", 10)
+    with pytest.raises(ConvergenceError, match="ladder"):
+        overlap_series(AlgebraSpec.su2(6.0), 0.3)
 
 
-def test_series_su2_ladder_of_exactly_the_cap():
+def test_series_su2_ladder_of_exactly_the_cap(monkeypatch):
     # 2j = 10 terms under a cap of 10: the ladder ends before the cap bites
+    monkeypatch.setattr(coherent, "SERIES_TERM_CAP", 10)
     alg = AlgebraSpec.su2(5.0)
-    series = overlap_series(alg, 3.0, term_cap=10).value
+    series = overlap_series(alg, 3.0).value
     assert abs(series - overlap_closed(alg, 3.0).value) < 1e-12
 
 
@@ -178,23 +203,15 @@ def test_series_rounding_check_keeps_ordinary_inputs():
 
 
 def test_series_tolerance_contract():
-    for tol in (1e-6, 1e-10, 1e-14):
-        closed = overlap_closed(HARMONIC, 1.2).value
-        series = overlap_series(HARMONIC, 1.2, tol=tol).value
-        assert abs(closed - series) < 10.0 * tol
-    with pytest.raises(DomainError):
-        overlap_series(HARMONIC, 1.0, tol=0.0)
+    closed = overlap_closed(HARMONIC, 1.2).value
+    series = overlap_series(HARMONIC, 1.2).value
+    assert abs(closed - series) < 10.0 * coherent.SERIES_TOL
 
 
-def test_series_tolerance_nan_refused():
-    # refused up front, not after summing to the term cap
-    with pytest.raises(DomainError, match="tolerance"):
-        overlap_series(HARMONIC, 1.0, tol=math.nan)
-
-
-def test_series_term_cap():
-    with pytest.raises(ConvergenceError):
-        overlap_series(AlgebraSpec.su11(4.0), 0.95, term_cap=10)
+def test_series_term_cap(monkeypatch):
+    monkeypatch.setattr(coherent, "SERIES_TERM_CAP", 10)
+    with pytest.raises(ConvergenceError, match="10 terms"):
+        overlap_series(AlgebraSpec.su11(4.0), 0.95)
 
 
 @pytest.mark.parametrize(

@@ -51,13 +51,12 @@ def test_channel_validation():
 
 def test_channel_from_gamma_round_trip(rng):
     for g in rng.uniform(0.0, 0.999, size=20):
-        ch = DephasingChannel.from_gamma(float(g), gamma_rate=0.7)
+        ch = DephasingChannel.from_gamma(float(g))
+        assert ch.gamma_rate == 1.0
         assert ch.gamma == pytest.approx(float(g), abs=1e-12)
     assert DephasingChannel.from_gamma(1.0).t == math.inf
     with pytest.raises(DomainError):
         DephasingChannel.from_gamma(1.5)
-    with pytest.raises(DomainError):
-        DephasingChannel.from_gamma(0.5, gamma_rate=0.0)
 
 
 def test_kraus_closure():

@@ -79,6 +79,9 @@ def kernel_states(rng):
     ground = np.zeros((4, 4), dtype=complex)
     ground[0, 0] = 1.0
     states.append(TwoQubitState(ground))
+    # the same state mixed with 1e-11 of white noise: along +z the second
+    # outcome has probability 5e-12, above the dead-outcome threshold of 1e-15
+    states.append(TwoQubitState((1.0 - 1e-11) * ground + 1e-11 * np.eye(4) / 4.0))
     states.append(TwoQubitState(np.eye(4, dtype=complex) / 4.0))
     # the kernel skips zero table coefficients: a pair state rotated about z
     # on the first qubit has two nonzero coefficients in the transverse

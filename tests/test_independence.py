@@ -42,7 +42,6 @@ CLOSED_FORMS = {
         "_pow_ratio",
         "_block_weights",
         "_pure_amplitudes",
-        "normalization",
         "pure_bipartition",
         "reduced_rho12",
     ),

@@ -143,6 +143,14 @@ def test_batched_refinement_matches_sequential_loop_bitwise(rng):
         apply_dephasing(reduced_rho12(s), DephasingChannel.from_gamma(float(rng.random())))
         for s in seeded_pair_specs(rng, 30)
     ]
+    # a scan minimum 3.2e-10 below the equatorial value, at theta = 1.5232:
+    # outside the tie rule's 1e-12, so it is not reported as (pi/2, 0)
+    dephased.append(
+        apply_dephasing(
+            reduced_rho12(SuperpositionSpec(0.846, Parity.EVEN, 4)),
+            DephasingChannel.from_gamma(0.33481787109375005),
+        )
+    )
     states = pairs + dephased + list(pole_rotated_states(rng)) + edge_states()
     states += [random_full_rank_state(rng) for _ in range(200)]
     for state in states:

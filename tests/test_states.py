@@ -13,7 +13,6 @@ from catcorr import (
     bloch_matrix,
     concurrence_x,
     marginals,
-    normalization,
     overlap_closed,
     partial_trace_pair,
     pure_bipartition,
@@ -91,18 +90,6 @@ def test_from_overlap_takes_the_overlap_value():
     assert s == SuperpositionSpec(overlap.value, Parity.EVEN, 3)
 
 
-def test_normalization_frozen_value():
-    # 1/sqrt(2 - 2*0.5**4) for the odd four-mode state
-    got = normalization(spec(0.5, Parity.ODD, 4))
-    assert got == pytest.approx(0.7302967433402214, abs=1e-15)
-
-
-def test_normalization_limits():
-    assert normalization(spec(0.0, Parity.EVEN, 3)) == pytest.approx(0.5 ** 0.5)
-    assert normalization(spec(0.0, Parity.ODD, 3)) == pytest.approx(0.5 ** 0.5)
-    assert normalization(spec(1.0, Parity.EVEN, 5)) == 0.5
-
-
 def test_pure_bipartition_amplitudes_normalized(rng):
     for _ in range(25):
         p = rng.uniform(0.0, 1.0)
@@ -112,7 +99,6 @@ def test_pure_bipartition_amplitudes_normalized(rng):
         bp = pure_bipartition(spec(p, parity, n), k)
         c = np.array([bp.c00, bp.c01, bp.c10, bp.c11])
         assert np.vdot(c, c).real == pytest.approx(1.0, abs=1e-12)
-        assert bp.k == k
         assert np.all(np.abs(c) <= 1.0 + 1e-12)
 
 
@@ -382,11 +368,8 @@ def test_superposition_vector_normalizes_itself():
 
 def test_odd_p_one_has_no_superposition_vector():
     # the two branches cancel, so the state itself does not exist there
-    s = spec(1.0, Parity.ODD, 4)
     with pytest.raises(DomainError, match="vanishes"):
-        normalization(s)
-    with pytest.raises(DomainError, match="vanishes"):
-        superposition_vector(s)
+        superposition_vector(spec(1.0, Parity.ODD, 4))
 
 
 def test_even_p_one_collapses_to_vacuum():

@@ -141,12 +141,14 @@ def overlap_closed(alg: AlgebraSpec, z: complex) -> Overlap:
 
     exp(-2|z|^2) for the harmonic oscillator and
     ((1 - |z|^2)/(1 + |z|^2))^(2j) resp. ^(2k) for su(2) / su(1,1).
-    su(1,1) amplitudes must satisfy |z| < 1.
+    su(1,1) amplitudes must satisfy |z| < 1.  An su(2) |z|^2 that
+    overflows takes the limit base -1: p = 1 at integer spin, and the
+    negative kernel -1 at half-integer spin.
     """
     x = _amplitude_sq(alg, z)
     if alg.kind is AlgebraKind.HARMONIC:
         return Overlap(math.exp(-2.0 * x), alg, z)
-    base = (1.0 - x) / (1.0 + x)
+    base = (1.0 - x) / (1.0 + x) if x < math.inf else -1.0
     return Overlap(base ** int(2.0 * alg.rep_param), alg, z)
 
 

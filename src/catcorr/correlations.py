@@ -54,6 +54,17 @@ _field_arena = threading.local()
 _PATCH_POINTS = 9
 _PATCH_SHRINK = 4.0
 _PATCH_STEP_TOL = 1e-9
+# the patch offsets (u, v) in units of h, u major: every pair of
+# linspace(-1, 1, _PATCH_POINTS)
+_PATCH_U = np.repeat(np.linspace(-1.0, 1.0, _PATCH_POINTS), _PATCH_POINTS)
+_PATCH_V = np.tile(np.linspace(-1.0, 1.0, _PATCH_POINTS), _PATCH_POINTS)
+_PATCH_U.flags.writeable = _PATCH_V.flags.writeable = False
+# the Bloch-table slots a real X state leaves zero: all but R[0,0], R[0,3],
+# R[3,0] and the correlations R[i,i]
+_OFF_REAL_X = ~np.array(
+    [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]], dtype=bool
+)
+_OFF_REAL_X.flags.writeable = False
 # theta grid of the X-state kernel on [0, pi/2] before golden-section
 # refinement.  The objective can have a local minimum at theta = 0 and a
 # deeper one inside (test_x_state_kernel_finds_interior_optimum); 5 points
@@ -155,17 +166,20 @@ def von_neumann_entropy(state) -> float:
     square, Hermitian PSD ndarray of any dimension.
     """
     if isinstance(state, TwoQubitState):
-        vals = np.linalg.eigvalsh(state.matrix)
-    else:
-        m = np.asarray(state, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError(f"density matrix must be square, got shape {m.shape}")
-        # the checks below are comparisons, which a NaN entry would pass
-        if not np.isfinite(m).all():
-            raise DomainError("density matrix has a non-finite entry")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise DomainError("density matrix must be Hermitian")
-        vals = np.linalg.eigvalsh(m)
+        return _spectrum_entropy(np.linalg.eigvalsh(state.matrix))
+    m = np.asarray(state, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DomainError(f"density matrix must be square, got shape {m.shape}")
+    # the checks below are comparisons, which a NaN entry would pass
+    if not np.isfinite(m).all():
+        raise DomainError("density matrix has a non-finite entry")
+    if np.max(np.abs(m - m.conj().T)) > 1e-10:
+        raise DomainError("density matrix must be Hermitian")
+    return _spectrum_entropy(np.linalg.eigvalsh(m))
+
+
+def _spectrum_entropy(vals) -> float:
+    """Entropy in bits of a density matrix with eigenvalues vals (1-D)."""
     if vals.min() < -PSD_TOL:
         raise DomainError("density matrix has a negative eigenvalue beyond tolerance")
     vals = np.clip(vals, 0.0, 1.0)
@@ -286,6 +300,10 @@ def _cond_entropy_field(table, d1, d2, d3):
     thread, after the call returns: 0.72 MB for a thread that has evaluated
     a full block.  Freeing them let the allocator hand the pages back to
     the OS, so every default-grid call faulted them in again.
+
+    The scan calls this for its refinement patches, with the two tie-rule
+    directions appended, and for its grid only through `_grid_field`,
+    whose fast path for real X tables must keep these bits.
     """
     shape = np.shape(d1)
     d1, d2, d3 = np.ravel(d1), np.ravel(d2), np.ravel(d3)
@@ -326,28 +344,98 @@ def _cond_entropy_field(table, d1, d2, d3):
             r = v[0]
             r += v[1]
             r += v[2]
-            np.sqrt(r, out=r)
-            # q > 2e-15 wherever the outcome is live, so q = |q| there
-            r /= q
-
-            # H(x) at x = (1 + r)/2, negated; x >= 1 (r >= 1) is masked below
-            x = r
-            x *= 0.5
-            x += 0.5
-            np.greater_equal(x, 1.0, out=unit)
-            h, g = v[1], v[2]
-            np.log2(x, out=h)
-            h *= x
-            np.subtract(1.0, x, out=g)
-            g *= np.log2(g, out=q)
-            h += g
+            h = v[1]
+            _weighted_entropies(r, q, nw, unit, h, v[2], q)
 
             # dead outcomes and pure conditionals contribute exactly 0
-            h *= nw
             dead = np.less_equal(live, unit, out=live)
             np.copyto(h, 0.0, where=dead)
             np.add(h[:k], h[k:], out=out[lo : lo + k])
     return out.reshape(shape)
+
+
+def _weighted_entropies(r, q, neg_weight, unit, h, g, t):
+    """The steps of both field routes after the squared Bloch lengths, in
+    place: from r = |v|^2 and twice the outcome probability q, h gets
+    -q/2 H((1 + |v|/q)/2), and unit flags x >= 1, which the caller zeroes
+    along with the dead outcomes.  r, g and t are overwritten; t may be q.
+    """
+    np.sqrt(r, out=r)
+    # q > 2e-15 wherever the outcome is live, so q = |q| there
+    r /= q
+
+    # H(x) at x = (1 + r)/2, negated
+    x = r
+    x *= 0.5
+    x += 0.5
+    np.greater_equal(x, 1.0, out=unit)
+    np.log2(x, out=h)
+    h *= x
+    np.subtract(1.0, x, out=g)
+    g *= np.log2(g, out=t)
+    h += g
+    h *= neg_weight
+
+
+def _grid_field(table, d1, d2, d3):
+    """`_cond_entropy_field` on the 2-D arrays of `_direction_grid`, with
+    the same bits, and faster on the table of a real X state.
+
+    Such a table is nonzero only at R[0,0], R[0,3], R[3,0] and R[i,i]
+    (pair and dephased states).  d3 = cos(theta) is one float along a grid
+    row, so twice the outcome probabilities, q = 1 +- R[3,0] d3, their
+    weights -q/2 with the dead-outcome flags, and the z term
+    (R[0,3] +- R[3,3] d3)^2 are formed once per row.  The offsets R[0,1] and R[0,2] are zero and
+    (+-0 +- w)^2 = w^2, so both outcomes share the transverse term
+    w1^2 + w2^2, with w1 = R[1,1] d1 and w2 = R[2,2] d2, formed once per
+    direction.  These are the products and sums `_cond_entropy_field` forms
+    per direction, in its order, and the steps after them are its own
+    (`_weighted_entropies`, then the zeroing of pure conditionals and dead
+    outcomes).  Whole rows are taken in blocks of
+    at most _FIELD_BLOCK directions in the per-thread buffers of
+    `_field_buffers`.  Any other table, and a grid whose rows are longer
+    than one block, goes to `_cond_entropy_field`.
+    """
+    n_rows, n_phi = d1.shape
+    rows = _FIELD_BLOCK // n_phi
+    if not rows or table[_OFF_REAL_X].any():
+        return _cond_entropy_field(table, d1, d2, d3)
+    # per row (axis 1) and outcome (axis 0, plus first), broadcast along the row
+    w0, w3 = d3[:, :1] * table[3, 0], d3[:, :1] * table[3, 3]
+    q = np.stack((w0 + 1.0, 1.0 - w0))
+    neg_weight = np.multiply(q, -0.5)
+    dead = ~np.less(neg_weight, -1e-15)[:, :, 0]  # by outcome and row
+    z_sq = np.stack((w3 + table[0, 3], table[0, 3] - w3))
+    z_sq *= z_sq
+    c1, c2 = table[1, 1], table[2, 2]
+    out = np.empty((n_rows, n_phi))
+    dots, _, stacked, _, flags = _field_buffers(min(rows, n_rows) * n_phi)
+    # ufunc buffers shorter than two rows for this call: with room for two,
+    # numpy copied the per-row constants out to whole rows, and each op on
+    # them took 2-3x the time of an op on a scalar.  Results are elementwise,
+    # so the buffer size cannot change a bit
+    bufsize = np.setbufsize(n_phi - n_phi % 16)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo in range(0, n_rows, rows):
+                hi = min(lo + rows, n_rows)
+                k = (hi - lo) * n_phi
+                w1, w2 = (buf[:k].reshape(hi - lo, n_phi) for buf in dots[:2])
+                np.multiply(d1[lo:hi], c1, out=w1)
+                np.multiply(d2[lo:hi], c2, out=w2)
+                w1 *= w1
+                w2 *= w2
+                w1 += w2
+                r, h, g, t = stacked[: 8 * k].reshape(4, 2, hi - lo, n_phi)
+                unit = flags[0, : 2 * k].reshape(2, hi - lo, n_phi)
+                np.add(w1, z_sq[:, lo:hi], out=r)
+                _weighted_entropies(r, q[:, lo:hi], neg_weight[:, lo:hi], unit, h, g, t)
+                np.copyto(h, 0.0, where=unit)
+                h[dead[:, lo:hi]] = 0.0
+                np.add(h[0], h[1], out=out[lo:hi])
+    finally:
+        np.setbufsize(bufsize)
+    return out
 
 
 def koashi_winter_min(spec: SuperpositionSpec) -> float:
@@ -403,6 +491,20 @@ def _direction_grid(n_theta: int, n_phi: int):
     for arr in arrays:
         arr.flags.writeable = False
     return arrays
+
+
+@functools.lru_cache(maxsize=4)
+def _patch_steps(n_theta: int, n_phi: int):
+    """Read-only column of the refinement patch half-widths h of the
+    n_theta x n_phi grid: one grid step, divided by _PATCH_SHRINK per level
+    while above _PATCH_STEP_TOL."""
+    steps, h = [], max(math.pi / (n_theta - 1), 2.0 * math.pi / (n_phi - 1))
+    while h > _PATCH_STEP_TOL:
+        steps.append(h)
+        h /= _PATCH_SHRINK
+    column = np.array(steps)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 def _golden_section(fun, lo: float, hi: float):
@@ -514,15 +616,18 @@ def discord_brute_force(
     exhaustive scan over projective measurement directions.
 
     Fully independent of the closed forms: the entropies S(A), S(B) and
-    S(AB) come from the dense eigensolver (`von_neumann_entropy`), the
-    minimum from direct evaluation of the measurement average and the
-    concurrence from the matrix entries (`concurrence_x`).
+    S(AB) come from the dense eigensolver (the eigenvalue-to-entropy step
+    of `von_neumann_entropy`, both marginals in one call), the minimum
+    from direct evaluation of the measurement average and the concurrence
+    from the matrix entries (`concurrence_x`).
 
     `grid` = (n_theta, n_phi) sets the steps of the theta-phi grid
     linspace(0, pi, n_theta) x linspace(0, 2 pi, n_phi) (default 181 x 361,
     floor 64 x 128, at most MAX_GRID_DIRECTIONS points; a whole float such
     as 181.0 is accepted, 181.5 or NaN is a domain error).  Since d and -d
-    give the same average, only the rows theta <= pi/2 are evaluated; the
+    give the same average, only the rows theta <= pi/2 are evaluated, by
+    `_grid_field`, which serves the tables of real X states (pair and
+    dephased states) row by row with the bits of `_cond_entropy_field`; the
     first minimum in (theta, phi) order is kept.  It is refined on local
     patches of 9 x 9 directions spanning +-h along the unit tangents of the
     grid minimum, h starting at one grid step and divided by 4 per level
@@ -530,12 +635,15 @@ def discord_brute_force(
     replaces the best only if strictly lower, and the levels are taken in
     order.  A level that does not improve leaves the centre in place, so
     the patches of all remaining levels are evaluated in one field call,
-    and only a level that improves calls again for the levels after it:
-    a scan of a pair state makes about 4 field calls in all, one of a
-    random full-rank state about 13.  A direction tied with the equatorial
-    one within 1e-12 is reported as the canonical (pi/2, 0), and one tied
-    with its phi = 0 counterpart gets phi = 0, so flat objectives (pure
-    states) resolve deterministically.
+    and only a level that improves calls again for the levels after it.
+    A direction tied with the equatorial one within 1e-12 is reported as
+    the canonical (pi/2, 0), and one tied with its phi = 0 counterpart gets
+    phi = 0, so flat objectives (pure states) resolve deterministically.
+    Every refinement call also evaluates those two tie directions, at the
+    theta of the best direction when it is made; only when the last call
+    moved theta and the equatorial rule does not fire is the phi = 0 one
+    evaluated again.  A scan of a pair state makes about 3 field calls in
+    all, one of a random full-rank state about 12.
     """
     n_theta, n_phi = grid
     if not (_is_whole(n_theta) and _is_whole(n_phi)):
@@ -549,7 +657,7 @@ def discord_brute_force(
         )
     table = bloch_matrix(state)
     theta, phi, d1, d2, d3 = _direction_grid(n_theta, n_phi)
-    values = _cond_entropy_field(table, d1, d2, d3)
+    values = _grid_field(table, d1, d2, d3)
     flat = int(np.argmin(values))  # first occurrence: lexicographic (theta, phi)
     i, j = divmod(flat, n_phi)
     best_theta, best_phi = float(theta[i]), float(phi[j])
@@ -563,23 +671,29 @@ def discord_brute_force(
     st, ct = math.sin(best_theta), math.cos(best_theta)
     sp, cp = math.sin(best_phi), math.cos(best_phi)
     best_dir = np.array([st * cp, st * sp, ct])
-    offsets = np.linspace(-1.0, 1.0, _PATCH_POINTS)
-    u, v = np.repeat(offsets, _PATCH_POINTS), np.tile(offsets, _PATCH_POINTS)
-    tangent = np.outer([ct * cp, ct * sp, -st], u) + np.outer([-sp, cp, 0.0], v)
-    steps, h = [], max(math.pi / (n_theta - 1), 2.0 * math.pi / (n_phi - 1))
-    while h > _PATCH_STEP_TOL:
-        steps.append(h)
-        h /= _PATCH_SHRINK
+    tangent = np.outer([ct * cp, ct * sp, -st], _PATCH_U) + np.outer([-sp, cp, 0.0], _PATCH_V)
+    steps = _patch_steps(n_theta, n_phi)
     # a level that does not improve leaves the centre in place, so the
     # patches of every remaining level are evaluated in one call; the first
     # level that improves moves the centre, and the levels after it are
-    # evaluated again around the new one
+    # evaluated again around the new one.  Each call also evaluates the
+    # tie-rule directions (pi/2, 0) and (tie_theta, 0), tie_theta the best
+    # theta when it was made
     level = 0
     while level < len(steps):
-        scale = np.array(steps[level:])[:, None]
-        patches = best_dir[:, None, None] + scale * tangent[:, None, :]
+        patches = best_dir[:, None, None] + steps[level:] * tangent[:, None, :]
         patches /= np.linalg.norm(patches, axis=0)
-        patch_vals = _cond_entropy_field(table, *patches)
+        tie_theta = best_theta
+        ties = [
+            [math.sin(th) for th in (math.pi / 2.0, tie_theta)],
+            [0.0, 0.0],
+            [math.cos(th) for th in (math.pi / 2.0, tie_theta)],
+        ]
+        vals = _cond_entropy_field(
+            table, *np.concatenate((patches.reshape(3, -1), ties), axis=1)
+        )
+        equatorial, at_phi0 = vals[-2:].tolist()
+        patch_vals = vals[:-2].reshape(patches.shape[1:])
         better = np.flatnonzero(patch_vals.min(axis=1) < best_val)
         if not better.size:
             break
@@ -591,26 +705,27 @@ def discord_brute_force(
         best_theta, best_phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
         level += j + 1
 
-    # the tie-rule directions (pi/2, 0) and (best_theta, 0) in one call
-    tie_theta = (math.pi / 2.0, best_theta)
-    equatorial, at_phi0 = _cond_entropy_field(
-        table,
-        np.array([math.sin(th) for th in tie_theta]),
-        np.zeros(2),
-        np.array([math.cos(th) for th in tie_theta]),
-    ).tolist()
     if equatorial <= best_val + 1e-12:
         best_theta, best_phi = math.pi / 2.0, 0.0
         best_val = min(best_val, equatorial)
-    elif at_phi0 <= best_val + 1e-12:  # flat phi direction
-        best_phi = 0.0
-        best_val = min(best_val, at_phi0)
+    else:
+        if best_theta != tie_theta:  # the last call moved theta
+            at_phi0 = float(_cond_entropy_field(
+                table,
+                np.float64(math.sin(best_theta)),
+                np.float64(0.0),
+                np.float64(math.cos(best_theta)),
+            ))
+        if at_phi0 <= best_val + 1e-12:  # flat phi direction
+            best_phi = 0.0
+            best_val = min(best_val, at_phi0)
     best_phi %= 2.0 * math.pi
 
+    # both marginal spectra from one eigensolver call; the marginals of a
+    # validated state need no checks of their own
     rho_a, rho_b = marginals(state)
-    s_a = von_neumann_entropy(rho_a)
-    s_b = von_neumann_entropy(rho_b)
-    s_ab = von_neumann_entropy(state)
+    s_a, s_b = map(_spectrum_entropy, np.linalg.eigvalsh(np.stack((rho_a, rho_b))))
+    s_ab = _spectrum_entropy(np.linalg.eigvalsh(state.matrix))
     info = s_a + s_b - s_ab
     disc = s_a + best_val - s_ab
     return CorrelationReport(

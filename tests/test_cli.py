@@ -157,6 +157,17 @@ def test_point_algebra_route(capsys):
         outs.append(out.split("\n", 1)[1])
     assert outs[0] == outs[1]
     assert parse_report(outs[0])["p"] == "0"
+    # su(2) at spin 1: |z|^2 overflows at 1e160 and inf, and the base rounds
+    # to -1 at 1e100, so all three give p = 1 and the same report
+    outs = []
+    for z in ("1e100", "1e160", "inf"):
+        argv = ["point", "--algebra", "su2", "--z", z, "--rep-param", "1",
+                "--n", "4", "--parity", "even"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        outs.append(out.split("\n", 1)[1])
+    assert outs[0] == outs[1] == outs[2]
+    assert parse_report(outs[0])["p"] == "1"
 
 
 def test_sweep_pure_rows(capsys):
@@ -389,6 +400,10 @@ def test_domain_errors_exit_three(capsys):
         # |z|^2 overflows and exits as --z inf does; 2r overflows
         ["overlap", "--algebra", "glauber", "--z", "1e155"],
         ["overlap", "--algebra", "su2", "--z", "0.3", "--rep-param", "1e308"],
+        # the limit of the su(2) kernel at spin 1/2 is -1; the series refuses inf
+        ["point", "--algebra", "su2", "--z", "1e160", "--rep-param", "0.5",
+         "--n", "4", "--parity", "even"],
+        ["overlap", "--algebra", "su2", "--z", "1e160", "--rep-param", "1"],
         # 5/rate overflows: rejected before the time grid turns into NaN
         ["dynamics", "--p", "0.5", "--n", "4", "--parity", "even",
          "--gamma-rate", "1e-320"],

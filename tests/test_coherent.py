@@ -91,6 +91,13 @@ def test_overlap_closed_su2():
     # half-integer spins beyond the unit circle give a negative kernel
     with pytest.raises(DomainError):
         overlap_closed(AlgebraSpec.su2(0.5), 2.0)
+    # |z|^2 overflows: the base takes its limit -1, as it rounds to at 1e100
+    for huge in (1e160, math.inf):
+        assert overlap_closed(AlgebraSpec.su2(1.0), huge).value == 1.0
+        with pytest.raises(DomainError, match="overlap -1.0 lies outside"):
+            overlap_closed(AlgebraSpec.su2(0.5), huge)
+        with pytest.raises(ConvergenceError):
+            overlap_series(AlgebraSpec.su2(1.0), huge)
 
 
 def test_overlap_closed_su11():

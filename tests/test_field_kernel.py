@@ -5,7 +5,8 @@ directions, with the two measurement outcomes stacked and every step done
 in place.  `reference_field` and `reference_h2` below are the per-outcome
 formula it replaced, unchanged but for the names: the kernel must return the same bits
 for every input shape it serves (the scan grid, the refinement patch and
-the scalar tie-rule calls).
+the scalar tie-rule calls).  `_grid_field`, the scan's entry for the grid,
+must return the bits of `_cond_entropy_field` on every table and grid.
 """
 
 import sys
@@ -24,11 +25,13 @@ from catcorr import (
     discord_brute_force,
     reduced_rho12,
 )
+from catcorr import correlations
 from catcorr.correlations import (
     _FIELD_BLOCK,
     _cond_entropy_field,
     _direction_grid,
     _field_arena,
+    _grid_field,
 )
 from catcorr.states import PAULI
 
@@ -83,21 +86,25 @@ def kernel_states(rng):
     # outcome has probability 5e-12, above the dead-outcome threshold of 1e-15
     states.append(TwoQubitState((1.0 - 1e-11) * ground + 1e-11 * np.eye(4) / 4.0))
     states.append(TwoQubitState(np.eye(4, dtype=complex) / 4.0))
-    # the kernel skips zero table coefficients: a pair state rotated about z
-    # on the first qubit has two nonzero coefficients in the transverse
-    # columns, and a complex coherence makes R[1,2] and R[2,1] nonzero
     pair = reduced_rho12(SuperpositionSpec(0.6, Parity.EVEN, 3))
+    states += rotated_and_complex_x(pair)
+    # dephasing raises the pair to rank 4
+    states.append(apply_dephasing(pair, DephasingChannel.from_gamma(0.4)))
+    return states
+
+
+def rotated_and_complex_x(pair):
+    """The kernel skips zero table coefficients: the pair state rotated
+    about z on the first qubit has two nonzero coefficients in the
+    transverse columns, and a complex coherence makes R[1,2] and R[2,1]
+    nonzero."""
     turn = np.kron(np.diag([1.0, np.exp(0.7j)]), np.eye(2))
-    states.append(TwoQubitState(turn @ pair.matrix @ turn.conj().T))
     complex_x = pair.matrix.copy()
     complex_x[0, 3] *= np.exp(0.4j)
     complex_x[3, 0] = np.conj(complex_x[0, 3])
     complex_x[1, 2] *= np.exp(-1.1j)
     complex_x[2, 1] = np.conj(complex_x[1, 2])
-    states.append(TwoQubitState(complex_x))
-    # dephasing raises the pair to rank 4
-    states.append(apply_dephasing(pair, DephasingChannel.from_gamma(0.4)))
-    return states
+    return [TwoQubitState(turn @ pair.matrix @ turn.conj().T), TwoQubitState(complex_x)]
 
 
 def signed_zero_tables():
@@ -138,6 +145,43 @@ def test_field_matches_per_outcome_reference_bitwise(rng):
             assert np.array_equal(bits(new), bits(ref))
 
 
+def test_grid_field_matches_general_field_bitwise(rng):
+    # 65 x 129 and the default grid end in a shorter block of rows, and the
+    # rows of 64 x 6000 are longer than one block
+    assert 33 % (_FIELD_BLOCK // 129) and 91 % (_FIELD_BLOCK // 361) and 6000 > _FIELD_BLOCK
+    tables = [bloch_matrix(state) for state in kernel_states(rng)] + signed_zero_tables()
+    for grid in ((64, 128), (65, 129), (181, 361), (1000, 1999), (64, 6000)):
+        directions = _direction_grid(*grid)[2:]
+        for table in tables:
+            new = _grid_field(table, *directions)
+            ref = _cond_entropy_field(table, *directions)
+            assert new.shape == ref.shape
+            assert np.array_equal(bits(new), bits(ref)), (table, grid)
+
+
+def test_grid_field_fast_path_takes_only_real_x_tables(rng, monkeypatch):
+    general = []
+
+    def counted(*args):
+        general.append(1)
+        return _cond_entropy_field(*args)
+
+    monkeypatch.setattr(correlations, "_cond_entropy_field", counted)
+
+    def fast(state, grid=(181, 361)):
+        general.clear()
+        _grid_field(bloch_matrix(state), *_direction_grid(*grid)[2:])
+        return not general
+
+    pairs = [reduced_rho12(SuperpositionSpec(p, parity, n))
+             for p, n in ((0.3, 2), (0.6, 3), (1.0, 5)) for parity in Parity]
+    dephased = [apply_dephasing(pair, DephasingChannel.from_gamma(0.4)) for pair in pairs]
+    assert all(fast(state) for state in pairs + dephased)
+    assert not any(fast(state) for state in rotated_and_complex_x(pairs[2]))
+    assert not fast(random_full_rank_state(rng))
+    assert not fast(pairs[0], grid=(64, 6000))
+
+
 def test_bloch_matrix_matches_trace_loop_bitwise(rng):
     pairs = [[np.kron(a, b) for b in PAULI] for a in PAULI]
     states = kernel_states(rng) + [random_full_rank_state(rng) for _ in range(200)]
@@ -155,13 +199,14 @@ def test_bloch_matrix_matches_trace_loop_bitwise(rng):
 def test_scan_memory_does_not_grow_with_the_grid(rng):
     # the cached directions are kept between scans and are not counted; the
     # scan itself should need its 500 x 1999 field (8 MB) plus one block,
-    # whose buffers a fresh thread allocates inside the traced region
+    # whose buffers a fresh thread allocates inside the traced region.  The
+    # pair state takes the grid field's fast path, the random state the
+    # general kernel
     grid = (1000, 1999)
     _direction_grid(*grid)
-    state = random_full_rank_state(rng)
     peaks = []
 
-    def scan():
+    def scan(state):
         tracemalloc.start()
         try:
             discord_brute_force(state, grid=grid)
@@ -169,11 +214,13 @@ def test_scan_memory_does_not_grow_with_the_grid(rng):
         finally:
             tracemalloc.stop()
 
-    thread = threading.Thread(target=scan)
-    thread.start()
-    thread.join(timeout=60.0)
-    assert not thread.is_alive()
-    assert len(peaks) == 1 and peaks[0] < 16e6
+    pair = reduced_rho12(SuperpositionSpec(0.6, Parity.EVEN, 4))
+    for state in (random_full_rank_state(rng), pair):
+        thread = threading.Thread(target=scan, args=(state,))
+        thread.start()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+    assert len(peaks) == 2 and max(peaks) < 16e6
 
 
 def test_field_after_calls_of_other_lengths_matches_reference_bitwise(rng):

@@ -2,6 +2,8 @@
 
 `discord_brute_force` evaluates the refinement patches of every remaining
 level in one field call and evaluates again only after a level improves.
+Each of those calls also evaluates the two tie-rule directions, and the
+grid goes through `_grid_field`.
 `reference_brute_force` below is the scan with one field call per level,
 unchanged but for the name and its return value: the scan must return the
 same bits on every state.
@@ -137,6 +139,28 @@ def edge_states():
     ]
 
 
+def ends_on_an_improving_level():
+    """A dephased pair state whose default-grid scan improves at the last
+    refinement level, away from the equator: the (theta, 0) value of that
+    call's tie directions is stale, and the scan evaluates it again."""
+    return apply_dephasing(
+        reduced_rho12(SuperpositionSpec(0.9, Parity.EVEN, 3)),
+        DephasingChannel.from_gamma(0.2),
+    )
+
+
+def counted_field_calls(monkeypatch):
+    """Patch both field entry points to log (entry, directions) per call."""
+    calls = []
+    for name in ("_grid_field", "_cond_entropy_field"):
+        def counted(table, d1, *rest, _name=name, _field=getattr(correlations, name)):
+            calls.append((_name, np.size(d1)))
+            return _field(table, d1, *rest)
+
+        monkeypatch.setattr(correlations, name, counted)
+    return calls
+
+
 def test_batched_refinement_matches_sequential_loop_bitwise(rng):
     pairs = [reduced_rho12(s) for s in seeded_pair_specs(rng, 60)]
     dephased = [
@@ -151,6 +175,7 @@ def test_batched_refinement_matches_sequential_loop_bitwise(rng):
             DephasingChannel.from_gamma(0.33481787109375005),
         )
     )
+    dephased.append(ends_on_an_improving_level())
     states = pairs + dephased + list(pole_rotated_states(rng)) + edge_states()
     states += [random_full_rank_state(rng) for _ in range(200)]
     for state in states:
@@ -160,19 +185,25 @@ def test_batched_refinement_matches_sequential_loop_bitwise(rng):
 
 
 def test_pair_state_scan_makes_few_field_calls(rng, monkeypatch):
-    # the grid, the tie rule and one batched refinement call per improving
-    # level; the sequential loop made 15 calls at the default grid
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return _cond_entropy_field(*args)
-
-    monkeypatch.setattr(correlations, "_cond_entropy_field", counted)
+    # the grid and one batched refinement call per improving level, which
+    # also evaluates the tie-rule directions; the sequential loop made 15
+    # calls at the default grid
+    calls = counted_field_calls(monkeypatch)
     per_scan = []
     for spec in seeded_pair_specs(rng, 100):
         calls.clear()
         discord_brute_force(reduced_rho12(spec))
+        assert calls[0][0] == "_grid_field"
         per_scan.append(len(calls))
-    assert max(per_scan) <= 8
-    assert sum(per_scan) / len(per_scan) <= 5.0
+    assert max(per_scan) <= 5
+    assert sum(per_scan) / len(per_scan) <= 3.18
+
+
+def test_scan_ending_on_an_improving_level_evaluates_the_phi0_tie_again(monkeypatch):
+    calls = counted_field_calls(monkeypatch)
+    discord_brute_force(ends_on_an_improving_level())
+    assert calls[-1] == ("_cond_entropy_field", 1)
+    # pair states end on the equator, where the tie rule needs no new call
+    calls.clear()
+    discord_brute_force(reduced_rho12(SuperpositionSpec(0.9, Parity.EVEN, 3)))
+    assert calls[-1][1] > 81

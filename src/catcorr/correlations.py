@@ -21,6 +21,7 @@ from .errors import DomainError, _is_whole
 from .states import (
     PSD_TOL,
     PAULI,
+    TRACE_TOL,
     PureBipartition,
     SuperpositionSpec,
     TwoQubitState,
@@ -31,21 +32,21 @@ from .states import (
 
 DEFAULT_GRID = (181, 361)
 # largest n_theta * n_phi the scan accepts, about 30x the default grid; the
-# field itself allocates only its output of n_theta * n_phi / 2 floats, and
-# each thread keeps buffers for one block of _FIELD_BLOCK directions
+# field itself allocates only its output of n_theta * n_phi / 2 floats and
+# the work of one block of _FIELD_BLOCK directions
 MAX_GRID_DIRECTIONS = 2_000_000
-# directions per block of the conditional-entropy field: sixteen rows of the
-# default grid, whose buffers take 0.72 MB.  With the buffers kept between
-# calls, full default-grid scans of pair states on a 2-CPU Xeon with 2 MB of
-# L2 per core took, relative to 16 rows (medians over interleaved rounds),
-# 1.15x at 8 rows, 1.02-1.04x at 12 and 0.99-1.00x at 24 and 32; the grid
-# field alone 1.26x, 1.06x and 0.99-1.00x.  Larger blocks gained nothing
-# clear and would keep more memory per thread
+# directions per block of both field kernels: sixteen rows of the default
+# grid, for which `_x_field` keeps 0.38 MB of buffers.  Full default-grid
+# scans of pair states on a 2-CPU Xeon with 2 MB of L2 per core, with kept
+# buffers, took relative to 16 rows (medians over interleaved rounds) 1.15x
+# at 8 rows, 1.02-1.04x at 12 and 0.99-1.00x at 24 and 32; the grid field
+# alone 1.26x, 1.06x and 0.99-1.00x.  Larger blocks gained nothing clear
+# and would keep more memory per thread
 _FIELD_BLOCK = 16 * 361
-# per-thread work buffers of the field, kept between calls (`_field_buffers`)
-# so that no call faults in fresh pages; not a module global, since numpy
-# releases the GIL inside its loops and two threads would overwrite each
-# other's blocks
+# per-thread work buffers of `_x_field`, kept between calls
+# (`_field_buffers`) so that no call faults in fresh pages; not a module
+# global, since numpy releases the GIL inside its loops and two threads
+# would overwrite each other's blocks
 _field_arena = threading.local()
 # refinement patch: _PATCH_POINTS x _PATCH_POINTS tangent offsets spanning
 # +-h around the best direction, h starting at one grid step and divided by
@@ -65,6 +66,10 @@ _OFF_REAL_X = ~np.array(
     [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]], dtype=bool
 )
 _OFF_REAL_X.flags.writeable = False
+# the signs of the two measurement outcomes, along axis 0 of the per-row
+# terms of `_x_field`
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
+_SIGNS.flags.writeable = False
 # theta grid of the X-state kernel on [0, pi/2] before golden-section
 # refinement.  The objective can have a local minimum at theta = 0 and a
 # deeper one inside (test_x_state_kernel_finds_interior_optimum); 5 points
@@ -163,7 +168,8 @@ def von_neumann_entropy(state) -> float:
     """Von Neumann entropy in bits, from the dense eigensolver.
 
     Accepts a TwoQubitState (validated on construction) or a finite,
-    square, Hermitian PSD ndarray of any dimension.
+    square, Hermitian PSD ndarray of any dimension with unit trace
+    (within TRACE_TOL, as `TwoQubitState` requires).
     """
     if isinstance(state, TwoQubitState):
         return _spectrum_entropy(np.linalg.eigvalsh(state.matrix))
@@ -175,6 +181,9 @@ def von_neumann_entropy(state) -> float:
         raise DomainError("density matrix has a non-finite entry")
     if np.max(np.abs(m - m.conj().T)) > 1e-10:
         raise DomainError("density matrix must be Hermitian")
+    tr = m.trace()
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise DomainError(f"density matrix must have unit trace, got {tr}")
     return _spectrum_entropy(np.linalg.eigvalsh(m))
 
 
@@ -256,20 +265,17 @@ def conditional_entropy(state: TwoQubitState, basis: MeasurementBasis) -> float:
 
 
 def _field_buffers(m: int):
-    """This thread's work buffers of `_cond_entropy_field` for blocks of at
-    least m directions, reallocated only when a call needs a longer block.
+    """This thread's work buffers of `_x_field` for blocks of at least m
+    directions, reallocated only when a call needs a longer block.
 
-    `stacked` and `neg_weight` are flat, and the rows of the others are
-    used as prefixes, so that the views of a shorter block stay contiguous.
+    Both are flat and used as prefixes, so that the views of a shorter
+    block stay contiguous.
     """
     buffers = getattr(_field_arena, "buffers", None)
-    if buffers is None or buffers[1].size < m:
+    if buffers is None or buffers[1].size < 2 * m:
         buffers = (
-            np.empty((4, m)),  # dots
-            np.empty(m),  # tmp
-            np.empty(8 * m),  # stacked
-            np.empty(2 * m),  # neg_weight
-            np.empty((2, 2 * m), dtype=bool),  # flags
+            np.empty(8 * m),  # four rows of both outcomes
+            np.empty(2 * m, dtype=bool),  # pure-conditional flags
         )
         _field_arena.buffers = buffers
     return buffers
@@ -281,161 +287,115 @@ def _cond_entropy_field(table, d1, d2, d3):
     For each outcome the conditional qubit has Bloch vector
     (R[0,b] + sum_i R[i,b] s_i) / (1 + sum_i R[i,0] s_i) with s the signed
     direction, so its entropy is H((1 + |r|)/2); zero-probability
-    outcomes contribute nothing.
+    outcomes contribute nothing.  The directions are taken in blocks of
+    _FIELD_BLOCK; every element goes through the same operations in the
+    same order for any block size or input shape.
 
-    The directions are taken in blocks of _FIELD_BLOCK.  Each block forms
-    the four dot products w_b = sum_i R[i,b] d_i once and lays out, for
-    each b, the two outcomes offset_b + w_b and offset_b - w_b side by side
-    in one contiguous row, with offset = (1, R[0,1], R[0,2], R[0,3]); the
-    rest runs in place on those rows.  Every element goes through the same
-    operations in the same order for any block size or input shape.
-
-    The dot products skip coefficients that are exactly zero, which X
-    states have in most slots.  The bits cannot change: directions are
-    finite, so a skipped term is a signed zero and x + (+-0) = x for any
-    x != 0.  Only the sign of a zero w_b can differ, and that sign is lost
-    in 1 +- w_b and in the square of offset_b +- w_b.
-
-    The work buffers come from `_field_buffers` and stay allocated, per
-    thread, after the call returns: 0.72 MB for a thread that has evaluated
-    a full block.  Freeing them let the allocator hand the pages back to
-    the OS, so every default-grid call faulted them in again.
-
-    The scan calls this for its refinement patches, with the two tie-rule
-    directions appended, and for its grid only through `_grid_field`,
-    whose fast path for real X tables must keep these bits.
+    The scan calls this for every table that `_x_field` does not serve.
     """
     shape = np.shape(d1)
     d1, d2, d3 = np.ravel(d1), np.ravel(d2), np.ravel(d3)
-    size = d1.size
-    out = np.empty(size)
-    m = min(size, _FIELD_BLOCK)
+    out = np.empty(d1.size)
+    # rows of coefficients R[i, :] and the offsets (1, R[0,1], R[0,2], R[0,3])
+    c1, c2, c3 = table[1:, :, None]
     offset = np.array([1.0, table[0, 1], table[0, 2], table[0, 3]])[:, None]
-    # the nonzero (i, R[i+1,b]) of each column, in order; X states keep at
-    # most one per column
-    terms = [[(i, c) for i, c in enumerate(col) if c != 0.0] for col in table[1:].T.tolist()]
-    dots, tmp, stacked, neg_weight, flags = _field_buffers(m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, size, m):
-            k = min(m, size - lo)
-            d = (d1[lo : lo + k], d2[lo : lo + k], d3[lo : lo + k])
-            w, t = dots[:, :k], tmp[:k]
-            for wb, col in zip(w, terms):
-                if not col:
-                    wb.fill(0.0)
-                    continue
-                (i, c), *rest = col
-                np.multiply(d[i], c, out=wb)
-                for i, c in rest:
-                    wb += np.multiply(d[i], c, out=t)
-            sv = stacked[: 8 * k].reshape(4, 2 * k)
-            np.add(w, offset, out=sv[:, :k])
-            np.subtract(offset, w, out=sv[:, k:])
-            nw = neg_weight[: 2 * k]
-            live, unit = (buf[: 2 * k] for buf in flags)
-
-            # sv[0] = 1 + s.R[1:, 0] is twice the outcome probability; the
-            # weight carries the entropy's sign, -0.5 q, and NaN is dead
-            q = sv[0]
-            np.multiply(q, -0.5, out=nw)
-            np.less(nw, -1e-15, out=live)
-            v = sv[1:]
-            np.multiply(v, v, out=v)
-            r = v[0]
-            r += v[1]
-            r += v[2]
-            h = v[1]
-            _weighted_entropies(r, q, nw, unit, h, v[2], q)
-
-            # dead outcomes and pure conditionals contribute exactly 0
-            dead = np.less_equal(live, unit, out=live)
-            np.copyto(h, 0.0, where=dead)
-            np.add(h[:k], h[k:], out=out[lo : lo + k])
+        for lo in range(0, d1.size, _FIELD_BLOCK):
+            block = slice(lo, lo + _FIELD_BLOCK)
+            # w_b = sum_i R[i,b] d_i; the outcomes are offset_b +- w_b
+            w = c1 * d1[block] + c2 * d2[block] + c3 * d3[block]
+            h = []
+            for q, v1, v2, v3 in (offset + w, offset - w):
+                # q is twice the outcome probability, so q = |q| where the
+                # weight -q/2, which carries the entropy's sign, is live
+                x = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3) / q * 0.5 + 0.5
+                weight = q * -0.5
+                h_neg = np.log2(x) * x + (1.0 - x) * np.log2(1.0 - x)
+                # dead outcomes and pure conditionals contribute exactly 0
+                h.append(np.where((weight < -1e-15) & ~(x >= 1.0), h_neg * weight, 0.0))
+            np.add(*h, out=out[block])
     return out.reshape(shape)
 
 
-def _weighted_entropies(r, q, neg_weight, unit, h, g, t):
-    """The steps of both field routes after the squared Bloch lengths, in
-    place: from r = |v|^2 and twice the outcome probability q, h gets
-    -q/2 H((1 + |v|/q)/2), and unit flags x >= 1, which the caller zeroes
-    along with the dead outcomes.  r, g and t are overwritten; t may be q.
-    """
-    np.sqrt(r, out=r)
-    # q > 2e-15 wherever the outcome is live, so q = |q| there
-    r /= q
-
-    # H(x) at x = (1 + r)/2, negated
-    x = r
-    x *= 0.5
-    x += 0.5
-    np.greater_equal(x, 1.0, out=unit)
-    np.log2(x, out=h)
-    h *= x
-    np.subtract(1.0, x, out=g)
-    g *= np.log2(g, out=t)
-    h += g
-    h *= neg_weight
-
-
-def _grid_field(table, d1, d2, d3):
-    """`_cond_entropy_field` on the 2-D arrays of `_direction_grid`, with
-    the same bits, and faster on the table of a real X state.
+def _x_field(table, d1, d2, d3):
+    """`_cond_entropy_field` on the table of a real X state, with its bits.
 
     Such a table is nonzero only at R[0,0], R[0,3], R[3,0] and R[i,i]
-    (pair and dephased states).  d3 = cos(theta) is one float along a grid
-    row, so twice the outcome probabilities, q = 1 +- R[3,0] d3, their
-    weights -q/2 with the dead-outcome flags, and the z term
-    (R[0,3] +- R[3,3] d3)^2 are formed once per row.  The offsets R[0,1] and R[0,2] are zero and
+    (pair and dephased states).  A 2-D input is rows of the grid of
+    `_direction_grid`, along which d3 = cos(theta) is one float; any other
+    input is taken as one direction per row.  Twice the outcome
+    probabilities, q = +-R[3,0] d3 + 1, their weights -q/2 with the
+    dead-outcome flags, and the z term (+-R[3,3] d3 + R[0,3])^2 are formed
+    once per row.  The offsets R[0,1] and R[0,2] are zero and
     (+-0 +- w)^2 = w^2, so both outcomes share the transverse term
     w1^2 + w2^2, with w1 = R[1,1] d1 and w2 = R[2,2] d2, formed once per
-    direction.  These are the products and sums `_cond_entropy_field` forms
-    per direction, in its order, and the steps after them are its own
-    (`_weighted_entropies`, then the zeroing of pure conditionals and dead
-    outcomes).  Whole rows are taken in blocks of
-    at most _FIELD_BLOCK directions in the per-thread buffers of
-    `_field_buffers`.  Any other table, and a grid whose rows are longer
-    than one block, goes to `_cond_entropy_field`.
+    direction.  Negation is exact, the general kernel's terms at zero
+    coefficients are signed zeros, which leave a nonzero sum unchanged, and
+    the sign of a zero sum is lost in 1 +- w and in the squares: these are
+    the values `_cond_entropy_field` forms, and every later step is its
+    own, in its order.
+
+    Whole rows are taken in blocks of at most _FIELD_BLOCK directions in
+    the per-thread buffers of `_field_buffers`, which stay allocated after
+    the call returns: freed, the allocator handed the pages back to the
+    OS, and every default-grid call faulted them in again.  The caller
+    checks the table, and that a grid row fits in one block.
     """
+    shape = np.shape(d1)
+    if len(shape) != 2:
+        d1, d2, d3 = (np.reshape(d, (-1, 1)) for d in (d1, d2, d3))
     n_rows, n_phi = d1.shape
     rows = _FIELD_BLOCK // n_phi
-    if not rows or table[_OFF_REAL_X].any():
-        return _cond_entropy_field(table, d1, d2, d3)
-    # per row (axis 1) and outcome (axis 0, plus first), broadcast along the row
-    w0, w3 = d3[:, :1] * table[3, 0], d3[:, :1] * table[3, 3]
-    q = np.stack((w0 + 1.0, 1.0 - w0))
-    neg_weight = np.multiply(q, -0.5)
-    dead = ~np.less(neg_weight, -1e-15)[:, :, 0]  # by outcome and row
-    z_sq = np.stack((w3 + table[0, 3], table[0, 3] - w3))
+    # per outcome (axis 0) and row (axis 1), broadcast along the row
+    c = d3[:, :1]
+    q = _SIGNS * (table[3, 0] * c) + 1.0
+    neg_weight = q * -0.5
+    dead = ~(neg_weight < -1e-15)[:, :, 0]  # by outcome and row
+    z_sq = _SIGNS * (table[3, 3] * c) + table[0, 3]
     z_sq *= z_sq
     c1, c2 = table[1, 1], table[2, 2]
     out = np.empty((n_rows, n_phi))
-    dots, _, stacked, _, flags = _field_buffers(min(rows, n_rows) * n_phi)
+    stacked, flags = _field_buffers(min(rows, n_rows) * n_phi)
     # ufunc buffers shorter than two rows for this call: with room for two,
     # numpy copied the per-row constants out to whole rows, and each op on
     # them took 2-3x the time of an op on a scalar.  Results are elementwise,
     # so the buffer size cannot change a bit
-    bufsize = np.setbufsize(n_phi - n_phi % 16)
+    bufsize = np.setbufsize(max(16, n_phi - n_phi % 16))
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
             for lo in range(0, n_rows, rows):
                 hi = min(lo + rows, n_rows)
                 k = (hi - lo) * n_phi
-                w1, w2 = (buf[:k].reshape(hi - lo, n_phi) for buf in dots[:2])
+                r, h, g, t = stacked[: 8 * k].reshape(4, 2, hi - lo, n_phi)
+                unit = flags[: 2 * k].reshape(2, hi - lo, n_phi)
+                w1, w2 = g  # free until the entropies
                 np.multiply(d1[lo:hi], c1, out=w1)
                 np.multiply(d2[lo:hi], c2, out=w2)
                 w1 *= w1
                 w2 *= w2
                 w1 += w2
-                r, h, g, t = stacked[: 8 * k].reshape(4, 2, hi - lo, n_phi)
-                unit = flags[0, : 2 * k].reshape(2, hi - lo, n_phi)
                 np.add(w1, z_sq[:, lo:hi], out=r)
-                _weighted_entropies(r, q[:, lo:hi], neg_weight[:, lo:hi], unit, h, g, t)
+                np.sqrt(r, out=r)
+                # q > 2e-15 wherever the outcome is live, so q = |q| there
+                r /= q[:, lo:hi]
+                # H(x) at x = (1 + r)/2, negated, times -q/2
+                x = r
+                x *= 0.5
+                x += 0.5
+                np.greater_equal(x, 1.0, out=unit)
+                np.log2(x, out=h)
+                h *= x
+                np.subtract(1.0, x, out=g)
+                g *= np.log2(g, out=t)
+                h += g
+                h *= neg_weight[:, lo:hi]
+                # pure conditionals and dead outcomes contribute exactly 0
                 np.copyto(h, 0.0, where=unit)
                 h[dead[:, lo:hi]] = 0.0
                 np.add(h[0], h[1], out=out[lo:hi])
     finally:
         np.setbufsize(bufsize)
-    return out
+    return out.reshape(shape)
 
 
 def koashi_winter_min(spec: SuperpositionSpec) -> float:
@@ -625,9 +585,7 @@ def discord_brute_force(
     linspace(0, pi, n_theta) x linspace(0, 2 pi, n_phi) (default 181 x 361,
     floor 64 x 128, at most MAX_GRID_DIRECTIONS points; a whole float such
     as 181.0 is accepted, 181.5 or NaN is a domain error).  Since d and -d
-    give the same average, only the rows theta <= pi/2 are evaluated, by
-    `_grid_field`, which serves the tables of real X states (pair and
-    dephased states) row by row with the bits of `_cond_entropy_field`; the
+    give the same average, only the rows theta <= pi/2 are evaluated; the
     first minimum in (theta, phi) order is kept.  It is refined on local
     patches of 9 x 9 directions spanning +-h along the unit tangents of the
     grid minimum, h starting at one grid step and divided by 4 per level
@@ -644,6 +602,11 @@ def discord_brute_force(
     moved theta and the equatorial rule does not fire is the phi = 0 one
     evaluated again.  A scan of a pair state makes about 3 field calls in
     all, one of a random full-rank state about 12.
+
+    The kernel is chosen once per scan, from the table: a real X state
+    (pair and dephased states) whose grid rows fit in one block of
+    _FIELD_BLOCK directions takes `_x_field` for every call, any other
+    state `_cond_entropy_field`.  The two give the same bits.
     """
     n_theta, n_phi = grid
     if not (_is_whole(n_theta) and _is_whole(n_phi)):
@@ -656,8 +619,13 @@ def discord_brute_force(
             f"scan grid must have at most {MAX_GRID_DIRECTIONS} points, got {grid}"
         )
     table = bloch_matrix(state)
+    # one kernel for every field call of the scan; both give the same bits
+    field = (
+        _x_field if n_phi <= _FIELD_BLOCK and not table[_OFF_REAL_X].any()
+        else _cond_entropy_field
+    )
     theta, phi, d1, d2, d3 = _direction_grid(n_theta, n_phi)
-    values = _grid_field(table, d1, d2, d3)
+    values = field(table, d1, d2, d3)
     flat = int(np.argmin(values))  # first occurrence: lexicographic (theta, phi)
     i, j = divmod(flat, n_phi)
     best_theta, best_phi = float(theta[i]), float(phi[j])
@@ -689,9 +657,7 @@ def discord_brute_force(
             [0.0, 0.0],
             [math.cos(th) for th in (math.pi / 2.0, tie_theta)],
         ]
-        vals = _cond_entropy_field(
-            table, *np.concatenate((patches.reshape(3, -1), ties), axis=1)
-        )
+        vals = field(table, *np.concatenate((patches.reshape(3, -1), ties), axis=1))
         equatorial, at_phi0 = vals[-2:].tolist()
         patch_vals = vals[:-2].reshape(patches.shape[1:])
         better = np.flatnonzero(patch_vals.min(axis=1) < best_val)
@@ -710,7 +676,7 @@ def discord_brute_force(
         best_val = min(best_val, equatorial)
     else:
         if best_theta != tie_theta:  # the last call moved theta
-            at_phi0 = float(_cond_entropy_field(
+            at_phi0 = float(field(
                 table,
                 np.float64(math.sin(best_theta)),
                 np.float64(0.0),

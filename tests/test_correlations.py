@@ -113,6 +113,13 @@ def test_von_neumann_entropy_rejects_bad_input():
         von_neumann_entropy(np.diag([1.5, -0.5]))
 
 
+def test_von_neumann_entropy_rejects_matrices_without_unit_trace():
+    # the identity and zero matrices gave -0.0 bits, diag(0.3, 0.3) 1.04
+    for m in (np.eye(4), np.zeros((2, 2)), np.diag([0.3, 0.3])):
+        with pytest.raises(DomainError, match="unit trace"):
+            von_neumann_entropy(m)
+
+
 def test_von_neumann_entropy_rejects_nan():
     # a NaN entry passes every comparison, and the filter on positive
     # eigenvalues would drop it as if it were zero, giving -0.0

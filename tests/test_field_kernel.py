@@ -1,12 +1,12 @@
-"""The blocked conditional-entropy kernel against the formula it replaced.
+"""The field kernels against the formula they replaced.
 
-`_cond_entropy_field` evaluates the scan's objective in fixed blocks of
-directions, with the two measurement outcomes stacked and every step done
-in place.  `reference_field` and `reference_h2` below are the per-outcome
-formula it replaced, unchanged but for the names: the kernel must return the same bits
-for every input shape it serves (the scan grid, the refinement patch and
-the scalar tie-rule calls).  `_grid_field`, the scan's entry for the grid,
-must return the bits of `_cond_entropy_field` on every table and grid.
+`reference_field` and `reference_h2` below are the per-outcome formula
+that `_cond_entropy_field` now evaluates in blocks of directions,
+unchanged but for the names.  Both kernels must return its bits for every
+input shape the scan serves (the grid, the refinement patches with the
+two tie-rule directions, and the one-direction tie call): the general
+kernel on every table, `_x_field` on the tables of real X states.  The
+scan picks one of them per state.
 """
 
 import sys
@@ -14,6 +14,7 @@ import threading
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from catcorr import (
     DephasingChannel,
@@ -28,10 +29,11 @@ from catcorr import (
 from catcorr import correlations
 from catcorr.correlations import (
     _FIELD_BLOCK,
+    _OFF_REAL_X,
     _cond_entropy_field,
     _direction_grid,
     _field_arena,
-    _grid_field,
+    _x_field,
 )
 from catcorr.states import PAULI
 
@@ -94,10 +96,10 @@ def kernel_states(rng):
 
 
 def rotated_and_complex_x(pair):
-    """The kernel skips zero table coefficients: the pair state rotated
-    about z on the first qubit has two nonzero coefficients in the
-    transverse columns, and a complex coherence makes R[1,2] and R[2,1]
-    nonzero."""
+    """The pair state rotated about z on the first qubit, which has two
+    nonzero coefficients in the transverse columns, and one with complex
+    coherences, which make R[1,2] and R[2,1] nonzero: X states whose
+    tables are not those of a real X state."""
     turn = np.kron(np.diag([1.0, np.exp(0.7j)]), np.eye(2))
     complex_x = pair.matrix.copy()
     complex_x[0, 3] *= np.exp(0.4j)
@@ -145,41 +147,107 @@ def test_field_matches_per_outcome_reference_bitwise(rng):
             assert np.array_equal(bits(new), bits(ref))
 
 
-def test_grid_field_matches_general_field_bitwise(rng):
-    # 65 x 129 and the default grid end in a shorter block of rows, and the
-    # rows of 64 x 6000 are longer than one block
-    assert 33 % (_FIELD_BLOCK // 129) and 91 % (_FIELD_BLOCK // 361) and 6000 > _FIELD_BLOCK
+def test_x_field_matches_per_outcome_reference_bitwise(rng):
+    # 65 x 129 and the default grid end in a shorter block of rows
+    assert 33 % (_FIELD_BLOCK // 129) and 91 % (_FIELD_BLOCK // 361)
     tables = [bloch_matrix(state) for state in kernel_states(rng)] + signed_zero_tables()
-    for grid in ((64, 128), (65, 129), (181, 361), (1000, 1999), (64, 6000)):
-        directions = _direction_grid(*grid)[2:]
-        for table in tables:
-            new = _grid_field(table, *directions)
-            ref = _cond_entropy_field(table, *directions)
-            assert new.shape == ref.shape
-            assert np.array_equal(bits(new), bits(ref)), (table, grid)
+    tables = [table for table in tables if not table[_OFF_REAL_X].any()]
+    assert len(tables) == 19
+    patch = rng.normal(size=(3, 1053))
+    patch /= np.linalg.norm(patch, axis=0)
+    # the tie-rule directions (pi/2, 0) and (0.4, 0), and single directions:
+    # the equator, the pole and three of the patch
+    ties = (np.sin([np.pi / 2.0, 0.4]), np.zeros(2), np.cos([np.pi / 2.0, 0.4]))
+    singles = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)] + [tuple(patch[:, k]) for k in range(3)]
+    direction_sets = [_direction_grid(*grid)[2:]
+                      for grid in ((64, 128), (65, 129), (181, 361), (1000, 1999))]
+    direction_sets += [tuple(patch), ties]
+    direction_sets += [tuple(np.float64(c) for c in single) for single in singles]
+    for table in tables:
+        for directions in direction_sets:
+            new = _x_field(table, *directions)
+            ref = reference_field(table, *directions)
+            assert np.shape(new) == np.shape(ref)
+            assert np.array_equal(bits(new), bits(ref)), (table, np.shape(new))
 
 
-def test_grid_field_fast_path_takes_only_real_x_tables(rng, monkeypatch):
-    general = []
+def test_x_field_matches_general_field_bitwise_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    edges = st.sampled_from((0.0, -0.0, 1.0, -1.0))
 
-    def counted(*args):
-        general.append(1)
-        return _cond_entropy_field(*args)
+    @st.composite
+    def real_x_tables(draw):
+        # populations, and coherences of either sign up to the PSD bound
+        pops = np.array(draw(st.lists(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0),
+                                      min_size=4, max_size=4)))
+        hypothesis.assume(pops.sum() > 0.0)
+        pops /= pops.sum()
+        m = np.diag(pops).astype(complex)
+        for i, j in ((0, 3), (1, 2)):
+            m[i, j] = m[j, i] = draw(edges | st.floats(-1.0, 1.0)) * np.sqrt(pops[i] * pops[j])
+        table = np.array(bloch_matrix(TwoQubitState(m)))
+        # every slot a real X state leaves zero is 0.0 or -0.0
+        signs = draw(st.lists(st.booleans(), min_size=10, max_size=10))
+        table[_OFF_REAL_X] = np.where(signs, -0.0, 0.0)
+        return table
 
-    monkeypatch.setattr(correlations, "_cond_entropy_field", counted)
+    @st.composite
+    def direction_sets(draw):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        kind = draw(st.sampled_from(("0-d", "1-D", "grid")))
+        if kind == "grid":
+            grid = draw(st.integers(2, 80)), draw(st.integers(2, 700))
+            return _direction_grid(*grid)[2:]
+        size = 1 if kind == "0-d" else draw(st.integers(1, 2 * _FIELD_BLOCK + 3))
+        d = rng.normal(size=(3, size))
+        # leading poles or equatorial directions, where components are zero
+        axis = draw(st.sampled_from(((0, 0, 1), (0, 0, -1), (1, 0, 0), (0, 1, 0))))
+        d[:, : draw(st.integers(0, size))] = np.array(axis)[:, None]
+        d /= np.linalg.norm(d, axis=0)
+        return tuple(np.float64(c[0]) for c in d) if kind == "0-d" else tuple(d)
 
-    def fast(state, grid=(181, 361)):
-        general.clear()
-        _grid_field(bloch_matrix(state), *_direction_grid(*grid)[2:])
-        return not general
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(real_x_tables(), direction_sets())
+    def check(table, directions):
+        new = _x_field(table, *directions)
+        ref = _cond_entropy_field(table, *directions)
+        assert np.shape(new) == np.shape(ref)
+        assert np.array_equal(bits(new), bits(ref))
+
+    check()
+
+
+def counted_kernels(monkeypatch):
+    """Patch both field kernels to log the name of each one called."""
+    names = []
+    for name in ("_x_field", "_cond_entropy_field"):
+        def counted(*args, _name=name, _field=getattr(correlations, name)):
+            names.append(_name)
+            return _field(*args)
+
+        monkeypatch.setattr(correlations, name, counted)
+    return names
+
+
+def test_scan_takes_one_kernel_chosen_from_the_table(rng, monkeypatch):
+    names = counted_kernels(monkeypatch)
+
+    def kernels(state, grid=(181, 361)):
+        names.clear()
+        discord_brute_force(state, grid=grid)
+        return set(names)
 
     pairs = [reduced_rho12(SuperpositionSpec(p, parity, n))
              for p, n in ((0.3, 2), (0.6, 3), (1.0, 5)) for parity in Parity]
     dephased = [apply_dephasing(pair, DephasingChannel.from_gamma(0.4)) for pair in pairs]
-    assert all(fast(state) for state in pairs + dephased)
-    assert not any(fast(state) for state in rotated_and_complex_x(pairs[2]))
-    assert not fast(random_full_rank_state(rng))
-    assert not fast(pairs[0], grid=(64, 6000))
+    others = rotated_and_complex_x(pairs[2]) + [random_full_rank_state(rng)]
+    assert all(kernels(state) == {"_x_field"} for state in pairs + dephased)
+    assert all(kernels(state) == {"_cond_entropy_field"} for state in others)
+    # grid rows longer than one block take the general kernel
+    assert 6000 > _FIELD_BLOCK
+    for state in pairs[:2] + dephased[:1] + others[:1]:
+        assert kernels(state, grid=(64, 6000)) == {"_cond_entropy_field"}
 
 
 def test_bloch_matrix_matches_trace_loop_bitwise(rng):
@@ -200,8 +268,7 @@ def test_scan_memory_does_not_grow_with_the_grid(rng):
     # the cached directions are kept between scans and are not counted; the
     # scan itself should need its 500 x 1999 field (8 MB) plus one block,
     # whose buffers a fresh thread allocates inside the traced region.  The
-    # pair state takes the grid field's fast path, the random state the
-    # general kernel
+    # pair state takes `_x_field`, the random state the general kernel
     grid = (1000, 1999)
     _direction_grid(*grid)
     peaks = []
@@ -226,20 +293,20 @@ def test_scan_memory_does_not_grow_with_the_grid(rng):
 def test_field_after_calls_of_other_lengths_matches_reference_bitwise(rng):
     # the work buffers are kept between calls and grow on demand: a short
     # call, a full-block grid, a patch that fits in them, a short call again
-    table = bloch_matrix(random_full_rank_state(rng))
+    table = bloch_matrix(reduced_rho12(SuperpositionSpec(0.6, Parity.EVEN, 3)))
     patch = rng.normal(size=(3, 1053))
     patch /= np.linalg.norm(patch, axis=0)
     for directions in (patch[:, :2], _direction_grid(181, 361)[2:], patch, patch[:, :2]):
-        new = _cond_entropy_field(table, *directions)
+        new = _x_field(table, *directions)
         assert np.array_equal(bits(new), bits(reference_field(table, *directions)))
 
 
-def test_default_grid_field_reuses_the_thread_buffers(rng):
-    table = bloch_matrix(random_full_rank_state(rng))
+def test_default_grid_field_reuses_the_thread_buffers():
+    table = bloch_matrix(reduced_rho12(SuperpositionSpec(0.6, Parity.EVEN, 3)))
     grid = _direction_grid(181, 361)[2:]
-    _cond_entropy_field(table, *grid)
+    _x_field(table, *grid)
     first = [buf.ctypes.data for buf in _field_arena.buffers]
-    _cond_entropy_field(table, *grid)
+    _x_field(table, *grid)
     assert [buf.ctypes.data for buf in _field_arena.buffers] == first
 
 
@@ -250,8 +317,9 @@ def report_hex(report):
 
 
 def test_concurrent_scans_match_a_single_thread_bitwise(rng):
-    # each thread keeps its own buffers; numpy releases the GIL in its loops,
-    # so shared buffers would mix the blocks of simultaneous scans
+    # each thread keeps its own `_x_field` buffers; numpy releases the GIL in
+    # its loops, so shared buffers would mix the blocks of simultaneous scans.
+    # The random states take the general kernel alongside
     pair = reduced_rho12(SuperpositionSpec(0.6, Parity.EVEN, 3))
     groups = [
         [reduced_rho12(SuperpositionSpec(p, parity, 4)) for p, parity in

@@ -2,8 +2,8 @@
 
 `discord_brute_force` evaluates the refinement patches of every remaining
 level in one field call and evaluates again only after a level improves.
-Each of those calls also evaluates the two tie-rule directions, and the
-grid goes through `_grid_field`.
+Each of those calls also evaluates the two tie-rule directions, and every
+call of a pair or dephased state goes through `_x_field`.
 `reference_brute_force` below is the scan with one field call per level,
 unchanged but for the name and its return value: the scan must return the
 same bits on every state.
@@ -150,9 +150,9 @@ def ends_on_an_improving_level():
 
 
 def counted_field_calls(monkeypatch):
-    """Patch both field entry points to log (entry, directions) per call."""
+    """Patch both field kernels to log (kernel, directions) per call."""
     calls = []
-    for name in ("_grid_field", "_cond_entropy_field"):
+    for name in ("_x_field", "_cond_entropy_field"):
         def counted(table, d1, *rest, _name=name, _field=getattr(correlations, name)):
             calls.append((_name, np.size(d1)))
             return _field(table, d1, *rest)
@@ -193,7 +193,7 @@ def test_pair_state_scan_makes_few_field_calls(rng, monkeypatch):
     for spec in seeded_pair_specs(rng, 100):
         calls.clear()
         discord_brute_force(reduced_rho12(spec))
-        assert calls[0][0] == "_grid_field"
+        assert calls[0][0] == "_x_field"
         per_scan.append(len(calls))
     assert max(per_scan) <= 5
     assert sum(per_scan) / len(per_scan) <= 3.18
@@ -202,7 +202,7 @@ def test_pair_state_scan_makes_few_field_calls(rng, monkeypatch):
 def test_scan_ending_on_an_improving_level_evaluates_the_phi0_tie_again(monkeypatch):
     calls = counted_field_calls(monkeypatch)
     discord_brute_force(ends_on_an_improving_level())
-    assert calls[-1] == ("_cond_entropy_field", 1)
+    assert calls[-1] == ("_x_field", 1)
     # pair states end on the equator, where the tie rule needs no new call
     calls.clear()
     discord_brute_force(reduced_rho12(SuperpositionSpec(0.9, Parity.EVEN, 3)))

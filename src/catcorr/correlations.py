@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DomainError, _is_whole
 from .states import (
+    HERMITICITY_TOL,
     PSD_TOL,
     PAULI,
     TRACE_TOL,
@@ -32,11 +33,12 @@ from .states import (
 
 DEFAULT_GRID = (181, 361)
 # largest n_theta * n_phi the scan accepts, about 30x the default grid; the
-# field itself allocates only its output of n_theta * n_phi / 2 floats and
-# the work of one block of _FIELD_BLOCK directions
+# field itself allocates only its output of at most n_theta * n_phi / 2
+# floats and the work of one block of _FIELD_BLOCK directions
 MAX_GRID_DIRECTIONS = 2_000_000
 # directions per block of both field kernels: sixteen rows of the default
-# grid, for which `_x_field` keeps 0.38 MB of buffers.  Full default-grid
+# grid (63 of its folded rows), for which `_x_field` keeps 0.38 MB of
+# buffers.  Before the grid was folded along phi, full default-grid
 # scans of pair states on a 2-CPU Xeon with 2 MB of L2 per core, with kept
 # buffers, took relative to 16 rows (medians over interleaved rounds) 1.15x
 # at 8 rows, 1.02-1.04x at 12 and 0.99-1.00x at 24 and 32; the grid field
@@ -168,8 +170,9 @@ def von_neumann_entropy(state) -> float:
     """Von Neumann entropy in bits, from the dense eigensolver.
 
     Accepts a TwoQubitState (validated on construction) or a finite,
-    square, Hermitian PSD ndarray of any dimension with unit trace
-    (within TRACE_TOL, as `TwoQubitState` requires).
+    square, Hermitian PSD ndarray of any dimension with unit trace, within
+    the tolerances `TwoQubitState` applies (HERMITICITY_TOL, TRACE_TOL and
+    PSD_TOL).
     """
     if isinstance(state, TwoQubitState):
         return _spectrum_entropy(np.linalg.eigvalsh(state.matrix))
@@ -179,7 +182,7 @@ def von_neumann_entropy(state) -> float:
     # the checks below are comparisons, which a NaN entry would pass
     if not np.isfinite(m).all():
         raise DomainError("density matrix has a non-finite entry")
-    if np.max(np.abs(m - m.conj().T)) > 1e-10:
+    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
         raise DomainError("density matrix must be Hermitian")
     tr = m.trace()
     if abs(tr - 1.0) > TRACE_TOL:
@@ -322,8 +325,9 @@ def _x_field(table, d1, d2, d3):
 
     Such a table is nonzero only at R[0,0], R[0,3], R[3,0] and R[i,i]
     (pair and dephased states).  A 2-D input is rows of the grid of
-    `_direction_grid`, along which d3 = cos(theta) is one float; any other
-    input is taken as one direction per row.  Twice the outcome
+    `_direction_grid`, or of its representative columns, along which
+    d3 = cos(theta) is one float; any other input is taken as one
+    direction per row.  Twice the outcome
     probabilities, q = +-R[3,0] d3 + 1, their weights -q/2 with the
     dead-outcome flags, and the z term (+-R[3,3] d3 + R[0,3])^2 are formed
     once per row.  The offsets R[0,1] and R[0,2] are zero and
@@ -437,20 +441,39 @@ def _pair_correlations(p: float, n: int, sign: int) -> tuple[float, ...]:
 @functools.lru_cache(maxsize=4)
 def _direction_grid(n_theta: int, n_phi: int):
     """Read-only scan directions: the rows theta <= pi/2 of the
-    n_theta x n_phi grid linspace(0, pi) x linspace(0, 2 pi).
+    n_theta x n_phi grid linspace(0, pi) x linspace(0, 2 pi), and the
+    number of its representative columns.
 
     Measuring along d and along -d only swaps the two outcomes, so the
     lower hemisphere repeats the upper one.  linspace is symmetric about
     pi/2, so the first (n_theta + 1) // 2 rows are those with theta <= pi/2.
+
+    The columns are folded along the mirrors of phi.  With m = n_phi - 1,
+    column j has the orbit {j, m - j}, and when m is even also
+    (m/2 - j) mod m and (m/2 + j) mod m (phi -> 2 pi - phi, pi - phi and
+    pi + phi); its representative is the smallest index of the orbit.
+    cos(phi_j) and sin(phi_j) take the magnitudes of those at the
+    representative and keep their own signs, so a column's |d1| and |d2|
+    are bitwise those of its representative (sign flips are exact), while
+    phi itself stays the plain linspace.  The representatives are the
+    first n_rep columns: 91 of 361 at the default grid, m // 4 + 1 for
+    even m and (m + 1) / 2 for odd m.
     """
     theta = np.linspace(0.0, math.pi, n_theta)[: (n_theta + 1) // 2]
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    st = np.sin(tt)
-    arrays = (theta, phi, st * np.cos(pp), st * np.sin(pp), np.cos(tt))
+    m = n_phi - 1
+    rep = np.arange(n_phi)
+    rep = np.minimum(rep, m - rep)  # the 2 pi - phi mirror
+    if m % 2 == 0:
+        rep = np.minimum(rep, m // 2 - rep)  # the pi - phi mirror, rep <= m/2
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    cos_phi = np.copysign(np.abs(cos_phi)[rep], cos_phi)
+    sin_phi = np.copysign(np.abs(sin_phi)[rep], sin_phi)
+    st, ct = np.sin(theta)[:, None], np.cos(theta)[:, None]
+    arrays = (theta, phi, st * cos_phi, st * sin_phi, np.repeat(ct, n_phi, axis=1))
     for arr in arrays:
         arr.flags.writeable = False
-    return arrays
+    return arrays + (int(rep.max()) + 1,)
 
 
 @functools.lru_cache(maxsize=4)
@@ -606,7 +629,13 @@ def discord_brute_force(
     The kernel is chosen once per scan, from the table: a real X state
     (pair and dephased states) whose grid rows fit in one block of
     _FIELD_BLOCK directions takes `_x_field` for every call, any other
-    state `_cond_entropy_field`.  The two give the same bits.
+    state `_cond_entropy_field`.  The two give the same bits.  A real X
+    state reads a direction only through (R[1,1] d1)^2 and (R[2,2] d2)^2,
+    so its grid call evaluates only the representative columns of
+    `_direction_grid` (91 of 361 by default), whose |d1| and |d2| are
+    bitwise those of every column they fold onto.  Each representative is
+    the first column of its orbit, so the first minimum of the folded grid
+    is the cell of the full one.
     """
     n_theta, n_phi = grid
     if not (_is_whole(n_theta) and _is_whole(n_phi)):
@@ -624,10 +653,14 @@ def discord_brute_force(
         _x_field if n_phi <= _FIELD_BLOCK and not table[_OFF_REAL_X].any()
         else _cond_entropy_field
     )
-    theta, phi, d1, d2, d3 = _direction_grid(n_theta, n_phi)
-    values = field(table, d1, d2, d3)
-    flat = int(np.argmin(values))  # first occurrence: lexicographic (theta, phi)
-    i, j = divmod(flat, n_phi)
+    theta, phi, *grid_dirs, n_rep = _direction_grid(n_theta, n_phi)
+    if field is _x_field:
+        # a column's values are bitwise those of its representative, and
+        # the representatives are the first columns of their orbits
+        grid_dirs = [d[:, :n_rep] for d in grid_dirs]
+    values = field(table, *grid_dirs)
+    # first occurrence: lexicographic (theta, phi), on the folded grid too
+    i, j = divmod(int(np.argmin(values)), values.shape[1])
     best_theta, best_phi = float(theta[i]), float(phi[j])
     best_val = float(values[i, j])
 

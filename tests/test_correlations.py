@@ -120,6 +120,17 @@ def test_von_neumann_entropy_rejects_matrices_without_unit_trace():
             von_neumann_entropy(m)
 
 
+def test_von_neumann_entropy_and_state_share_the_hermiticity_tolerance():
+    # 1e-11 at [0, 1] only: von_neumann_entropy accepted it (2.0 bits) with
+    # a bound of 1e-10, while TwoQubitState refused it
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 1] = 1e-11
+    with pytest.raises(DomainError, match="Hermitian"):
+        von_neumann_entropy(m)
+    with pytest.raises(DomainError, match="Hermitian"):
+        TwoQubitState(m)
+
+
 def test_von_neumann_entropy_rejects_nan():
     # a NaN entry passes every comparison, and the filter on positive
     # eigenvalues would drop it as if it were zero, giving -0.0

@@ -129,8 +129,8 @@ def direction_sets(rng):
     patch /= np.linalg.norm(patch, axis=0)
     scalars = [tuple(np.float64(c) for c in patch[:, k]) for k in range(3)]
     return [
-        _direction_grid(181, 361)[2:],
-        _direction_grid(65, 129)[2:],
+        _direction_grid(181, 361)[2:5],
+        _direction_grid(65, 129)[2:5],
         tuple(patch),
     ] + scalars
 
@@ -159,7 +159,7 @@ def test_x_field_matches_per_outcome_reference_bitwise(rng):
     # the equator, the pole and three of the patch
     ties = (np.sin([np.pi / 2.0, 0.4]), np.zeros(2), np.cos([np.pi / 2.0, 0.4]))
     singles = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)] + [tuple(patch[:, k]) for k in range(3)]
-    direction_sets = [_direction_grid(*grid)[2:]
+    direction_sets = [_direction_grid(*grid)[2:5]
                       for grid in ((64, 128), (65, 129), (181, 361), (1000, 1999))]
     direction_sets += [tuple(patch), ties]
     direction_sets += [tuple(np.float64(c) for c in single) for single in singles]
@@ -198,7 +198,7 @@ def test_x_field_matches_general_field_bitwise_property():
         kind = draw(st.sampled_from(("0-d", "1-D", "grid")))
         if kind == "grid":
             grid = draw(st.integers(2, 80)), draw(st.integers(2, 700))
-            return _direction_grid(*grid)[2:]
+            return _direction_grid(*grid)[2:5]
         size = 1 if kind == "0-d" else draw(st.integers(1, 2 * _FIELD_BLOCK + 3))
         d = rng.normal(size=(3, size))
         # leading poles or equatorial directions, where components are zero
@@ -250,6 +250,69 @@ def test_scan_takes_one_kernel_chosen_from_the_table(rng, monkeypatch):
         assert kernels(state, grid=(64, 6000)) == {"_cond_entropy_field"}
 
 
+# m = n_phi - 1 odd (the 2 pi - phi fold only), even but not a multiple of
+# 4, a multiple of 4 (the default), odd again, and the largest test grid
+FOLD_GRIDS = ((64, 128), (65, 131), (181, 361), (181, 362), (1000, 1999))
+
+
+def phi_orbit(j, n_phi):
+    """Column j's images under phi -> 2 pi - phi, and for even m = n_phi - 1
+    also under pi - phi and pi + phi, as grid column indices."""
+    m = n_phi - 1
+    orbit = {j, m - j}
+    if m % 2 == 0:
+        orbit |= {(m // 2 - j) % m, (m // 2 + j) % m}
+    return orbit
+
+
+def test_grid_columns_fold_onto_their_representatives():
+    counts = {128: 64, 131: 33, 361: 91, 362: 181, 1999: 500}
+    for n_theta, n_phi in FOLD_GRIDS:
+        theta, phi, d1, d2, d3, n_rep = _direction_grid(n_theta, n_phi)
+        reps = [min(phi_orbit(j, n_phi)) for j in range(n_phi)]
+        # the representatives are the smallest of their orbits, and the
+        # folded grid is the first n_rep columns in order
+        assert n_rep == counts[n_phi]
+        assert sorted(set(reps)) == list(range(n_rep))
+        for d in (d1, d2):
+            assert np.array_equal(bits(np.abs(d)), bits(np.abs(d[:, reps])))
+        # theta and phi are the plain linspace; the trig moved by ulps and
+        # kept its own signs
+        assert np.array_equal(bits(phi), bits(np.linspace(0.0, 2.0 * np.pi, n_phi)))
+        assert np.array_equal(
+            bits(theta), bits(np.linspace(0.0, np.pi, n_theta)[: (n_theta + 1) // 2]))
+        st = np.sin(theta)[:, None]
+        tol = 2.0 * np.spacing(2.0 * np.pi)
+        for d, plain in ((d1, st * np.cos(phi)), (d2, st * np.sin(phi))):
+            assert np.max(np.abs(d - plain)) <= tol
+            assert np.array_equal(np.signbit(d), np.signbit(plain))
+        assert np.array_equal(bits(d3), bits(np.repeat(np.cos(theta)[:, None], n_phi, axis=1)))
+
+
+def test_folded_grid_call_matches_the_full_grid_bitwise():
+    pairs = [reduced_rho12(SuperpositionSpec(p, parity, n))
+             for p, n in ((0.3, 2), (0.6, 4), (0.999, 7)) for parity in Parity]
+    dephased = [apply_dephasing(pair, DephasingChannel.from_gamma(0.4)) for pair in pairs[:4]]
+    # every conditional state of the Bell pair is pure, so every direction
+    # ties; |00> has a dead outcome at the pole
+    bell = reduced_rho12(SuperpositionSpec(1.0, Parity.ODD, 2))
+    ground = np.zeros((4, 4), dtype=complex)
+    ground[0, 0] = 1.0
+    tables = [bloch_matrix(s) for s in pairs + dephased + [bell, TwoQubitState(ground)]]
+    assert not any(table[_OFF_REAL_X].any() for table in tables)
+    for n_theta, n_phi in FOLD_GRIDS:
+        _, _, d1, d2, d3, n_rep = _direction_grid(n_theta, n_phi)
+        reps = [min(phi_orbit(j, n_phi)) for j in range(n_phi)]
+        for table in tables:
+            full = _x_field(table, d1, d2, d3)
+            # the scan's grid call
+            folded = _x_field(table, d1[:, :n_rep], d2[:, :n_rep], d3[:, :n_rep])
+            assert np.array_equal(bits(full), bits(folded[:, reps]))
+            # first minimum in (theta, phi) order
+            assert (np.unravel_index(np.argmin(full), full.shape)
+                    == np.unravel_index(np.argmin(folded), folded.shape))
+
+
 def test_bloch_matrix_matches_trace_loop_bitwise(rng):
     pairs = [[np.kron(a, b) for b in PAULI] for a in PAULI]
     states = kernel_states(rng) + [random_full_rank_state(rng) for _ in range(200)]
@@ -266,9 +329,10 @@ def test_bloch_matrix_matches_trace_loop_bitwise(rng):
 
 def test_scan_memory_does_not_grow_with_the_grid(rng):
     # the cached directions are kept between scans and are not counted; the
-    # scan itself should need its 500 x 1999 field (8 MB) plus one block,
-    # whose buffers a fresh thread allocates inside the traced region.  The
-    # pair state takes `_x_field`, the random state the general kernel
+    # scan itself should need its field plus one block, whose buffers a
+    # fresh thread allocates inside the traced region.  The pair state takes
+    # `_x_field` on the folded grid, a 500 x 500 field (2 MB); the random
+    # state takes the general kernel on the 500 x 1999 one (8 MB)
     grid = (1000, 1999)
     _direction_grid(*grid)
     peaks = []
@@ -296,14 +360,14 @@ def test_field_after_calls_of_other_lengths_matches_reference_bitwise(rng):
     table = bloch_matrix(reduced_rho12(SuperpositionSpec(0.6, Parity.EVEN, 3)))
     patch = rng.normal(size=(3, 1053))
     patch /= np.linalg.norm(patch, axis=0)
-    for directions in (patch[:, :2], _direction_grid(181, 361)[2:], patch, patch[:, :2]):
+    for directions in (patch[:, :2], _direction_grid(181, 361)[2:5], patch, patch[:, :2]):
         new = _x_field(table, *directions)
         assert np.array_equal(bits(new), bits(reference_field(table, *directions)))
 
 
 def test_default_grid_field_reuses_the_thread_buffers():
     table = bloch_matrix(reduced_rho12(SuperpositionSpec(0.6, Parity.EVEN, 3)))
-    grid = _direction_grid(181, 361)[2:]
+    grid = _direction_grid(181, 361)[2:5]
     _x_field(table, *grid)
     first = [buf.ctypes.data for buf in _field_arena.buffers]
     _x_field(table, *grid)

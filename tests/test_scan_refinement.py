@@ -42,7 +42,7 @@ GRIDS = ((181, 361), (64, 128))
 def reference_brute_force(state, grid):
     n_theta, n_phi = grid
     table = bloch_matrix(state)
-    theta, phi, d1, d2, d3 = _direction_grid(n_theta, n_phi)
+    theta, phi, d1, d2, d3, _ = _direction_grid(n_theta, n_phi)
     values = _cond_entropy_field(table, d1, d2, d3)
     flat = int(np.argmin(values))  # first occurrence: lexicographic (theta, phi)
     i, j = divmod(flat, n_phi)

@@ -12,20 +12,18 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, _is_whole
 from .states import (
-    HERMITICITY_TOL,
     PSD_TOL,
     PAULI,
-    TRACE_TOL,
     PureBipartition,
     SuperpositionSpec,
     TwoQubitState,
+    _density_spectrum,
     _pair_block,
     bloch_matrix,
     marginals,
@@ -34,22 +32,17 @@ from .states import (
 DEFAULT_GRID = (181, 361)
 # largest n_theta * n_phi the scan accepts, about 30x the default grid; the
 # field itself allocates only its output of at most n_theta * n_phi / 2
-# floats and the work of one block of _FIELD_BLOCK directions
+# floats and the work of one block: at most _FIELD_BLOCK directions, or one
+# folded grid row of at most 15 625 (n_theta >= 64 bounds n_phi by 31 250)
 MAX_GRID_DIRECTIONS = 2_000_000
-# directions per block of both field kernels: sixteen rows of the default
-# grid (63 of its folded rows), for which `_x_field` keeps 0.38 MB of
-# buffers.  Before the grid was folded along phi, full default-grid
-# scans of pair states on a 2-CPU Xeon with 2 MB of L2 per core, with kept
-# buffers, took relative to 16 rows (medians over interleaved rounds) 1.15x
-# at 8 rows, 1.02-1.04x at 12 and 0.99-1.00x at 24 and 32; the grid field
-# alone 1.26x, 1.06x and 0.99-1.00x.  Larger blocks gained nothing clear
-# and would keep more memory per thread
-_FIELD_BLOCK = 16 * 361
-# per-thread work buffers of `_x_field`, kept between calls
-# (`_field_buffers`) so that no call faults in fresh pages; not a module
-# global, since numpy releases the GIL inside its loops and two threads
-# would overwrite each other's blocks
-_field_arena = threading.local()
+# directions per block of both field kernels: 24 rows of the default grid,
+# so that its folded X-state call (91 x 91) is one block.  On a 2-CPU Xeon
+# that call took 172-174 us against 197-202 us at 16 rows, two blocks
+# (medians of 31 interleaved in-process rounds)
+_FIELD_BLOCK = 24 * 361
+# an outcome whose q, twice its probability, is at most this contributes
+# nothing to the conditional entropy
+_LIVE_Q = 2e-15
 # refinement patch: _PATCH_POINTS x _PATCH_POINTS tangent offsets spanning
 # +-h around the best direction, h starting at one grid step and divided by
 # _PATCH_SHRINK per level (so the next patch spans one spacing of this one)
@@ -169,25 +162,16 @@ def binary_entropy(x: float) -> float:
 def von_neumann_entropy(state) -> float:
     """Von Neumann entropy in bits, from the dense eigensolver.
 
-    Accepts a TwoQubitState (validated on construction) or a finite,
-    square, Hermitian PSD ndarray of any dimension with unit trace, within
-    the tolerances `TwoQubitState` applies (HERMITICITY_TOL, TRACE_TOL and
-    PSD_TOL).
+    Accepts a TwoQubitState (validated on construction) or a square
+    ndarray of any dimension that passes the density-matrix checks of
+    `TwoQubitState`: finite, Hermitian, unit trace and PSD.
     """
     if isinstance(state, TwoQubitState):
         return _spectrum_entropy(np.linalg.eigvalsh(state.matrix))
     m = np.asarray(state, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"density matrix must be square, got shape {m.shape}")
-    # the checks below are comparisons, which a NaN entry would pass
-    if not np.isfinite(m).all():
-        raise DomainError("density matrix has a non-finite entry")
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-        raise DomainError("density matrix must be Hermitian")
-    tr = m.trace()
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise DomainError(f"density matrix must have unit trace, got {tr}")
-    return _spectrum_entropy(np.linalg.eigvalsh(m))
+    return _spectrum_entropy(_density_spectrum(m))
 
 
 def _spectrum_entropy(vals) -> float:
@@ -267,23 +251,6 @@ def conditional_entropy(state: TwoQubitState, basis: MeasurementBasis) -> float:
     )
 
 
-def _field_buffers(m: int):
-    """This thread's work buffers of `_x_field` for blocks of at least m
-    directions, reallocated only when a call needs a longer block.
-
-    Both are flat and used as prefixes, so that the views of a shorter
-    block stay contiguous.
-    """
-    buffers = getattr(_field_arena, "buffers", None)
-    if buffers is None or buffers[1].size < 2 * m:
-        buffers = (
-            np.empty(8 * m),  # four rows of both outcomes
-            np.empty(2 * m, dtype=bool),  # pure-conditional flags
-        )
-        _field_arena.buffers = buffers
-    return buffers
-
-
 def _cond_entropy_field(table, d1, d2, d3):
     """Measurement-conditioned entropy, vectorized over direction arrays.
 
@@ -310,12 +277,12 @@ def _cond_entropy_field(table, d1, d2, d3):
             h = []
             for q, v1, v2, v3 in (offset + w, offset - w):
                 # q is twice the outcome probability, so q = |q| where the
-                # weight -q/2, which carries the entropy's sign, is live
+                # outcome is live; the weight -q/2 carries the entropy's sign
                 x = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3) / q * 0.5 + 0.5
                 weight = q * -0.5
                 h_neg = np.log2(x) * x + (1.0 - x) * np.log2(1.0 - x)
                 # dead outcomes and pure conditionals contribute exactly 0
-                h.append(np.where((weight < -1e-15) & ~(x >= 1.0), h_neg * weight, 0.0))
+                h.append(np.where((q > _LIVE_Q) & ~(x >= 1.0), h_neg * weight, 0.0))
             np.add(*h, out=out[block])
     return out.reshape(shape)
 
@@ -339,66 +306,59 @@ def _x_field(table, d1, d2, d3):
     the values `_cond_entropy_field` forms, and every later step is its
     own, in its order.
 
-    Whole rows are taken in blocks of at most _FIELD_BLOCK directions in
-    the per-thread buffers of `_field_buffers`, which stay allocated after
-    the call returns: freed, the allocator handed the pages back to the
-    OS, and every default-grid call faulted them in again.  The caller
-    checks the table, and that a grid row fits in one block.
+    Whole rows are taken in blocks of at most _FIELD_BLOCK directions, or
+    of one row when a row is longer.  The caller checks the table.
     """
     shape = np.shape(d1)
     if len(shape) != 2:
         d1, d2, d3 = (np.reshape(d, (-1, 1)) for d in (d1, d2, d3))
     n_rows, n_phi = d1.shape
-    rows = _FIELD_BLOCK // n_phi
+    rows = max(1, _FIELD_BLOCK // n_phi)
     # per outcome (axis 0) and row (axis 1), broadcast along the row
     c = d3[:, :1]
     q = _SIGNS * (table[3, 0] * c) + 1.0
     neg_weight = q * -0.5
-    dead = ~(neg_weight < -1e-15)[:, :, 0]  # by outcome and row
+    dead = ~(q > _LIVE_Q)[:, :, 0]  # by outcome and row
     z_sq = _SIGNS * (table[3, 3] * c) + table[0, 3]
     z_sq *= z_sq
     c1, c2 = table[1, 1], table[2, 2]
     out = np.empty((n_rows, n_phi))
-    stacked, flags = _field_buffers(min(rows, n_rows) * n_phi)
-    # ufunc buffers shorter than two rows for this call: with room for two,
-    # numpy copied the per-row constants out to whole rows, and each op on
-    # them took 2-3x the time of an op on a scalar.  Results are elementwise,
-    # so the buffer size cannot change a bit
-    bufsize = np.setbufsize(max(16, n_phi - n_phi % 16))
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for lo in range(0, n_rows, rows):
-                hi = min(lo + rows, n_rows)
-                k = (hi - lo) * n_phi
-                r, h, g, t = stacked[: 8 * k].reshape(4, 2, hi - lo, n_phi)
-                unit = flags[: 2 * k].reshape(2, hi - lo, n_phi)
-                w1, w2 = g  # free until the entropies
-                np.multiply(d1[lo:hi], c1, out=w1)
-                np.multiply(d2[lo:hi], c2, out=w2)
-                w1 *= w1
-                w2 *= w2
-                w1 += w2
-                np.add(w1, z_sq[:, lo:hi], out=r)
-                np.sqrt(r, out=r)
-                # q > 2e-15 wherever the outcome is live, so q = |q| there
-                r /= q[:, lo:hi]
-                # H(x) at x = (1 + r)/2, negated, times -q/2
-                x = r
-                x *= 0.5
-                x += 0.5
-                np.greater_equal(x, 1.0, out=unit)
-                np.log2(x, out=h)
-                h *= x
-                np.subtract(1.0, x, out=g)
-                g *= np.log2(g, out=t)
-                h += g
-                h *= neg_weight[:, lo:hi]
-                # pure conditionals and dead outcomes contribute exactly 0
-                np.copyto(h, 0.0, where=unit)
-                h[dead[:, lo:hi]] = 0.0
-                np.add(h[0], h[1], out=out[lo:hi])
-    finally:
-        np.setbufsize(bufsize)
+    # work arrays of the longest block, flat so that the views of a shorter
+    # last block stay contiguous
+    size = min(rows, n_rows) * n_phi
+    stacked = np.empty(8 * size)  # four rows of both outcomes
+    flags = np.empty(2 * size, dtype=bool)  # pure-conditional flags
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, n_rows, rows):
+            hi = min(lo + rows, n_rows)
+            k = (hi - lo) * n_phi
+            r, h, g, t = stacked[: 8 * k].reshape(4, 2, hi - lo, n_phi)
+            unit = flags[: 2 * k].reshape(2, hi - lo, n_phi)
+            w1, w2 = g  # free until the entropies
+            np.multiply(d1[lo:hi], c1, out=w1)
+            np.multiply(d2[lo:hi], c2, out=w2)
+            w1 *= w1
+            w2 *= w2
+            w1 += w2
+            np.add(w1, z_sq[:, lo:hi], out=r)
+            np.sqrt(r, out=r)
+            # q > _LIVE_Q wherever the outcome is live, so q = |q| there
+            r /= q[:, lo:hi]
+            # H(x) at x = (1 + r)/2, negated, times -q/2
+            x = r
+            x *= 0.5
+            x += 0.5
+            np.greater_equal(x, 1.0, out=unit)
+            np.log2(x, out=h)
+            h *= x
+            np.subtract(1.0, x, out=g)
+            g *= np.log2(g, out=t)
+            h += g
+            h *= neg_weight[:, lo:hi]
+            # pure conditionals and dead outcomes contribute exactly 0
+            np.copyto(h, 0.0, where=unit)
+            h[dead[:, lo:hi]] = 0.0
+            np.add(h[0], h[1], out=out[lo:hi])
     return out.reshape(shape)
 
 
@@ -556,7 +516,7 @@ def _discord_x(
         trans = (t_perp * sin(theta)) ** 2
         total = 0.0
         weight = 1.0 + ac  # twice the outcome probability
-        if weight > 2e-15:
+        if weight > _LIVE_Q:
             r = sqrt(trans + (b3 + tc) ** 2) / weight
             if r < 1.0:
                 x = 0.5 - 0.5 * r
@@ -565,7 +525,7 @@ def _discord_x(
             elif r != r:
                 raise DomainError(f"conditional Bloch length is NaN at theta {theta}")
         weight = 1.0 - ac
-        if weight > 2e-15:
+        if weight > _LIVE_Q:
             r = sqrt(trans + (b3 - tc) ** 2) / weight
             if r < 1.0:
                 x = 0.5 - 0.5 * r
@@ -627,8 +587,7 @@ def discord_brute_force(
     all, one of a random full-rank state about 12.
 
     The kernel is chosen once per scan, from the table: a real X state
-    (pair and dephased states) whose grid rows fit in one block of
-    _FIELD_BLOCK directions takes `_x_field` for every call, any other
+    (pair and dephased states) takes `_x_field` for every call, any other
     state `_cond_entropy_field`.  The two give the same bits.  A real X
     state reads a direction only through (R[1,1] d1)^2 and (R[2,2] d2)^2,
     so its grid call evaluates only the representative columns of
@@ -649,10 +608,7 @@ def discord_brute_force(
         )
     table = bloch_matrix(state)
     # one kernel for every field call of the scan; both give the same bits
-    field = (
-        _x_field if n_phi <= _FIELD_BLOCK and not table[_OFF_REAL_X].any()
-        else _cond_entropy_field
-    )
+    field = _cond_entropy_field if table[_OFF_REAL_X].any() else _x_field
     theta, phi, *grid_dirs, n_rep = _direction_grid(n_theta, n_phi)
     if field is _x_field:
         # a column's values are bitwise those of its representative, and

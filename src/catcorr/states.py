@@ -129,6 +129,25 @@ def _pure_amplitudes(p: float, n: int, sign: int, k: int) -> tuple[float, float,
     return 0.0, c01, a_r * math.sqrt(_pow_ratio(p, k, n)), 0.0
 
 
+def _density_spectrum(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues (`eigvalsh`) of the square complex matrix m, once it
+    passes as a density matrix: finite entries, Hermitian within
+    HERMITICITY_TOL, unit trace within TRACE_TOL and no eigenvalue below
+    -PSD_TOL."""
+    # every check below is a comparison, which a NaN entry would pass
+    if not np.isfinite(m).all():
+        raise DomainError("density matrix has a non-finite entry")
+    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        raise DomainError("density matrix must be Hermitian")
+    tr = m.trace()
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise DomainError(f"density matrix must have unit trace, got {tr}")
+    vals = np.linalg.eigvalsh(m)
+    if vals.min() < -PSD_TOL:
+        raise DomainError("density matrix has a negative eigenvalue beyond tolerance")
+    return vals
+
+
 @dataclass(frozen=True, eq=False)
 class TwoQubitState:
     """A validated two-qubit density matrix, basis (|00>, |01>, |10>, |11>).
@@ -144,16 +163,7 @@ class TwoQubitState:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise DomainError(f"expected a 4x4 matrix, got shape {m.shape}")
-        # every check below is a comparison, which a NaN entry would pass
-        if not np.isfinite(m).all():
-            raise DomainError("density matrix has a non-finite entry")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise DomainError("density matrix is not Hermitian")
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise DomainError(f"density matrix must have unit trace, got {tr}")
-        if np.linalg.eigvalsh(m).min() < -PSD_TOL:
-            raise DomainError("density matrix has a negative eigenvalue beyond tolerance")
+        _density_spectrum(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -29,10 +29,11 @@ from catcorr import (
 from catcorr import correlations
 from catcorr.correlations import (
     _FIELD_BLOCK,
+    _LIVE_Q,
     _OFF_REAL_X,
     _cond_entropy_field,
     _direction_grid,
-    _field_arena,
+    _discord_x,
     _x_field,
 )
 from catcorr.states import PAULI
@@ -148,8 +149,11 @@ def test_field_matches_per_outcome_reference_bitwise(rng):
 
 
 def test_x_field_matches_per_outcome_reference_bitwise(rng):
-    # 65 x 129 and the default grid end in a shorter block of rows
+    # 65 x 129 and the default grid end in a shorter block of rows; the
+    # folded rows of 64 x 20000 are longer than a block, one row per block
     assert 33 % (_FIELD_BLOCK // 129) and 91 % (_FIELD_BLOCK // 361)
+    *long_rows, n_rep = _direction_grid(64, 20000)[2:]
+    assert n_rep == 10000 > _FIELD_BLOCK
     tables = [bloch_matrix(state) for state in kernel_states(rng)] + signed_zero_tables()
     tables = [table for table in tables if not table[_OFF_REAL_X].any()]
     assert len(tables) == 19
@@ -161,7 +165,7 @@ def test_x_field_matches_per_outcome_reference_bitwise(rng):
     singles = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)] + [tuple(patch[:, k]) for k in range(3)]
     direction_sets = [_direction_grid(*grid)[2:5]
                       for grid in ((64, 128), (65, 129), (181, 361), (1000, 1999))]
-    direction_sets += [tuple(patch), ties]
+    direction_sets += [tuple(d[:, :n_rep] for d in long_rows), tuple(patch), ties]
     direction_sets += [tuple(np.float64(c) for c in single) for single in singles]
     for table in tables:
         for directions in direction_sets:
@@ -244,10 +248,12 @@ def test_scan_takes_one_kernel_chosen_from_the_table(rng, monkeypatch):
     others = rotated_and_complex_x(pairs[2]) + [random_full_rank_state(rng)]
     assert all(kernels(state) == {"_x_field"} for state in pairs + dephased)
     assert all(kernels(state) == {"_cond_entropy_field"} for state in others)
-    # grid rows longer than one block take the general kernel
-    assert 6000 > _FIELD_BLOCK
-    for state in pairs[:2] + dephased[:1] + others[:1]:
-        assert kernels(state, grid=(64, 6000)) == {"_cond_entropy_field"}
+    # at any grid: 64 x 6000 folds to rows of 3000, 64 x 20000 to rows
+    # longer than one block
+    assert _direction_grid(64, 6000)[-1] < _FIELD_BLOCK < _direction_grid(64, 20000)[-1]
+    for grid in ((64, 6000), (64, 20000)):
+        assert all(kernels(state, grid) == {"_x_field"} for state in pairs[:2] + dephased[:1])
+        assert kernels(others[0], grid) == {"_cond_entropy_field"}
 
 
 # m = n_phi - 1 odd (the 2 pi - phi fold only), even but not a multiple of
@@ -329,34 +335,27 @@ def test_bloch_matrix_matches_trace_loop_bitwise(rng):
 
 def test_scan_memory_does_not_grow_with_the_grid(rng):
     # the cached directions are kept between scans and are not counted; the
-    # scan itself should need its field plus one block, whose buffers a
-    # fresh thread allocates inside the traced region.  The pair state takes
-    # `_x_field` on the folded grid, a 500 x 500 field (2 MB); the random
-    # state takes the general kernel on the 500 x 1999 one (8 MB)
+    # scan itself should need its field plus the work of one block.  The
+    # pair state takes `_x_field` on the folded grid, a 500 x 500 field
+    # (2 MB); the random state takes the general kernel on the 500 x 1999
+    # one (8 MB)
     grid = (1000, 1999)
     _direction_grid(*grid)
     peaks = []
-
-    def scan(state):
+    pair = reduced_rho12(SuperpositionSpec(0.6, Parity.EVEN, 4))
+    for state in (random_full_rank_state(rng), pair):
         tracemalloc.start()
         try:
             discord_brute_force(state, grid=grid)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-
-    pair = reduced_rho12(SuperpositionSpec(0.6, Parity.EVEN, 4))
-    for state in (random_full_rank_state(rng), pair):
-        thread = threading.Thread(target=scan, args=(state,))
-        thread.start()
-        thread.join(timeout=60.0)
-        assert not thread.is_alive()
-    assert len(peaks) == 2 and max(peaks) < 16e6
+    assert max(peaks) < 16e6
 
 
 def test_field_after_calls_of_other_lengths_matches_reference_bitwise(rng):
-    # the work buffers are kept between calls and grow on demand: a short
-    # call, a full-block grid, a patch that fits in them, a short call again
+    # each call sizes its own work arrays: a short call, a grid of several
+    # blocks, a patch, a short call again
     table = bloch_matrix(reduced_rho12(SuperpositionSpec(0.6, Parity.EVEN, 3)))
     patch = rng.normal(size=(3, 1053))
     patch /= np.linalg.norm(patch, axis=0)
@@ -365,13 +364,32 @@ def test_field_after_calls_of_other_lengths_matches_reference_bitwise(rng):
         assert np.array_equal(bits(new), bits(reference_field(table, *directions)))
 
 
-def test_default_grid_field_reuses_the_thread_buffers():
-    table = bloch_matrix(reduced_rho12(SuperpositionSpec(0.6, Parity.EVEN, 3)))
-    grid = _direction_grid(181, 361)[2:5]
-    _x_field(table, *grid)
-    first = [buf.ctypes.data for buf in _field_arena.buffers]
-    _x_field(table, *grid)
-    assert [buf.ctypes.data for buf in _field_arena.buffers] == first
+def test_dead_outcome_threshold_is_one_rule_in_every_kernel():
+    # diag(r00, 0, r22, r33) is classical on the first qubit.  Measured
+    # along z, outcome 0 leaves the second qubit pure and outcome 1 leaves
+    # it mixed, with q, twice its probability, 1 - (r00 - r22 - r33).  The
+    # entries and q are whole numbers of units 2^-53: q = 18 units (2.0e-15,
+    # trace 1) and 19 units (2.1e-15, trace 1 + 2^-53) are the nearest q on
+    # either side of _LIVE_Q.  Flipping the first qubit makes the small
+    # outcome the other one
+    unit = 2.0 ** -53
+    pole = (np.float64(0.0), np.float64(0.0), np.float64(1.0))
+    big, r33 = 1.0 - 9 * unit, 5 * unit
+    for r22, live in ((4 * unit, False), (5 * unit, True)):
+        q = 1.0 - (big - r22 - r33)
+        assert q == (19 if live else 18) * unit and (q > _LIVE_Q) == live
+        for pops in ((big, 0.0, r22, r33), (r22, r33, big, 0.0)):
+            table = bloch_matrix(TwoQubitState(np.diag(pops).astype(complex)))
+            assert 1.0 - abs(table[3, 0]) == q
+            # a live small outcome adds its entropy, 1 bit at r22 = r33,
+            # times q/2
+            for field in (_cond_entropy_field, _x_field):
+                assert float(field(table, *pole)) == (0.5 * q if live else 0.0)
+            # the discord of a classical state is 0 (here 0.06 q, from the
+            # extra unit of trace) while the minimum counts the mixed
+            # outcome; a dead one lowers it by about q/2
+            discord = _discord_x(*pops, 0.0, 0.0)
+            assert abs(discord) < 0.1 * q if live else discord < -0.4 * q
 
 
 def report_hex(report):
@@ -381,9 +399,9 @@ def report_hex(report):
 
 
 def test_concurrent_scans_match_a_single_thread_bitwise(rng):
-    # each thread keeps its own `_x_field` buffers; numpy releases the GIL in
-    # its loops, so shared buffers would mix the blocks of simultaneous scans.
-    # The random states take the general kernel alongside
+    # numpy releases the GIL in its loops, so scans that shared any work
+    # array would mix each other's blocks.  The random states take the
+    # general kernel alongside
     pair = reduced_rho12(SuperpositionSpec(0.6, Parity.EVEN, 3))
     groups = [
         [reduced_rho12(SuperpositionSpec(p, parity, 4)) for p, parity in

@@ -30,6 +30,11 @@ from .states import (
 )
 
 DEFAULT_GRID = (181, 361)
+# roundoff allowed outside the range of a checked quantity: a report
+# field, a measurement angle or a binary-entropy argument within this of
+# its range passes (binary_entropy clamps it), one further out is a
+# DomainError
+_RANGE_SLACK = 1e-12
 # largest n_theta * n_phi the scan accepts, about 30x the default grid; the
 # field itself allocates only its output of at most n_theta * n_phi / 2
 # floats and the work of one block: at most _FIELD_BLOCK directions, or one
@@ -43,6 +48,10 @@ _FIELD_BLOCK = 24 * 361
 # an outcome whose q, twice its probability, is at most this contributes
 # nothing to the conditional entropy
 _LIVE_Q = 2e-15
+# a scan minimum within this of the value at (pi/2, 0) is reported as that
+# direction, and one within this of the value at phi = 0 gets phi = 0, so
+# flat objectives resolve deterministically
+_TIE_TOL = 1e-12
 # refinement patch: _PATCH_POINTS x _PATCH_POINTS tangent offsets spanning
 # +-h around the best direction, h starting at one grid step and divided by
 # _PATCH_SHRINK per level (so the next patch spans one spacing of this one)
@@ -87,9 +96,9 @@ class MeasurementBasis:
     phi: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= math.pi + 1e-12:
+        if not 0.0 <= self.theta <= math.pi + _RANGE_SLACK:
             raise DomainError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi <= 2.0 * math.pi + 1e-12:
+        if not 0.0 <= self.phi <= 2.0 * math.pi + _RANGE_SLACK:
             raise DomainError(f"phi must lie in [0, 2 pi), got {self.phi}")
 
     def direction(self) -> tuple[float, float, float]:
@@ -126,20 +135,21 @@ def _check_correlations(
     """The checks of every CorrelationReport, on its fields but argmin."""
     classical_corr = mutual_info - discord
     # negated comparisons, so that a NaN field fails every check; on a qubit
-    # pair I <= 2 and D, J, S_min <= 1, which also rejects infinities
-    if not (-1e-12 <= mutual_info <= 2.0 + 1e-12 and -1e-12 <= discord <= 1.0 + 1e-12
-            and -1e-12 <= classical_corr <= 1.0 + 1e-12
-            and -1e-12 <= s_cond_min <= 1.0 + 1e-12):
-        # the loop only words the error; J after D, so a NaN discord is named as such
+    # pair I <= 2 and D, J, S_min, C <= 1, which also rejects infinities
+    if not (0.0 <= mutual_info <= 2.0 and 0.0 <= discord <= 1.0
+            and 0.0 <= classical_corr <= 1.0 and 0.0 <= s_cond_min <= 1.0
+            and 0.0 <= concurrence <= 1.0):
+        # only values beyond _RANGE_SLACK fail; J after D, so a NaN discord
+        # is named as such
         names = ("mutual_info", "discord", "classical_corr", "s_cond_min")
         values = (mutual_info, discord, classical_corr, s_cond_min)
         for name, value, bound in zip(names, values, (2.0, 1.0, 1.0, 1.0)):
-            if not value >= -1e-12:
+            if not value >= -_RANGE_SLACK:
                 raise DomainError(f"{name} must be nonnegative, got {value}")
-            if not value <= bound + 1e-12:
+            if not value <= bound + _RANGE_SLACK:
                 raise DomainError(f"{name} must not exceed {bound:g}, got {value}")
-    if not -1e-12 <= concurrence <= 1.0 + 1e-12:
-        raise DomainError(f"concurrence must lie in [0, 1], got {concurrence}")
+        if not -_RANGE_SLACK <= concurrence <= 1.0 + _RANGE_SLACK:
+            raise DomainError(f"concurrence must lie in [0, 1], got {concurrence}")
 
 
 # optimal measurement of the closed forms: discord_mixed_closed and discord_pure
@@ -149,12 +159,12 @@ _EQUATORIAL = MeasurementBasis(math.pi / 2.0, 0.0)
 def binary_entropy(x: float) -> float:
     """H(x) = -x log2 x - (1-x) log2(1-x), with H(0) = H(1) = 0.
 
-    Arguments are accepted within 1e-12 of [0, 1] and clamped.
+    Arguments are accepted within _RANGE_SLACK (1e-12) of [0, 1] and clamped.
     """
-    if not -1e-12 <= x <= 1.0 + 1e-12:
+    if not 0.0 < x < 1.0:  # also NaN
+        if -_RANGE_SLACK <= x <= 1.0 + _RANGE_SLACK:
+            return 0.0
         raise DomainError(f"binary entropy argument must lie in [0, 1], got {x}")
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
     x = float(x)
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
@@ -251,15 +261,44 @@ def conditional_entropy(state: TwoQubitState, basis: MeasurementBasis) -> float:
     )
 
 
+def _outcome_entropy(len_sq, q):
+    """-q/2 H(x) per outcome at x = (1 + sqrt(len_sq)/q)/2, written over len_sq.
+
+    q is twice the outcome probability, broadcast against len_sq, the
+    squared length of the conditional Bloch vector times q.  Dead outcomes
+    (not q > _LIVE_Q) and pure conditionals (x >= 1) contribute exactly 0.
+    The caller silences the divisions.
+    """
+    x = np.sqrt(len_sq, out=len_sq)
+    # q > _LIVE_Q wherever the outcome is live, so q = |q| there and the
+    # weight -q/2 carries the entropy's sign
+    x /= q
+    x *= 0.5
+    x += 0.5
+    zero = x >= 1.0
+    zero |= ~(q > _LIVE_Q)
+    # 1 - x and a log2 buffer in one allocation: as two, the oracle_sweep
+    # benchmark took about 80 page faults per item, as the allocator gave
+    # back the heap top between calls, and ran 8% slower
+    y, t = np.empty((2,) + x.shape)
+    np.subtract(1.0, x, out=y)
+    y *= np.log2(y, out=t)
+    x *= np.log2(x, out=t)
+    x += y
+    x *= q * -0.5
+    np.copyto(x, 0.0, where=zero)
+    return x
+
+
 def _cond_entropy_field(table, d1, d2, d3):
     """Measurement-conditioned entropy, vectorized over direction arrays.
 
     For each outcome the conditional qubit has Bloch vector
     (R[0,b] + sum_i R[i,b] s_i) / (1 + sum_i R[i,0] s_i) with s the signed
-    direction, so its entropy is H((1 + |r|)/2); zero-probability
-    outcomes contribute nothing.  The directions are taken in blocks of
-    _FIELD_BLOCK; every element goes through the same operations in the
-    same order for any block size or input shape.
+    direction; `_outcome_entropy` weighs its entropy H((1 + |r|)/2).  The
+    directions are taken in blocks of _FIELD_BLOCK; every element goes
+    through the same operations in the same order for any block size or
+    input shape.
 
     The scan calls this for every table that `_x_field` does not serve.
     """
@@ -274,15 +313,8 @@ def _cond_entropy_field(table, d1, d2, d3):
             block = slice(lo, lo + _FIELD_BLOCK)
             # w_b = sum_i R[i,b] d_i; the outcomes are offset_b +- w_b
             w = c1 * d1[block] + c2 * d2[block] + c3 * d3[block]
-            h = []
-            for q, v1, v2, v3 in (offset + w, offset - w):
-                # q is twice the outcome probability, so q = |q| where the
-                # outcome is live; the weight -q/2 carries the entropy's sign
-                x = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3) / q * 0.5 + 0.5
-                weight = q * -0.5
-                h_neg = np.log2(x) * x + (1.0 - x) * np.log2(1.0 - x)
-                # dead outcomes and pure conditionals contribute exactly 0
-                h.append(np.where((q > _LIVE_Q) & ~(x >= 1.0), h_neg * weight, 0.0))
+            h = [_outcome_entropy(v1 * v1 + v2 * v2 + v3 * v3, q)
+                 for q, v1, v2, v3 in (offset + w, offset - w)]
             np.add(*h, out=out[block])
     return out.reshape(shape)
 
@@ -294,17 +326,15 @@ def _x_field(table, d1, d2, d3):
     (pair and dephased states).  A 2-D input is rows of the grid of
     `_direction_grid`, or of its representative columns, along which
     d3 = cos(theta) is one float; any other input is taken as one
-    direction per row.  Twice the outcome
-    probabilities, q = +-R[3,0] d3 + 1, their weights -q/2 with the
-    dead-outcome flags, and the z term (+-R[3,3] d3 + R[0,3])^2 are formed
-    once per row.  The offsets R[0,1] and R[0,2] are zero and
-    (+-0 +- w)^2 = w^2, so both outcomes share the transverse term
-    w1^2 + w2^2, with w1 = R[1,1] d1 and w2 = R[2,2] d2, formed once per
-    direction.  Negation is exact, the general kernel's terms at zero
-    coefficients are signed zeros, which leave a nonzero sum unchanged, and
-    the sign of a zero sum is lost in 1 +- w and in the squares: these are
-    the values `_cond_entropy_field` forms, and every later step is its
-    own, in its order.
+    direction per row.  q = +-R[3,0] d3 + 1 and the z term
+    (+-R[3,3] d3 + R[0,3])^2 are formed once per row.  The offsets R[0,1]
+    and R[0,2] are zero and (+-0 +- w)^2 = w^2, so both outcomes share the
+    transverse term w1^2 + w2^2, with w1 = R[1,1] d1 and w2 = R[2,2] d2.
+    Negation is exact, the general kernel's terms at zero coefficients are
+    signed zeros, which leave a nonzero sum unchanged, and the sign of a
+    zero sum is lost in 1 +- w and in the squares: these are the q and
+    squared lengths `_cond_entropy_field` forms, in its order, and both
+    kernels finish with `_outcome_entropy`.
 
     Whole rows are taken in blocks of at most _FIELD_BLOCK directions, or
     of one row when a row is longer.  The caller checks the table.
@@ -315,50 +345,17 @@ def _x_field(table, d1, d2, d3):
     n_rows, n_phi = d1.shape
     rows = max(1, _FIELD_BLOCK // n_phi)
     # per outcome (axis 0) and row (axis 1), broadcast along the row
-    c = d3[:, :1]
-    q = _SIGNS * (table[3, 0] * c) + 1.0
-    neg_weight = q * -0.5
-    dead = ~(q > _LIVE_Q)[:, :, 0]  # by outcome and row
-    z_sq = _SIGNS * (table[3, 3] * c) + table[0, 3]
-    z_sq *= z_sq
-    c1, c2 = table[1, 1], table[2, 2]
+    q = _SIGNS * (table[3, 0] * d3[:, :1]) + 1.0
+    z_sq = np.square(_SIGNS * (table[3, 3] * d3[:, :1]) + table[0, 3])
     out = np.empty((n_rows, n_phi))
-    # work arrays of the longest block, flat so that the views of a shorter
-    # last block stay contiguous
-    size = min(rows, n_rows) * n_phi
-    stacked = np.empty(8 * size)  # four rows of both outcomes
-    flags = np.empty(2 * size, dtype=bool)  # pure-conditional flags
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, n_rows, rows):
-            hi = min(lo + rows, n_rows)
-            k = (hi - lo) * n_phi
-            r, h, g, t = stacked[: 8 * k].reshape(4, 2, hi - lo, n_phi)
-            unit = flags[: 2 * k].reshape(2, hi - lo, n_phi)
-            w1, w2 = g  # free until the entropies
-            np.multiply(d1[lo:hi], c1, out=w1)
-            np.multiply(d2[lo:hi], c2, out=w2)
-            w1 *= w1
-            w2 *= w2
-            w1 += w2
-            np.add(w1, z_sq[:, lo:hi], out=r)
-            np.sqrt(r, out=r)
-            # q > _LIVE_Q wherever the outcome is live, so q = |q| there
-            r /= q[:, lo:hi]
-            # H(x) at x = (1 + r)/2, negated, times -q/2
-            x = r
-            x *= 0.5
-            x += 0.5
-            np.greater_equal(x, 1.0, out=unit)
-            np.log2(x, out=h)
-            h *= x
-            np.subtract(1.0, x, out=g)
-            g *= np.log2(g, out=t)
-            h += g
-            h *= neg_weight[:, lo:hi]
-            # pure conditionals and dead outcomes contribute exactly 0
-            np.copyto(h, 0.0, where=unit)
-            h[dead[:, lo:hi]] = 0.0
-            np.add(h[0], h[1], out=out[lo:hi])
+            block = slice(lo, lo + rows)
+            # the transverse term w1^2 + w2^2, then each outcome's z term
+            h = _outcome_entropy(
+                np.square(d1[block] * table[1, 1]) + np.square(d2[block] * table[2, 2])
+                + z_sq[:, block], q[:, block])
+            np.add(h[0], h[1], out=out[block])
     return out.reshape(shape)
 
 
@@ -577,9 +574,10 @@ def discord_brute_force(
     order.  A level that does not improve leaves the centre in place, so
     the patches of all remaining levels are evaluated in one field call,
     and only a level that improves calls again for the levels after it.
-    A direction tied with the equatorial one within 1e-12 is reported as
-    the canonical (pi/2, 0), and one tied with its phi = 0 counterpart gets
-    phi = 0, so flat objectives (pure states) resolve deterministically.
+    A direction tied with the equatorial one within _TIE_TOL (1e-12) is
+    reported as the canonical (pi/2, 0), and one tied with its phi = 0
+    counterpart gets phi = 0, so flat objectives (pure states) resolve
+    deterministically.
     Every refinement call also evaluates those two tie directions, at the
     theta of the best direction when it is made; only when the last call
     moved theta and the equatorial rule does not fire is the phi = 0 one
@@ -660,7 +658,7 @@ def discord_brute_force(
         best_theta, best_phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
         level += j + 1
 
-    if equatorial <= best_val + 1e-12:
+    if equatorial <= best_val + _TIE_TOL:
         best_theta, best_phi = math.pi / 2.0, 0.0
         best_val = min(best_val, equatorial)
     else:
@@ -671,7 +669,7 @@ def discord_brute_force(
                 np.float64(0.0),
                 np.float64(math.cos(best_theta)),
             ))
-        if at_phi0 <= best_val + 1e-12:  # flat phi direction
+        if at_phi0 <= best_val + _TIE_TOL:  # flat phi direction
             best_phi = 0.0
             best_val = min(best_val, at_phi0)
     best_phi %= 2.0 * math.pi

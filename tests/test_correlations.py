@@ -27,6 +27,7 @@ from catcorr import (
     von_neumann_entropy,
     werner_discord,
 )
+from catcorr import correlations
 from catcorr.correlations import _eof_from_concurrence
 from catcorr.states import PAULI, _pair_block
 
@@ -517,6 +518,29 @@ def test_brute_force_canonical_argmin(rng):
         assert again.s_cond_min == rep.s_cond_min
 
 
+def test_tie_rule_fires_only_within_its_tolerance(monkeypatch):
+    # dephased pair states p = 0.846, n = 4, even, whose minimum leaves the
+    # equator as gamma grows.  At the first gamma the scan minimum lies
+    # 3.2e-10 below the equatorial value, outside _TIE_TOL, and is kept; at
+    # the second (found by bisection) it lies 2.0e-13 below, inside, and the
+    # scan reports the canonical (pi/2, 0)
+    pair = reduced_rho12(spec(0.846, Parity.EVEN, 4))
+    far, near = (apply_dephasing(pair, DephasingChannel.from_gamma(gamma))
+                 for gamma in (0.33481787109375005, 0.3347980041503907))
+    equator = MeasurementBasis(math.pi / 2.0, 0.0)
+    kept = discord_brute_force(far)
+    assert round(kept.argmin.theta, 4) == 1.5232 and kept.argmin.phi == 0.0
+    assert 3e-10 < conditional_entropy(far, equator) - kept.s_cond_min < 3.5e-10
+    tied = discord_brute_force(near)
+    assert (tied.argmin.theta, tied.argmin.phi) == (math.pi / 2.0, 0.0)
+    # with no tolerance the same scan keeps its minimum off the equator
+    monkeypatch.setattr(correlations, "_TIE_TOL", 0.0)
+    untied = discord_brute_force(near)
+    assert untied.argmin.theta < 1.57
+    assert 0.0 < conditional_entropy(near, equator) - untied.s_cond_min < 1e-12
+    assert untied.s_cond_min == tied.s_cond_min
+
+
 def test_brute_force_beats_coarse_grid():
     state = reduced_rho12(spec(0.7, Parity.ODD, 5))
     fine = discord_brute_force(state)
@@ -646,6 +670,45 @@ def test_correlation_report_rejects_values_above_the_qubit_bounds():
     for name, (info, disc, s_min) in above.items():
         with pytest.raises(DomainError, match=f"^{name} must not exceed"):
             CorrelationReport(info, disc, 0.5, s_min, basis)
+
+
+def test_range_slack_is_one_tolerance_on_both_sides():
+    # every range check allows _RANGE_SLACK = 1e-12 of roundoff: 0.5e-12
+    # outside a range passes, 2e-12 outside is a DomainError
+    basis = MeasurementBasis(math.pi / 2.0, 0.0)
+    for d, inside in ((0.5e-12, True), (2e-12, False)):
+        # (mutual_info, discord, concurrence, s_cond_min) one end out, the
+        # rest inside; classical_corr = mutual_info - discord
+        reports = {
+            "mutual_info": [(-d, 0.0, 0.5, 0.25), (2.0 + d, 1.0, 0.5, 0.25)],
+            "discord": [(0.5, -d, 0.5, 0.25), (1.5, 1.0 + d, 0.5, 0.25)],
+            "classical_corr": [(0.5, 0.5 + d, 0.5, 0.25), (1.0 + d, 0.0, 0.5, 0.25)],
+            "s_cond_min": [(0.5, 0.25, 0.5, -d), (0.5, 0.25, 0.5, 1.0 + d)],
+            "concurrence": [(0.5, 0.25, -d, 0.25), (0.5, 0.25, 1.0 + d, 0.25)],
+        }
+        angles = {"theta": (math.pi + d, 0.0), "phi": (0.0, 2.0 * math.pi + d)}
+        if inside:
+            for fields in reports.values():
+                for values in fields:
+                    CorrelationReport(*values, basis)
+            for theta, phi in angles.values():
+                MeasurementBasis(theta, phi)
+            assert binary_entropy(-d) == binary_entropy(1.0 + d) == 0.0
+            continue
+        for name, fields in reports.items():
+            for values in fields:
+                with pytest.raises(DomainError, match=f"^{name} must"):
+                    CorrelationReport(*values, basis)
+        for name, (theta, phi) in angles.items():
+            with pytest.raises(DomainError, match=f"^{name} must"):
+                MeasurementBasis(theta, phi)
+        for x in (-d, 1.0 + d):
+            with pytest.raises(DomainError):
+                binary_entropy(x)
+    # the angles' lower ends take no slack
+    for theta, phi in ((-0.5e-12, 0.0), (0.0, -0.5e-12)):
+        with pytest.raises(DomainError):
+            MeasurementBasis(theta, phi)
 
 
 @pytest.mark.parametrize("field", ["mutual_info", "discord", "concurrence", "s_cond_min"])

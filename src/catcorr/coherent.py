@@ -27,6 +27,9 @@ SERIES_TERM_CAP = 10**6
 OVERLAP_SLACK = 1e-12
 # largest rounding bound of a returned series sum: the oracle's 1e-10 tolerance
 _SERIES_ROUNDING_MAX = 1e-10
+# a representation parameter r is taken as a half-integer when 2r lies
+# within this of an integer, that is r within 5e-10 of the half-integer
+_HALF_INTEGER_TOL = 1e-9
 
 
 class AlgebraKind(Enum):
@@ -43,9 +46,9 @@ class AlgebraSpec:
     """A ladder algebra plus its representation parameter.
 
     For SU2 the parameter is the spin j, for SU11 the Bargmann index k;
-    both must be positive half-integers, and a value within 1e-9 of one is
-    stored as that exact half-integer.  The harmonic oscillator carries no
-    parameter.
+    both must be positive half-integers, and a value r whose 2r lies within
+    1e-9 of an integer (r within 5e-10 of a half-integer) is stored as that
+    exact half-integer.  The harmonic oscillator carries no parameter.
     """
 
     kind: AlgebraKind
@@ -60,7 +63,7 @@ class AlgebraSpec:
         if r is None:
             raise DomainError(f"{self.kind.value} needs a representation parameter")
         two_r = 2.0 * r  # inf for a finite r that overflows
-        if not 0.5 < two_r < math.inf or abs(two_r - round(two_r)) > 1e-9:
+        if not 0.5 < two_r < math.inf or abs(two_r - round(two_r)) > _HALF_INTEGER_TOL:
             raise DomainError(
                 f"representation parameter must be a positive half-integer, got {r}"
             )

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DomainError, _is_whole
 from .states import (
-    PSD_TOL,
     PAULI,
     PureBipartition,
     SuperpositionSpec,
@@ -172,25 +171,31 @@ def binary_entropy(x: float) -> float:
 def von_neumann_entropy(state) -> float:
     """Von Neumann entropy in bits, from the dense eigensolver.
 
-    Accepts a TwoQubitState (validated on construction) or a square
-    ndarray of any dimension that passes the density-matrix checks of
-    `TwoQubitState`: finite, Hermitian, unit trace and PSD.
+    Accepts a TwoQubitState, whose `spectrum` was computed and checked on
+    construction, or a nonempty square ndarray of any dimension, which
+    `_density_spectrum` diagonalizes after the checks of `TwoQubitState`:
+    finite, Hermitian, unit trace and PSD.  A pure state gives +0.0.
     """
     if isinstance(state, TwoQubitState):
-        return _spectrum_entropy(np.linalg.eigvalsh(state.matrix))
+        return _spectrum_entropy(state.spectrum)
     m = np.asarray(state, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"density matrix must be square, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise DomainError(f"density matrix must be square and nonempty, got shape {m.shape}")
     return _spectrum_entropy(_density_spectrum(m))
 
 
 def _spectrum_entropy(vals) -> float:
-    """Entropy in bits of a density matrix with eigenvalues vals (1-D)."""
-    if vals.min() < -PSD_TOL:
-        raise DomainError("density matrix has a negative eigenvalue beyond tolerance")
+    """Entropy in bits of a density matrix with eigenvalues vals (1-D).
+
+    vals come from a checked matrix: a spectrum `_density_spectrum`
+    returned, or that of a marginal of a checked state, whose smallest
+    eigenvalue is at least the sum of the state's two smallest (so down
+    to -2e-10).  Rounding outside [0, 1] is clipped and adds nothing.
+    """
     vals = np.clip(vals, 0.0, 1.0)
     pos = vals[vals > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
+    # 0.0 - sum: an exactly-zero sum (a pure state) gives +0.0, not -0.0
+    return float(0.0 - (pos * np.log2(pos)).sum())
 
 
 def concurrence_pure(bp: PureBipartition) -> float:
@@ -236,7 +241,8 @@ def concurrence_x(state: TwoQubitState) -> float:
     if state.is_x:
         corner = abs(m[0, 3]) - math.sqrt(max(0.0, m[1, 1].real * m[2, 2].real))
         inner = abs(m[1, 2]) - math.sqrt(max(0.0, m[0, 0].real * m[3, 3].real))
-        return 2.0 * max(0.0, corner, inner)
+        # abs of a complex numpy entry is a numpy scalar
+        return float(2.0 * max(0.0, corner, inner))
     vals, vecs = np.linalg.eigh(m)
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
     flip = np.kron(PAULI[2], PAULI[2])
@@ -555,11 +561,12 @@ def discord_brute_force(
     """Correlation report with the conditional-entropy minimum found by an
     exhaustive scan over projective measurement directions.
 
-    Fully independent of the closed forms: the entropies S(A), S(B) and
-    S(AB) come from the dense eigensolver (the eigenvalue-to-entropy step
-    of `von_neumann_entropy`, both marginals in one call), the minimum
-    from direct evaluation of the measurement average and the concurrence
-    from the matrix entries (`concurrence_x`).
+    Fully independent of the closed forms: the entropies come from the
+    dense eigensolver through the eigenvalue-to-entropy step of
+    `von_neumann_entropy` (S(AB) from the `spectrum` the state's
+    construction checked, S(A) and S(B) from one `eigvalsh` call on both
+    marginals), the minimum from direct evaluation of the measurement
+    average and the concurrence from the matrix entries (`concurrence_x`).
 
     `grid` = (n_theta, n_phi) sets the steps of the theta-phi grid
     linspace(0, pi, n_theta) x linspace(0, 2 pi, n_phi) (default 181 x 361,
@@ -678,7 +685,7 @@ def discord_brute_force(
     # validated state need no checks of their own
     rho_a, rho_b = marginals(state)
     s_a, s_b = map(_spectrum_entropy, np.linalg.eigvalsh(np.stack((rho_a, rho_b))))
-    s_ab = _spectrum_entropy(np.linalg.eigvalsh(state.matrix))
+    s_ab = _spectrum_entropy(state.spectrum)
     info = s_a + s_b - s_ab
     disc = s_a + best_val - s_ab
     return CorrelationReport(

@@ -13,7 +13,7 @@ explicit 2^n expansion of the state in the logical product basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -153,19 +153,24 @@ class TwoQubitState:
     """A validated two-qubit density matrix, basis (|00>, |01>, |10>, |11>).
 
     Construction enforces finite entries, Hermiticity and unit trace to
-    1e-12 and positive semidefiniteness to -1e-10; the matrix is stored
-    read-only.
+    1e-12 and positive semidefiniteness to -1e-10, and keeps the
+    eigenvalues that check computed: `matrix` and `spectrum` (ascending,
+    from `np.linalg.eigvalsh`) are stored read-only, and every entropy of
+    the state reads `spectrum`.
     """
 
     matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise DomainError(f"expected a 4x4 matrix, got shape {m.shape}")
-        _density_spectrum(m)
+        vals = _density_spectrum(m)
         m.setflags(write=False)
+        vals.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "spectrum", vals)
 
     @property
     def is_x(self) -> bool:

@@ -61,9 +61,15 @@ def test_rep_param_validation():
         AlgebraSpec(AlgebraKind.HARMONIC, 1.0)  # glauber takes no parameter
     AlgebraSpec.su2(1.5)  # fine
     AlgebraSpec.harmonic()  # no parameter needed
-    # a value within 1e-9 of a half-integer is stored as that half-integer
+    # a value whose 2r lies within 1e-9 of an integer (r within 5e-10 of a
+    # half-integer) is stored as that half-integer, and one further out is
+    # refused
     assert AlgebraSpec.su11(0.5 + 4e-10).rep_param == 0.5
     assert AlgebraSpec.su2(3.0 - 4e-10) == AlgebraSpec.su2(3)
+    assert AlgebraSpec.su2(0.5 + 4.5e-10).rep_param == 0.5
+    for make in (AlgebraSpec.su2, AlgebraSpec.su11):
+        with pytest.raises(DomainError, match="half-integer"):
+            make(0.5 + 6e-10)
 
 
 @pytest.mark.parametrize("make", [AlgebraSpec.su11, AlgebraSpec.su2])

@@ -30,6 +30,7 @@ from catcorr import (
 from catcorr import correlations
 from catcorr.correlations import _eof_from_concurrence
 from catcorr.states import PAULI, _pair_block
+from conftest import random_full_rank_state
 
 
 def spec(p, parity, n):
@@ -95,6 +96,14 @@ def test_von_neumann_entropy_known_values():
     assert von_neumann_entropy(np.eye(2) / 2.0) == pytest.approx(1.0)
 
 
+def test_von_neumann_entropy_of_a_pure_state_is_positive_zero():
+    # the negated sum of an exactly-zero entropy gave -0.0 bits
+    pure = np.zeros((4, 4), dtype=complex)
+    pure[0, 0] = 1.0
+    for state in (TwoQubitState(pure), pure, np.array([[1.0]])):
+        assert math.copysign(1.0, von_neumann_entropy(state)) == 1.0
+
+
 def test_von_neumann_entropy_state_vs_array(rng):
     for s in random_specs(rng, 25):
         state = reduced_rho12(s)
@@ -106,6 +115,8 @@ def test_von_neumann_entropy_state_vs_array(rng):
 def test_von_neumann_entropy_rejects_bad_input():
     with pytest.raises(DomainError):
         von_neumann_entropy(np.ones((2, 3)))
+    with pytest.raises(DomainError, match="nonempty"):
+        von_neumann_entropy(np.zeros((0, 0)))  # was numpy's bare ValueError
     m = np.diag([0.5, 0.5]).astype(complex)
     m[0, 1] = 0.3  # not hermitian
     with pytest.raises(DomainError):
@@ -224,6 +235,15 @@ def test_concurrence_x_on_werner_family():
         assert concurrence_x(reduced_rho12(spec(1.0, Parity.ODD, n))) == pytest.approx(
             2.0 / n, abs=1e-14
         )
+
+
+def test_concurrence_x_is_a_python_float(rng):
+    # abs of a complex numpy entry gave np.float64 on the X branch
+    bell = reduced_rho12(spec(1.0, Parity.ODD, 2))
+    for state in (bell, random_full_rank_state(rng)):
+        assert type(concurrence_x(state)) is float
+    report = discord_brute_force(bell)
+    assert type(report.concurrence) is float and report.concurrence == 1.0
 
 
 def test_concurrence_x_matches_closed_form(rng):
@@ -413,6 +433,17 @@ def test_purification_complement_concurrence(rng):
 # ------------------------------------------------------------- brute force
 
 
+def test_brute_force_accepts_a_state_whose_marginal_dips_below_the_psd_tolerance():
+    # -e >= -PSD_TOL passes the state's check, but the first marginal,
+    # diag(1 + 2e, -2e), has an eigenvalue below -PSD_TOL, which the scan
+    # refused with "negative eigenvalue beyond tolerance"
+    e = 0.9e-10
+    state = TwoQubitState(np.diag([0.5 + e, 0.5 + e, -e, -e]))
+    report = discord_brute_force(state)
+    assert report.mutual_info == pytest.approx(0.0, abs=1e-9)
+    assert report.s_cond_min == pytest.approx(1.0, abs=1e-9)
+
+
 def test_brute_force_grid_floor():
     state = reduced_rho12(spec(0.5, Parity.EVEN, 3))
     with pytest.raises(DomainError):
@@ -433,12 +464,6 @@ def test_brute_force_grid_cap_rejects_before_allocating():
     state = reduced_rho12(spec(0.5, Parity.EVEN, 3))
     with pytest.raises(DomainError):
         discord_brute_force(state, grid=(10**6, 10**6))
-
-
-def random_full_rank_state(rng):
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    m = g @ g.conj().T
-    return TwoQubitState(m / m.trace().real)
 
 
 def test_conditional_entropy_is_antipodally_symmetric(rng):

@@ -38,6 +38,7 @@ from catcorr.correlations import (
     _x_field,
 )
 from catcorr.states import PAULI
+from conftest import random_full_rank_state
 
 
 def reference_h2(x):
@@ -66,12 +67,6 @@ def reference_field(table, d1, d2, d3):
 
 def bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
-
-
-def random_full_rank_state(rng):
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    m = g @ g.conj().T
-    return TwoQubitState(m / m.trace().real)
 
 
 def kernel_states(rng):

@@ -35,6 +35,7 @@ from catcorr.correlations import (
     _direction_grid,
 )
 from catcorr.states import PAULI
+from conftest import random_full_rank_state
 
 GRIDS = ((181, 361), (64, 128))
 
@@ -97,12 +98,6 @@ def scan_bits(state, grid):
     rep = discord_brute_force(state, grid=grid)
     fields = (rep.discord, rep.s_cond_min, rep.argmin.theta, rep.argmin.phi, rep.mutual_info)
     return [float(x).hex() for x in fields]
-
-
-def random_full_rank_state(rng):
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    m = g @ g.conj().T
-    return TwoQubitState(m / m.trace().real)
 
 
 def seeded_pair_specs(rng, count):
@@ -197,6 +192,23 @@ def test_pair_state_scan_makes_few_field_calls(rng, monkeypatch):
         per_scan.append(len(calls))
     assert max(per_scan) <= 5
     assert sum(per_scan) / len(per_scan) <= 3.18
+
+
+def test_scan_diagonalizes_only_the_marginals(rng, monkeypatch):
+    # S(AB) reads the spectrum the state's construction checked; both
+    # marginal spectra come from one stacked call
+    states = [reduced_rho12(SuperpositionSpec(0.6, Parity.ODD, 3)), random_full_rank_state(rng)]
+    solver, shapes = np.linalg.eigvalsh, []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return solver(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for state in states:
+        shapes.clear()
+        discord_brute_force(state)
+        assert shapes == [(2, 2, 2)]
 
 
 def test_scan_ending_on_an_improving_level_evaluates_the_phi0_tie_again(monkeypatch):

@@ -23,6 +23,7 @@ from catcorr import (
 )
 from catcorr.correlations import _block_eigenvalues
 from catcorr.states import PAULI, _pair_block
+from conftest import random_full_rank_state
 
 
 def spec(p, parity, n):
@@ -259,6 +260,18 @@ def test_two_qubit_state_matrix_read_only():
     state = TwoQubitState(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
     with pytest.raises(ValueError):
         state.matrix[0, 0] = 9.0
+
+
+def test_two_qubit_state_keeps_its_checked_spectrum(rng):
+    # the eigenvalues of the construction's check, read-only, are what
+    # eigvalsh gives on the stored matrix, bit for bit
+    states = [reduced_rho12(spec(float(rng.uniform(0.0, 1.0)), parity, 4)) for parity in Parity]
+    states += [random_full_rank_state(rng) for _ in range(3)]
+    for state in states:
+        assert state.spectrum.tobytes() == np.linalg.eigvalsh(state.matrix).tobytes()
+        assert not state.spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            state.spectrum[0] = 0.0
 
 
 def test_x_structure_detection():

@@ -81,6 +81,16 @@ _SIGNS.flags.writeable = False
 _X_THETA_POINTS = 5
 LINE_SEARCH_STEP_TOL = 1e-10
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# the endpoint rule of `_discord_x` reads the sign of the objective's
+# derivative only where it is well conditioned: each outcome's weight
+# (twice its probability) above _ENDPOINT_LIVE_MARGIN, as the slope at
+# theta = 0 divides by it, and 1 - r above _ENDPOINT_PURE_MARGIN, r the
+# conditional Bloch length, as h'(r) and h''(r) diverge at r = 1 (every
+# outcome of a Bell pair).  Within both, a relative rounding error eps in
+# a weight or in r moves a term of the derivative by about eps / 1e-6,
+# 2e-10 of itself
+_ENDPOINT_LIVE_MARGIN = 1e-6
+_ENDPOINT_PURE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -262,9 +272,14 @@ def conditional_entropy(state: TwoQubitState, basis: MeasurementBasis) -> float:
     along `basis`, weighted by the outcome probabilities."""
     table = bloch_matrix(state)
     d1, d2, d3 = basis.direction()
-    return float(
-        _cond_entropy_field(table, np.float64(d1), np.float64(d2), np.float64(d3))
-    )
+    return float(_field_kernel(table)(table, np.float64(d1), np.float64(d2), np.float64(d3)))
+
+
+def _field_kernel(table):
+    """The field kernel for a Bloch table: `_x_field` for a real X state
+    (pair and dephased states), `_cond_entropy_field` for any other.  The
+    two give the same bits."""
+    return _cond_entropy_field if table[_OFF_REAL_X].any() else _x_field
 
 
 def _outcome_entropy(len_sq, q):
@@ -474,6 +489,49 @@ def _golden_section(fun, lo: float, hi: float):
     return d, fd
 
 
+def _endpoint_is_minimum(a3: float, b3: float, t33: float, t_perp: float, pole: bool) -> bool:
+    """Whether theta = 0 (pole) or theta = pi/2 is a strict local minimum
+    of the polar-angle objective s of `_discord_x`, from its derivative.
+
+    With c = cos theta, each outcome +-1 has weight w = 1 +- a3 c, squared
+    conditional Bloch length r^2 = u / w^2, u = T_perp^2 (1 - c^2) +
+    (b3 +- T33 c)^2, and adds w/2 h(r), h(r) = H((1 + r)/2), with
+    h'(r) = -atanh(r) / ln 2 and h''(r) = -1 / (ln 2 (1 - r^2)); below,
+    k(r) = atanh(r) / r (1 at r = 0) and log is the natural logarithm.
+    - At theta = 0, ds/dtheta = 0 and d2s/dtheta2 = -ds/dc at c = 1, so
+      the pole is a strict minimum where -2 ln 2 ds/dc > 0, the sum over
+      the outcomes of
+      1/2 (+-a3) log(1 - r^2) + k(r) (+-T33 (b3 +- T33) - T_perp^2) / w.
+    - At theta = pi/2, s is even in c, so d2s/dtheta2 = d2s/dc2 at c = 0.
+      There both weights are 1 and u0 = T_perp^2 + b3^2 = r^2, and
+      theta = pi/2 is a strict minimum where -ln 2 u0 d2s/dc2 < 0, that is
+      k(r) T_perp^2 (T33^2 - u0) + (T33 b3 - a3 u0)^2 / (1 - u0) < 0.
+    The sign is read only where both weights exceed _ENDPOINT_LIVE_MARGIN
+    and both 1 - r exceed _ENDPOINT_PURE_MARGIN; a NaN fails every
+    comparison, so it is never certified.
+    """
+    tt = t_perp * t_perp
+    if not pole:
+        u = tt + b3 * b3
+        r = math.sqrt(u)
+        if not 1.0 - r > _ENDPOINT_PURE_MARGIN:
+            return False
+        k = math.atanh(r) / r if r else 1.0
+        return k * tt * (t33 * t33 - u) + (t33 * b3 - a3 * u) ** 2 / (1.0 - u) < 0.0
+    slope = 0.0
+    for sign in (1.0, -1.0):
+        w = 1.0 + sign * a3
+        m = b3 + sign * t33
+        if not w > _ENDPOINT_LIVE_MARGIN:
+            return False
+        r = abs(m) / w
+        if not 1.0 - r > _ENDPOINT_PURE_MARGIN:
+            return False
+        k = math.atanh(r) / r if r else 1.0
+        slope += 0.5 * sign * a3 * math.log1p(-r * r) + k * (sign * t33 * m - tt) / w
+    return slope > 0.0
+
+
 def _block_eigenvalues(d1: float, d2: float, off: complex) -> tuple[float, float]:
     """Eigenvalues of the Hermitian 2x2 block [[d1, off], [conj(off), d2]]."""
     mean = 0.5 * (d1 + d2)
@@ -496,7 +554,10 @@ def _discord_x(
     the meridian of the larger transverse correlation,
     T_perp = 2 (|c03| + |c12|); d -> -d swaps the two outcomes, so
     t in [0, pi/2] suffices.  The minimum over t is taken on a coarse grid
-    and refined by golden section.
+    and refined by golden section, unless it is an endpoint that
+    `_endpoint_is_minimum` certifies as a strict local minimum.  Under the
+    unimodality on the bracket that golden section assumes, that is the
+    bracket minimum, and the grid value is returned.
     """
     a3 = r00 + r11 - r22 - r33
     b3 = r00 - r11 + r22 - r33
@@ -545,9 +606,12 @@ def _discord_x(
         value = s_cond(k * step)
         if value < best_val:
             best_val, i = value, k
-    _, val = _golden_section(
-        s_cond, max(0.0, (i - 1) * step), min(0.5 * math.pi, (i + 1) * step)
-    )
+    if i in (0, _X_THETA_POINTS - 1) and _endpoint_is_minimum(a3, b3, t33, t_perp, i == 0):
+        val = best_val
+    else:
+        _, val = _golden_section(
+            s_cond, max(0.0, (i - 1) * step), min(0.5 * math.pi, (i + 1) * step)
+        )
     s_ab = 0.0
     for lam in _block_eigenvalues(r00, r33, c03) + _block_eigenvalues(r11, r22, c12):
         if lam > 0.0:
@@ -612,8 +676,8 @@ def discord_brute_force(
             f"scan grid must have at most {MAX_GRID_DIRECTIONS} points, got {grid}"
         )
     table = bloch_matrix(state)
-    # one kernel for every field call of the scan; both give the same bits
-    field = _cond_entropy_field if table[_OFF_REAL_X].any() else _x_field
+    # one kernel for every field call of the scan
+    field = _field_kernel(table)
     theta, phi, *grid_dirs, n_rep = _direction_grid(n_theta, n_phi)
     if field is _x_field:
         # a column's values are bitwise those of its representative, and

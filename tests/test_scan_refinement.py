@@ -33,6 +33,7 @@ from catcorr.correlations import (
     _PATCH_STEP_TOL,
     _cond_entropy_field,
     _direction_grid,
+    _spectrum_entropy,
 )
 from catcorr.states import PAULI
 from conftest import random_full_rank_state
@@ -85,9 +86,11 @@ def reference_brute_force(state, grid):
         best_val = min(best_val, at_phi0)
     best_phi %= 2.0 * math.pi
 
+    # the marginals of a checked state are not checked again: their
+    # eigenvalues can reach -2 PSD_TOL on a state that passed
     rho_a, rho_b = marginals(state)
-    s_a = von_neumann_entropy(rho_a)
-    s_b = von_neumann_entropy(rho_b)
+    s_a = _spectrum_entropy(np.linalg.eigvalsh(rho_a))
+    s_b = _spectrum_entropy(np.linalg.eigvalsh(rho_b))
     s_ab = von_neumann_entropy(state)
     info = s_a + s_b - s_ab
     disc = s_a + best_val - s_ab
@@ -131,6 +134,9 @@ def edge_states():
         TwoQubitState(ground),
         reduced_rho12(SuperpositionSpec(1.0, Parity.ODD, 2)),  # Bell state
         TwoQubitState(np.eye(4, dtype=complex) / 4.0),
+        # accepted within PSD_TOL; the first marginal has the eigenvalue
+        # -1.8e-10, which a PSD check of its own would refuse
+        TwoQubitState(np.diag([0.5 + 0.9e-10, 0.5 + 0.9e-10, -0.9e-10, -0.9e-10]).astype(complex)),
     ]
 
 
@@ -192,6 +198,21 @@ def test_pair_state_scan_makes_few_field_calls(rng, monkeypatch):
         per_scan.append(len(calls))
     assert max(per_scan) <= 5
     assert sum(per_scan) / len(per_scan) <= 3.18
+
+
+def test_conditional_entropy_takes_the_kernel_of_the_scan(rng, monkeypatch):
+    calls = counted_field_calls(monkeypatch)
+    basis = MeasurementBasis(0.7, 1.9)
+    for state, kernel in (
+        (reduced_rho12(SuperpositionSpec(0.6, Parity.ODD, 3)), "_x_field"),
+        (ends_on_an_improving_level(), "_x_field"),
+        (random_full_rank_state(rng), "_cond_entropy_field"),
+    ):
+        calls.clear()
+        discord_brute_force(state)
+        correlations.conditional_entropy(state, basis)
+        assert {name for name, _ in calls} == {kernel}
+        assert calls[-1] == (kernel, 1)
 
 
 def test_scan_diagonalizes_only_the_marginals(rng, monkeypatch):

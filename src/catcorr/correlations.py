@@ -73,14 +73,27 @@ _OFF_REAL_X.flags.writeable = False
 # terms of `_x_field`
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
 _SIGNS.flags.writeable = False
-# theta grid of the X-state kernel on [0, pi/2] before golden-section
-# refinement.  The objective can have a local minimum at theta = 0 and a
-# deeper one inside (test_x_state_kernel_finds_interior_optimum); 5 points
-# bound each refinement bracket to pi/4 for about the evaluations of a
-# search over the whole interval
+# theta grid of the X-state kernel on [0, pi/2], whose minimum the sign of
+# the objective's slope then places.  The objective can have a local
+# minimum at theta = 0 and a deeper one inside
+# (test_x_state_kernel_finds_interior_optimum); 5 points bound the bracket
+# of a slope root to one grid step, pi/8
 _X_THETA_POINTS = 5
-LINE_SEARCH_STEP_TOL = 1e-10
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# the slope root is taken to a bracket at most this wide in theta; near
+# the root the objective is off its minimum by about its curvature times
+# the square of this, far below rounding
+_ROOT_STEP_TOL = 1e-12
+# a nearly dead outcome at theta = 0, of weight w below
+# _ENDPOINT_LIVE_MARGIN, bends the objective within about w / T_perp of
+# the pole; its slope is probed at w / T_perp times powers of this factor
+# below the first grid step
+_LADDER_FACTOR = 4.0
+# an outcome exactly pure at theta = 0 makes the pole a minimum from the
+# right: its term rises like theta^2 log(1/theta).  That layer can be far
+# thinner than a grid step, with a well beyond it, so the ladder then
+# starts at this angle; a well nearer the pole is within rounding of the
+# pole's value, as its depth is about the curvature times this squared
+_PURE_POLE_RUNG = 1e-8
 # the endpoint rule of `_discord_x` reads the sign of the objective's
 # derivative only where it is well conditioned: each outcome's weight
 # (twice its probability) above _ENDPOINT_LIVE_MARGIN, as the slope at
@@ -468,27 +481,6 @@ def _patch_steps(n_theta: int, n_phi: int):
     return column
 
 
-def _golden_section(fun, lo: float, hi: float):
-    """Golden-section minimum of a scalar function on [lo, hi] to LINE_SEARCH_STEP_TOL."""
-    golden, step_tol = _GOLDEN, LINE_SEARCH_STEP_TOL
-    a, b = lo, hi
-    c = b - golden * (b - a)
-    d = a + golden * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > step_tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = fun(d)
-    if fc <= fd:
-        return c, fc
-    return d, fd
-
-
 def _endpoint_is_minimum(a3: float, b3: float, t33: float, t_perp: float, pole: bool) -> bool:
     """Whether theta = 0 (pole) or theta = pi/2 is a strict local minimum
     of the polar-angle objective s of `_discord_x`, from its derivative.
@@ -532,6 +524,229 @@ def _endpoint_is_minimum(a3: float, b3: float, t33: float, t_perp: float, pole: 
     return slope > 0.0
 
 
+def _atanh_ratio(r: float, w: float, root_u: float, d: float) -> float:
+    """k(r) = atanh(r) / r (1 at r = 0) at r = root_u / w, d = w^2 - u.
+
+    Up to r = 1/2 it is atanh(r) / r as such; above, from the log form
+    atanh(r) = log(w + sqrt(u)) - log(w^2 - u) / 2, whose w^2 - u the
+    caller forms without cancellation, so that it keeps its precision as
+    r -> 1.  Near r = 0 a log form would lose it instead.
+    """
+    if r <= 0.5:
+        return math.atanh(r) / r if r else 1.0
+    return (math.log(w + root_u) - 0.5 * math.log(d)) / r
+
+
+def _polar_slope(
+    theta: float, r00: float, r11: float, r22: float, r33: float,
+    a3: float, b3: float, t33: float, t_perp: float,
+):
+    """A number with the sign of ds/dtheta, the slope of the polar-angle
+    objective s of `_discord_x` at theta in [0, pi/2], or None where a
+    live outcome is pure (r = 1) and the slope is undefined.
+
+    In the notation of `_endpoint_is_minimum`, with m = b3 +- T33 c,
+    ds/dc = sum over the outcomes of +-(a3/2) h(r) - w/(2 ln 2) atanh(r) r',
+    and ds/dtheta = -sin(theta) ds/dc.  This returns -2 ln 2 ds/dc, the
+    sum of +-1/2 a3 log(1 - r^2) + k(r) (+-T33 m - T_perp^2 c) / w: at
+    theta = 0 the c = 1 limit that `_endpoint_is_minimum` reads.  At
+    theta = pi/2, where the slope is 0, it returns the curvature expression
+    of `_endpoint_is_minimum` instead, whose sign is that of the slope just
+    below pi/2.
+
+    Nothing is formed from 1 +- a3 c, which cancels near purity.  With
+    s2 = sin^2(theta/2), the + outcome has w = 2 (r00 + r11) - 2 a3 s2,
+    m = 2 (r00 - r11) - 2 T33 s2, w + m = 4 r00 - 4 (r00 - r22) s2 and
+    w - m = 4 r11 - 4 (r11 - r33) s2; the - outcome w = 2 (r22 + r33) +
+    2 a3 s2, m = 2 (r22 - r33) + 2 T33 s2, w + m = 4 r22 + 4 (r00 - r22) s2
+    and w - m = 4 r33 + 4 (r11 - r33) s2 (its m is b3 - T33 c, so its
+    term takes -m); and w^2 - u = (w - m)(w + m) - T_perp^2 sin^2 theta,
+    which is w^2 (1 - r^2).  A dead outcome (w not above _LIVE_Q), which
+    the objective leaves out, adds nothing.
+    """
+    tt = t_perp * t_perp
+    if theta == 0.5 * math.pi:
+        # 1 - u = (1 - b3)(1 + b3) - T_perp^2, both weights 1
+        u = tt + b3 * b3
+        d = 4.0 * (r00 + r22) * (r11 + r33) - tt
+        if not d > 0.0:
+            return None
+        r = math.sqrt(u)
+        return _atanh_ratio(r, 1.0, r, d) * tt * (t33 * t33 - u) + (t33 * b3 - a3 * u) ** 2 / d
+    s2 = math.sin(0.5 * theta) ** 2
+    trans = tt * math.sin(theta) ** 2
+    ttc = tt * math.cos(theta)
+    slope = 0.0
+    for sign, w, m, w_plus_m, w_minus_m in (
+        (1.0, 2.0 * (r00 + r11) - 2.0 * a3 * s2, 2.0 * (r00 - r11) - 2.0 * t33 * s2,
+         4.0 * r00 - 4.0 * (r00 - r22) * s2, 4.0 * r11 - 4.0 * (r11 - r33) * s2),
+        (-1.0, 2.0 * (r22 + r33) + 2.0 * a3 * s2, 2.0 * (r22 - r33) + 2.0 * t33 * s2,
+         4.0 * r22 + 4.0 * (r00 - r22) * s2, 4.0 * r33 + 4.0 * (r11 - r33) * s2),
+    ):
+        if not w > _LIVE_Q:
+            continue
+        d = w_minus_m * w_plus_m - trans
+        if not d > 0.0:
+            return None
+        root_u = math.sqrt(trans + m * m)
+        k = _atanh_ratio(root_u / w, w, root_u, d)
+        slope += 0.5 * sign * a3 * math.log(d / (w * w)) + k * (sign * t33 * m - ttc) / w
+    return slope
+
+
+def _slope_root(lo: float, g_lo: float, hi: float, g_hi: float, entries) -> float:
+    """A root of `_polar_slope` (at the X entries `entries`) in (lo, hi),
+    where it is g_lo < 0 at lo and g_hi > 0 at hi: a local minimum of the
+    objective.
+
+    Illinois false position: the slope kept at a bracket end that survives
+    two steps in a row is halved.  Where three steps in a row have not
+    halved the bracket, the next step bisects it.  Ends at a bracket at
+    most _ROOT_STEP_TOL wide, at its false-position point, or at a probe
+    where the slope is 0 or undefined.
+    """
+    kept = 0  # the end the last false-position step kept: -1 lo, 1 hi
+    halved_at, stalled = hi - lo, 0
+    while hi - lo > _ROOT_STEP_TOL:
+        bisect = stalled == 3
+        theta = 0.5 * (lo + hi) if bisect else lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        g = _polar_slope(theta, *entries)
+        if g is None or g == 0.0:
+            return theta
+        if g < 0.0:
+            lo, g_lo = theta, g
+            if kept == 1:
+                g_hi *= 0.5
+            kept = 0 if bisect else 1
+        else:
+            hi, g_hi = theta, g
+            if kept == -1:
+                g_lo *= 0.5
+            kept = 0 if bisect else -1
+        if hi - lo <= 0.5 * halved_at:
+            halved_at, stalled = hi - lo, 0
+        else:
+            stalled += 1
+    return lo - g_lo * (hi - lo) / (g_hi - g_lo)
+
+
+def _descend(s_cond, c: float, s_c: float, g_c: float, f: float, entries) -> float:
+    """A local minimum of s_cond between c and f, where s_cond(f) >= s_c
+    and the slope g_c at c points down into the interval, though no probe
+    has shown the slope's sign change.
+
+    Bisection: the midpoint replaces c where it is lower and f elsewhere,
+    until the slope there points down towards c, which brackets a root for
+    `_slope_root`, or c and f are at most _ROOT_STEP_TOL apart, when c is
+    returned.  A midpoint where a live outcome is pure ends it there.
+    """
+    while abs(f - c) > _ROOT_STEP_TOL:
+        m = 0.5 * (c + f)
+        g = _polar_slope(m, *entries)
+        if g is None:
+            return m
+        if f < c:
+            if g < 0.0:
+                return _slope_root(m, g, c, g_c, entries)
+        elif g > 0.0:
+            return _slope_root(c, g_c, m, g, entries)
+        s_m = s_cond(m)
+        if s_m < s_c:
+            c, s_c, g_c = m, s_m, g
+        else:
+            f = m
+    return c
+
+
+def _polar_minimum(
+    s_cond, r00: float, r11: float, r22: float, r33: float,
+    a3: float, b3: float, t33: float, t_perp: float,
+) -> tuple[float, float]:
+    """The minimum over theta in [0, pi/2] of the polar-angle objective
+    s_cond of `_discord_x` at the X entries, and its theta.
+
+    The first minimum of a grid of _X_THETA_POINTS is kept as it is when
+    its value is 0.0 (s >= 0) or when it is an endpoint that
+    `_endpoint_is_minimum` certifies.  Otherwise the sign of
+    `_polar_slope` places the minimum, and the value is s_cond there
+    unless the grid value is lower:
+    - At the grid minimum: a pure outcome, a slope of 0, or pi/2 as a
+      minimum from the left keep it; elsewhere the slope picks the grid
+      step on the downhill side (at the pole, the step beside it).
+    - In that step, a sign change from - to + between its ends brackets a
+      root, which `_slope_root` takes.  Next to the pole the step's probes
+      climb a ladder of powers of _LADDER_FACTOR: from w / T_perp where an
+      outcome's weight w at the pole is below _ENDPOINT_LIVE_MARGIN, as
+      the objective bends within about that of the pole, and from
+      _PURE_POLE_RUNG where a live outcome is pure at the pole and the
+      other is mixed.  Such a pure outcome makes the pole a minimum from
+      the right.  A probe where a live outcome is pure ends the search.
+    - With no sign change, a minimum still lies inside the step wherever
+      the slope at the grid minimum points into it, as the step's other
+      end is no lower; `_descend` takes it.  Otherwise the pole stands.
+    """
+    step = 0.5 * math.pi / (_X_THETA_POINTS - 1)
+    # first minimum of the grid: a tie keeps the smaller theta
+    best_val, i = s_cond(0.0), 0
+    for k in range(1, _X_THETA_POINTS):
+        value = s_cond(k * step)
+        if value < best_val:
+            best_val, i = value, k
+    best_theta, last = i * step, _X_THETA_POINTS - 1
+    if best_val == 0.0 or (
+        i in (0, last) and _endpoint_is_minimum(a3, b3, t33, t_perp, i == 0)
+    ):
+        return best_val, best_theta
+    entries = (r00, r11, r22, r33, a3, b3, t33, t_perp)
+    g_best = _polar_slope(best_theta, *entries)
+    if i and (g_best is None or g_best == 0.0 or (i == last and g_best < 0.0)):
+        return best_val, best_theta
+    lo = i if i == 0 or g_best < 0.0 else i - 1
+    theta = lo * step
+    g = g_best if lo == i else _polar_slope(theta, *entries)
+    rung = step  # the ladder's first rung: none below the step's end
+    if lo == 0:
+        weight = 2.0 * min(r00 + r11, r22 + r33)
+        if g is None:
+            # a live outcome is pure at the pole; the ladder starts low
+            # unless the other is pure or dead as well, when s(0) = 0
+            g = math.inf
+            if r00 * r11 + r22 * r33 > 0.0:
+                rung = _PURE_POLE_RUNG
+        elif 0.0 < weight < _ENDPOINT_LIVE_MARGIN and t_perp > 0.0:
+            rung = weight / t_perp
+    elif g is None:
+        return _lower(s_cond, theta, best_val, best_theta)
+    probes = []
+    while rung < step:
+        probes.append(rung)
+        rung *= _LADDER_FACTOR
+    probes.append((lo + 1) * step)
+    for probe in probes:
+        if probe == probes[-1] and not g < 0.0:
+            break
+        g_probe = g_best if probe == best_theta else _polar_slope(probe, *entries)
+        if g_probe is None:
+            return _lower(s_cond, probe, best_val, best_theta)
+        if g < 0.0 <= g_probe:
+            root = _slope_root(theta, g, probe, g_probe, entries)
+            return _lower(s_cond, root, best_val, best_theta)
+        theta, g = probe, g_probe
+    if lo < i or (g_best is not None and g_best < 0.0):
+        far = (lo if lo < i else lo + 1) * step
+        theta = _descend(s_cond, best_theta, best_val, g_best, far, entries)
+        return _lower(s_cond, theta, best_val, best_theta)
+    return best_val, best_theta
+
+
+def _lower(s_cond, theta: float, best_val: float, best_theta: float) -> tuple[float, float]:
+    """(s_cond(theta), theta) where that is below best_val, else (best_val, best_theta)."""
+    value = s_cond(theta)
+    if value < best_val:
+        return value, theta
+    return best_val, best_theta
+
+
 def _block_eigenvalues(d1: float, d2: float, off: complex) -> tuple[float, float]:
     """Eigenvalues of the Hermitian 2x2 block [[d1, off], [conj(off), d2]]."""
     mean = 0.5 * (d1 + d2)
@@ -541,9 +756,10 @@ def _block_eigenvalues(d1: float, d2: float, off: complex) -> tuple[float, float
 
 def _discord_x(
     r00: float, r11: float, r22: float, r33: float, c03: float, c12: float
-) -> float:
+) -> tuple[float, float]:
     """Discord of the real X state with populations r00..r33 and
-    coherences c03 = rho_03, c12 = rho_12, measured on the first qubit.
+    coherences c03 = rho_03, c12 = rho_12, measured on the first qubit,
+    and the polar angle theta* of the optimal measurement.
 
     With a3 = <Z x 1>, b3 = <1 x Z>, T33 = <Z x Z> and the transverse
     correlations 2 (c03 + c12), 2 (c12 - c03), measuring along
@@ -553,11 +769,10 @@ def _discord_x(
     The entropy falls as that length grows, so the minimum over f lies on
     the meridian of the larger transverse correlation,
     T_perp = 2 (|c03| + |c12|); d -> -d swaps the two outcomes, so
-    t in [0, pi/2] suffices.  The minimum over t is taken on a coarse grid
-    and refined by golden section, unless it is an endpoint that
-    `_endpoint_is_minimum` certifies as a strict local minimum.  Under the
-    unimodality on the bracket that golden section assumes, that is the
-    bracket minimum, and the grid value is returned.
+    t in [0, pi/2] suffices.  `_polar_minimum` takes the minimum over t
+    from a coarse grid and the sign of the objective's slope: theta* is a
+    certified endpoint, the grid minimum where its value is 0, or a root of
+    the slope.
     """
     a3 = r00 + r11 - r22 - r33
     b3 = r00 - r11 + r22 - r33
@@ -599,24 +814,12 @@ def _discord_x(
                 raise DomainError(f"conditional Bloch length is NaN at theta {theta}")
         return total
 
-    # first minimum of the grid: a tie keeps the smaller theta
-    step = 0.5 * math.pi / (_X_THETA_POINTS - 1)
-    best_val, i = s_cond(0.0), 0
-    for k in range(1, _X_THETA_POINTS):
-        value = s_cond(k * step)
-        if value < best_val:
-            best_val, i = value, k
-    if i in (0, _X_THETA_POINTS - 1) and _endpoint_is_minimum(a3, b3, t33, t_perp, i == 0):
-        val = best_val
-    else:
-        _, val = _golden_section(
-            s_cond, max(0.0, (i - 1) * step), min(0.5 * math.pi, (i + 1) * step)
-        )
+    val, theta = _polar_minimum(s_cond, r00, r11, r22, r33, a3, b3, t33, t_perp)
     s_ab = 0.0
     for lam in _block_eigenvalues(r00, r33, c03) + _block_eigenvalues(r11, r22, c12):
         if lam > 0.0:
             s_ab -= lam * math.log2(lam)
-    return binary_entropy(min(r00 + r11, r22 + r33)) + min(best_val, val) - s_ab
+    return binary_entropy(min(r00 + r11, r22 + r33)) + val - s_ab, theta
 
 
 def discord_brute_force(

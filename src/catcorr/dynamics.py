@@ -109,15 +109,16 @@ def discord_t(spec: SuperpositionSpec, channel: DephasingChannel) -> float:
 
     The dephased pair is a real X state: the pair entries with both
     coherences scaled by 1 - gamma.  Its projective discord is taken
-    exactly by the X-state reduction (optimal azimuth in closed form, a
-    1-D search over the polar angle); `discord_brute_force` on
+    exactly by the X-state reduction (optimal azimuth in closed form, the
+    polar angle from a coarse grid and the sign of the objective's slope);
+    `discord_brute_force` on
     `apply_dephasing(reduced_rho12(spec), channel)` is the independent 2-D
     check.  Once dephasing raises the rank above two this is an upper
     bound on the unrestricted-POVM discord.
     """
     r00, r33, r03, r11, _ = _pair_block(spec.p, spec.n - 2, spec.parity.sign)
     decay = 1.0 - channel.gamma
-    return _discord_x(r00, r11, r11, r33, decay * r03, decay * r11)
+    return _discord_x(r00, r11, r11, r33, decay * r03, decay * r11)[0]
 
 
 def default_time_grid(

@@ -186,6 +186,20 @@ def test_sweep_pure_rows(capsys):
         assert float(row[5]) == pytest.approx(1.0, abs=1e-11)
 
 
+def test_dynamics_prints_rounding_level_discord_unfloored(capsys):
+    # at p = 0 the pair is (1 + X x X) / 4, classically correlated in the X
+    # basis, and dephasing only scales its X x X term, so its discord is 0
+    # at every time; the column prints the kernel's value as it is, within
+    # two ulps of 1 on either side of 0 (README "Numerical notes"): 58 of
+    # the 200 rows are negative
+    code, out, _ = run_cli(capsys, "dynamics --p 0 --n 3 --parity even --gamma-rate 1".split())
+    assert code == 0
+    discords = [float(line.split(",")[4]) for line in out.splitlines()[2:]]
+    assert len(discords) == 200
+    assert max(map(abs, discords)) <= 4.5e-16
+    assert min(discords) < 0.0 < max(discords)
+
+
 def test_dynamics_csv(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -537,14 +551,17 @@ def test_readme_outputs_are_pinned(capsys, command):
 # near p = 1 with discords of 1e-11 and below and a nearly orthogonal odd
 # pair; a change to the polar-angle search of discord_t moves their
 # printed digits (a golden-section tolerance of sqrt(eps) instead of 1e-10
-# changes 51 and 2 of their rows).  The odd pair's digest is taken with the
+# changed 51 and 2 of their rows).  The odd pair's digest is taken with the
 # endpoint rule of discord_t, which returns the grid value at a certified
 # endpoint where the search returned a value a few ulps lower: 5 of its
 # 200 rows moved by one unit in the 12th significant digit.  The pair near
-# p = 1 keeps its search and its digest
+# p = 1 is taken with the polar minimum placed by the sign of the slope,
+# evaluated once at its root: all 200 of its discords moved by up to
+# 2.6e-15 from the golden-section values, each closer to a 50-digit
+# minimum (at t = 0, 1.082979e-11 became 1.083239e-11 against 1.083127e-11)
 _DYNAMICS_DIGESTS = {
     "dynamics --p 0.999999 --n 3 --parity even --gamma-rate 1.3":
-        "eca7e812efc1796e6b6cc3387150e9e72cf7b2107bfd81c7acfaa645f284291c",
+        "54f1c31d25d03e19f0ff481163857ccb7f0cc8bdbc9351c6195619baee23602a",
     "dynamics --p 0.05 --n 4 --parity odd --gamma-rate 1.3":
         "a5e4952b01167eeadde38df89edb1e523c192daa1874695d08b41ddcf0d9829f",
 }

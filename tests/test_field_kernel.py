@@ -374,7 +374,7 @@ def test_dead_outcome_threshold_is_one_rule_in_every_kernel():
             # the discord of a classical state is 0 (here 0.06 q, from the
             # extra unit of trace) while the minimum counts the mixed
             # outcome; a dead one lowers it by about q/2
-            discord = _discord_x(*pops, 0.0, 0.0)
+            discord, _ = _discord_x(*pops, 0.0, 0.0)
             assert abs(discord) < 0.1 * q if live else discord < -0.4 * q
 
 

@@ -48,7 +48,11 @@ CLOSED_FORMS = {
     "catcorr.correlations": (
         "_block_eigenvalues",
         "_discord_x",
-        "_golden_section",
+        "_atanh_ratio",
+        "_descend",
+        "_polar_minimum",
+        "_polar_slope",
+        "_slope_root",
         "_pair_correlations",
         "_pure_correlations",
         "_concurrence_pure",

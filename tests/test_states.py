@@ -22,7 +22,14 @@ from catcorr import (
     werner_discord,
 )
 from catcorr.correlations import _block_eigenvalues
-from catcorr.states import PAULI, _pair_block
+from catcorr.states import (
+    HERMITICITY_TOL,
+    PAULI,
+    PSD_TOL,
+    TRACE_TOL,
+    X_STRUCTURE_TOL,
+    _pair_block,
+)
 from conftest import random_full_rank_state
 
 
@@ -282,6 +289,33 @@ def test_x_structure_detection():
     m2 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     m2[0, 1] = m2[1, 0] = 0.01
     assert not TwoQubitState(m2).is_x
+
+
+def test_density_checks_hold_each_tolerance_on_both_sides():
+    # each check 1% inside its tolerance passes and 1% outside it refuses;
+    # HERMITICITY_TOL was already refused outside it at 1e-11
+    base = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    for factor, accepted in ((0.99, True), (1.01, False)):
+        trace = base.copy()
+        trace[3, 3] += factor * TRACE_TOL  # trace 1 + that
+        negative = np.diag([0.5 + factor * PSD_TOL, 0.3, 0.2, -factor * PSD_TOL]).astype(complex)
+        hermitian = base.copy()
+        hermitian[0, 1] = factor * HERMITICITY_TOL  # |m - m^dagger| of that
+        for m in (trace, negative, hermitian):
+            if accepted:
+                TwoQubitState(m)
+            else:
+                with pytest.raises(DomainError):
+                    TwoQubitState(m)
+
+
+def test_x_structure_holds_its_tolerance_on_both_sides():
+    # an entry off the X pattern 1% inside X_STRUCTURE_TOL leaves an X
+    # state, 1% outside it does not
+    for factor, is_x in ((0.99, True), (1.01, False)):
+        m = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        m[0, 1] = m[1, 0] = factor * X_STRUCTURE_TOL
+        assert TwoQubitState(m).is_x == is_x
 
 
 def test_analytic_eigenvalues_match_solver(rng):

@@ -3,13 +3,15 @@
 `_discord_x` evaluates the binary entropy of its polar-angle objective
 inline.  `reference_discord_x` below is the form that called
 `binary_entropy` for each outcome, unchanged but for the name and the
-endpoint decision, which it takes from the module: the kernel must return
-the same bits on every input.
+polar decision (grid, endpoint rule, slope and root), which it takes from
+the module: the kernel must return the same bits on every input.
 
-`_discord_x` also skips the golden-section search where the derivative of
-the objective certifies an endpoint grid minimum.  `old_search_discord_x`
-below is the kernel that always searched, unchanged but for the name: the
-kernel may only be higher, by rounding, where the search chased noise.
+`_discord_x` places the polar minimum from the sign of the objective's
+slope.  `old_search_discord_x` below is the kernel that always ran a
+golden-section search on the bracket of the grid minimum, unchanged but
+for the name, with a private copy of that search: away from purity the
+two agree to rounding, and near it the kernel is no further from a
+50-digit minimum than the search was.
 """
 
 import math
@@ -17,17 +19,22 @@ import math
 import numpy as np
 import pytest
 
-from catcorr import DomainError, Parity
+from catcorr import DomainError, Parity, TwoQubitState, discord_brute_force
 from catcorr import correlations
 from catcorr.correlations import (
     _ENDPOINT_LIVE_MARGIN,
     _ENDPOINT_PURE_MARGIN,
+    _LADDER_FACTOR,
     _LIVE_Q,
+    _PURE_POLE_RUNG,
+    _ROOT_STEP_TOL,
+    _TIE_TOL,
     _X_THETA_POINTS,
     _block_eigenvalues,
     _discord_x,
     _endpoint_is_minimum,
-    _golden_section,
+    _polar_minimum,
+    _polar_slope,
     binary_entropy,
 )
 from catcorr.states import _pair_block
@@ -53,19 +60,37 @@ def reference_discord_x(
                 total += 0.5 * weight * binary_entropy(0.5 - 0.5 * r)
         return total
 
-    step = 0.5 * math.pi / (_X_THETA_POINTS - 1)
-    best_val, i = min((s_cond(k * step), k) for k in range(_X_THETA_POINTS))
-    if i in (0, _X_THETA_POINTS - 1) and _endpoint_is_minimum(a3, b3, t33, t_perp, i == 0):
-        val = best_val
-    else:
-        _, val = _golden_section(
-            s_cond, max(0.0, (i - 1) * step), min(0.5 * math.pi, (i + 1) * step)
-        )
+    val, theta = _polar_minimum(s_cond, r00, r11, r22, r33, a3, b3, t33, t_perp)
     s_ab = 0.0
     for lam in _block_eigenvalues(r00, r33, c03) + _block_eigenvalues(r11, r22, c12):
         if lam > 0.0:
             s_ab -= lam * math.log2(lam)
-    return binary_entropy(min(r00 + r11, r22 + r33)) + min(best_val, val) - s_ab
+    return binary_entropy(min(r00 + r11, r22 + r33)) + val - s_ab, theta
+
+
+LINE_SEARCH_STEP_TOL = 1e-10
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section(fun, lo: float, hi: float):
+    """Golden-section minimum of a scalar function on [lo, hi] to LINE_SEARCH_STEP_TOL."""
+    golden, step_tol = _GOLDEN, LINE_SEARCH_STEP_TOL
+    a, b = lo, hi
+    c = b - golden * (b - a)
+    d = a + golden * (b - a)
+    fc, fd = fun(c), fun(d)
+    while b - a > step_tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = fun(d)
+    if fc <= fd:
+        return c, fc
+    return d, fd
 
 
 def old_search_discord_x(
@@ -149,11 +174,23 @@ BOUNDARY_ENTRIES = [
     (0.0059, 0.0136, 0.9802, 0.0003, -0.0007, -0.1068),
     # dephased pairs near p = 1 whose optimum is an interior well next to
     # theta = 0 (theta* ~ 7.5e-4 and ~ 4.0e-3), below s(0) by 4.1e-10 and
-    # 2.8e-8: only the golden-section comparisons find it
+    # 2.8e-8: only a search off the grid finds it
     (0.9999972472605235, 1.2512449887640687e-06, 1.2512449887640687e-06,
      2.5024949875150816e-07, 0.00033966112149885134, 8.495758916917835e-07),
     (0.9999907410715136, 4.504340307865265e-06, 4.504340307865265e-06,
      2.5024787057648767e-07, 0.0003134477866445946, 2.822365256167071e-06),
+    # seeded random_dephased_entries near p = 1 with wells next to theta = 0:
+    # theta* ~ 4.8e-5, where golden section stops 3.19e-13 above the
+    # 50-digit minimum; theta* ~ 3.0e-6, next to an outcome of weight 1e-12,
+    # whose well only the ladder of slope probes brackets (the slope at the
+    # grid step alone misses it by 7.4e-14); and theta* ~ 3.8e-5, a well
+    # 1e-12 deep, which needs atanh(r) / r as such at small r
+    (0.9999999999907498, 4.500004500103205e-12, 4.500004500103205e-12,
+     2.5000025001225285e-13, 4.831227507245445e-07, 4.348106930586014e-12),
+    (0.9999999999992497, 2.500002500143778e-13, 2.500002500143778e-13,
+     2.5000025001437786e-13, 4.517663226453789e-07, 2.2588327427082203e-13),
+    (0.9999999912127632, 2.9290789688907716e-09, 2.9290789688907716e-09,
+     2.929078968890772e-09, 4.518702216813078e-05, 2.4455653045363383e-09),
     # |00><00|: the outcome of -z has probability 0
     (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
     # Bell states: every conditional state is pure, r = 1
@@ -171,7 +208,8 @@ def test_x_kernel_matches_binary_entropy_reference_bitwise(rng):
     cases += dephased_pair_entries(rng)
     cases += BOUNDARY_ENTRIES
     for entries in cases:
-        assert _discord_x(*entries).hex() == reference_discord_x(*entries).hex(), entries
+        kernel = [v.hex() for v in _discord_x(*entries)]
+        assert kernel == [v.hex() for v in reference_discord_x(*entries)], entries
 
 
 def test_x_kernel_rejects_nan_like_the_reference():
@@ -205,48 +243,242 @@ def random_dephased_entries(rng, count):
         yield r00, r11, r11, r33, decay * r03, decay * r11
 
 
-def counted_searches(monkeypatch):
-    """Patch `_golden_section` to count its calls."""
+def counted_calls(monkeypatch, name):
+    """Patch the correlations helper `name` to record the arguments of its calls."""
     calls = []
+    original = getattr(correlations, name)
 
-    def counted(fun, lo, hi):
-        calls.append((lo, hi))
-        return _golden_section(fun, lo, hi)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(correlations, "_golden_section", counted)
+    monkeypatch.setattr(correlations, name, counted)
     return calls
 
 
-def test_endpoint_rule_only_drops_search_noise(rng, monkeypatch):
-    # where the rule skips the search, the kernel returns the grid value,
-    # which the search undercut by rounding alone (it chases noise around a
-    # strict endpoint minimum); everywhere else it is the search, bit for bit
+def interior_optima():
+    # the interior optima, the wells next to theta = 0 near p = 1 and the
+    # optima just off the equator
+    return BOUNDARY_ENTRIES[:9] + list(leaving_the_equator())
+
+
+def mp_discord(mpmath, r00, r11, r22, r33, c03, c12):
+    """The discord of the X entries at 50 digits, its polar minimum from a
+    grid of 54 angles (37 of them log-spaced from 1e-10 to 1e-1) refined by
+    golden section on the bracket of the grid minimum."""
+    with mpmath.workdps(50):
+        r00, r11, r22, r33, c03, c12 = map(mpmath.mpf, (r00, r11, r22, r33, c03, c12))
+        a3, b3, t33 = r00 + r11 - r22 - r33, r00 - r11 + r22 - r33, r00 - r11 - r22 + r33
+        t_perp = 2 * (abs(c03) + abs(c12))
+
+        def entropy(x):
+            return 0 if not 0 < x < 1 else -x * mpmath.log(x, 2) - (1 - x) * mpmath.log(1 - x, 2)
+
+        def s_cond(theta):
+            c, s = mpmath.cos(theta), mpmath.sin(theta)
+            total = 0
+            for sign in (1, -1):
+                weight = 1 + sign * a3 * c
+                if weight > 0:
+                    r = mpmath.sqrt((t_perp * s) ** 2 + (b3 + sign * t33 * c) ** 2) / weight
+                    total += weight / 2 * entropy((1 + r) / 2)
+            return total
+
+        half_pi = mpmath.pi / 2
+        grid = sorted({mpmath.mpf(0)} | {mpmath.mpf(10) ** (k / 4 - 10) for k in range(37)}
+                      | {half_pi * k / 16 for k in range(1, 17)})
+        values = [s_cond(t) for t in grid]
+        k = min(range(len(grid)), key=values.__getitem__)
+        a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+        golden = (mpmath.sqrt(5) - 1) / 2
+        c, d = b - golden * (b - a), a + golden * (b - a)
+        fc, fd = s_cond(c), s_cond(d)
+        while b - a > mpmath.mpf(10) ** -20:
+            if fc <= fd:
+                b, d, fd = d, c, fc
+                c = b - golden * (b - a)
+                fc = s_cond(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + golden * (b - a)
+                fd = s_cond(d)
+        s_ab = 0
+        for d1, d2, off in ((r00, r33, c03), (r11, r22, c12)):
+            radius = mpmath.sqrt(((d1 - d2) / 2) ** 2 + off ** 2)
+            for lam in ((d1 + d2) / 2 + radius, (d1 + d2) / 2 - radius):
+                if lam > 0:
+                    s_ab -= lam * mpmath.log(lam, 2)
+        return float(entropy(min(r00 + r11, r22 + r33)) + min(values[k], fc, fd) - s_ab)
+
+
+def test_slope_rule_keeps_the_search_values(rng):
+    # where every population is below 1 - 1e-4, the slope rule and the
+    # search agree to rounding; nearer purity both lose digits in the
+    # objective itself, and wherever they differ by more than that rounding
+    # the slope rule is no further from the 50-digit value than the search
+    mpmath = pytest.importorskip("mpmath")
     cases = list(random_x_entries(rng, 2000))
     cases += dephased_pair_entries(rng)
     cases += BOUNDARY_ENTRIES
     cases += leaving_the_equator()
     cases += random_dephased_entries(rng, 5000)
-    moved = 0
+    near = 0
     for entries in cases:
-        gap = _discord_x(*entries) - old_search_discord_x(*entries)
-        assert 0.0 <= gap <= 2e-15, entries
-        moved += gap != 0.0
-    assert moved > 1000  # 1912 of the 7792 cases
-    # the interior optima, the interior wells next to theta = 0 near p = 1
-    # and the optima just off the equator still go through the search
-    calls = counted_searches(monkeypatch)
-    for entries in BOUNDARY_ENTRIES[:6] + list(leaving_the_equator()):
-        calls.clear()
-        assert _discord_x(*entries) == old_search_discord_x(*entries)
-        assert len(calls) == 1, entries
+        new, old = _discord_x(*entries)[0], old_search_discord_x(*entries)
+        if max(entries[:4]) < 1.0 - 1e-4:
+            assert abs(new - old) <= 3e-15, entries
+        elif abs(new - old) > 3e-15:
+            exact = mp_discord(mpmath, *entries)
+            assert abs(new - exact) <= abs(old - exact) + 5e-15, entries
+            near += 1
+    assert near > 10  # 19 of the 7797 cases
+
+
+def test_golden_section_misses_a_well_the_slope_rule_finds():
+    mpmath = pytest.importorskip("mpmath")
+    entries = BOUNDARY_ENTRIES[6]
+    exact = mp_discord(mpmath, *entries)
+    assert old_search_discord_x(*entries) - exact > 3e-13
+    assert abs(_discord_x(*entries)[0] - exact) < 2e-15
+
+
+def test_interior_optima_take_the_root_path(monkeypatch):
+    roots = counted_calls(monkeypatch, "_slope_root")
+    for entries in interior_optima():
+        roots.clear()
+        _discord_x(*entries)
+        assert len(roots) == 1, entries
+
+
+def test_theta_star_matches_the_scan_argmin():
+    # |cos theta*| against |d_z| of the 2-D scan's argmin (d -> -d gives the
+    # same measurement) at the interior optima but the wells of depth below
+    # 1e-12 near p = 1; the second optimum off the equator is 2.0e-13 below
+    # it, within the scan's tie rule, which reports the equator
+    cases = BOUNDARY_ENTRIES[:6] + list(leaving_the_equator())
+    for entries in cases:
+        discord, theta = _discord_x(*entries)
+        report = discord_brute_force(x_state(*entries))
+        assert 0.0 < theta < 0.5 * math.pi
+        if entries == cases[-1]:
+            assert report.argmin.theta == 0.5 * math.pi
+            assert abs(report.discord - discord) < _TIE_TOL
+        else:
+            gap = abs(math.cos(theta)) - abs(report.argmin.direction()[2])
+            assert abs(gap) < 1e-6, entries
+
+
+def test_certified_and_zero_grid_minima_return_the_grid(monkeypatch):
+    # theta* is the certified endpoint or the grid minimum of value 0, and
+    # neither reads the slope
+    slopes = counted_calls(monkeypatch, "_polar_slope")
+    bell = BOUNDARY_ENTRIES[10]
+    assert _discord_x(*bell) == (1.0, 0.0)
+    pair = (0.4, 0.1, 0.2, 0.3, 0.1, 0.05)
+    discord, theta = _discord_x(*pair)
+    assert theta in (0.0, 0.5 * math.pi)
+    assert not slopes
+
+
+def test_root_finder_stops_at_its_step_tolerance(monkeypatch):
+    # the probes of each root search, replayed: the bracket after the last
+    # probe is at most _ROOT_STEP_TOL wide and the one before it wider, so
+    # the finder neither stops outside its tolerance nor goes on inside it
+    # (a search may also end on a slope of exactly 0)
+    roots = counted_calls(monkeypatch, "_slope_root")
+    slopes = counted_calls(monkeypatch, "_polar_slope")
+    on_tolerance = 0
+    for entries in interior_optima():
+        roots.clear()
+        _discord_x(*entries)
+        lo, g_lo, hi, g_hi, args = roots[0]
+        slopes.clear()
+        correlations._slope_root(lo, g_lo, hi, g_hi, args)
+        widths = []
+        for theta, *_ in slopes:
+            g = _polar_slope(theta, *args)
+            assert g is not None
+            lo, hi = (theta, hi) if g < 0.0 else (lo, theta)
+            widths.append(hi - lo)
+        assert widths[-2] > _ROOT_STEP_TOL, entries
+        if g != 0.0:
+            assert widths[-1] <= _ROOT_STEP_TOL, entries
+            on_tolerance += 1
+    assert on_tolerance >= 5  # 6 of the 11, the others end on a slope of 0
+
+
+# seeded random_dephased_entries near p = 1: the -z outcome has weight
+# 2.7e-10 at theta = 0, the pole, which is the minimum, and the slope
+# stays positive on the whole ladder
+LADDER_POLE = (0.9999999997236017, 1.344641710770467e-10, 1.344641710770467e-10,
+               7.470231732508939e-12, 1.6125451000443387e-07, 7.9332549583577e-12)
+
+
+def test_ladder_climbs_to_the_first_grid_step(monkeypatch):
+    # the slope is read at the pole and at w / T_perp times every power of
+    # _LADDER_FACTOR below the first grid step, and at no rung at or above it
+    slopes = counted_calls(monkeypatch, "_polar_slope")
+    discord, theta = _discord_x(*LADDER_POLE)
+    assert theta == 0.0
+    r00, r11, r22, r33, c03, c12 = LADDER_POLE
+    rung = 2.0 * (r22 + r33) / (2.0 * (abs(c03) + abs(c12)))
+    assert 2.0 * (r22 + r33) < _ENDPOINT_LIVE_MARGIN
+    rungs = []
+    while rung < 0.5 * math.pi / (_X_THETA_POINTS - 1):
+        rungs.append(rung)
+        rung *= _LADDER_FACTOR
+    assert len(rungs) == 5
+    assert [args[0] for args in slopes] == [0.0] + rungs
+    assert all(_polar_slope(*args) > 0.0 for args in slopes)
+
+
+# X states with a population of 0 or nearly 0, from seeded random draws,
+# whose polar minimum no probe of the grid step shows a sign change for
+# (golden section on the step found each)
+HIDDEN_WELLS = [
+    # r11 = 0: the +z outcome is pure at the pole, a minimum from the right
+    # within a layer thinner than 1e-8; the well at theta* ~ 0.1 is 6.8e-5
+    # deeper, and the ladder from _PURE_POLE_RUNG brackets it
+    (0.9985689446693059, 0.0, 0.001094908390330416, 0.00033614694036370883,
+     -0.014606233376479195, 0.0),
+    # the +z outcome is 1.5e-8 from pure at the pole, where the slope is
+    # positive, as at the grid minimum pi/8, which the pole lies above: the
+    # well at theta* ~ 0.29 is 3.8e-5 below it
+    (0.9444760855073435, 7.084815339356251e-09, 0.05318501988879469,
+     0.002338887519046559, 0.0294868571895075, 0.0),
+]
+
+
+def test_wells_without_a_sign_change_at_the_probes(monkeypatch):
+    mpmath = pytest.importorskip("mpmath")
+    slopes = counted_calls(monkeypatch, "_polar_slope")
+    descents = counted_calls(monkeypatch, "_descend")
+    for k, entries in enumerate(HIDDEN_WELLS):
+        slopes.clear()
+        descents.clear()
+        discord, theta = _discord_x(*entries)
+        assert abs(discord - mp_discord(mpmath, *entries)) < 3e-15
+        assert abs(discord - old_search_discord_x(*entries)) < 3e-15
+        assert 0.05 < theta < 0.5
+        if k == 0:
+            assert slopes[1][0] == _PURE_POLE_RUNG and not descents
+        else:
+            assert len(descents) == 1
+
+
+def x_state(r00, r11, r22, r33, c03, c12):
+    m = np.diag([r00, r11, r22, r33]).astype(complex)
+    m[0, 3] = m[3, 0] = c03
+    m[1, 2] = m[2, 1] = c12
+    return TwoQubitState(m)
 
 
 def test_endpoint_rule_needs_both_margins(monkeypatch):
     # each margin on both sides: 1% inside it the endpoint is certified and
-    # the search skipped, 1% outside it the search runs, and with the
+    # the slope never read, 1% outside it the slope is read, and with the
     # margin halved the outside input is certified as well, so the margin
     # alone decides
-    calls = counted_searches(monkeypatch)
+    calls = counted_calls(monkeypatch, "_polar_slope")
     pure, live = _ENDPOINT_PURE_MARGIN, _ENDPOINT_LIVE_MARGIN
 
     def bell_diagonal(gap):  # theta = pi/2, both r = 1 - gap
@@ -265,10 +497,10 @@ def test_endpoint_rule_needs_both_margins(monkeypatch):
         ("_ENDPOINT_LIVE_MARGIN", live, small_outcome),
         ("_ENDPOINT_PURE_MARGIN", pure, nearly_pure_outcome),
     ):
-        for factor, searches in ((1.01, 0), (0.99, 1)):
+        for factor, searched in ((1.01, False), (0.99, True)):
             calls.clear()
             _discord_x(*make(factor * margin))
-            assert len(calls) == searches, (name, factor)
+            assert bool(calls) == searched, (name, factor)
         with monkeypatch.context() as patched:
             patched.setattr(correlations, name, 0.5 * margin)
             calls.clear()

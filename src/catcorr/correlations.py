@@ -83,10 +83,13 @@ _X_THETA_POINTS = 5
 # the root the objective is off its minimum by about its curvature times
 # the square of this, far below rounding
 _ROOT_STEP_TOL = 1e-12
-# a nearly dead outcome at theta = 0, of weight w below
-# _ENDPOINT_LIVE_MARGIN, bends the objective within about w / T_perp of
-# the pole; its slope is probed at w / T_perp times powers of this factor
-# below the first grid step
+# an outcome of weight w (twice its probability) below this at theta = 0
+# is nearly dead: it bends the objective within about w / T_perp of the
+# pole, far inside the first grid step, so `_polar_minimum` probes the
+# slope there on a ladder (_LADDER_FACTOR)
+_ENDPOINT_LIVE_MARGIN = 1e-6
+# the ladder's rungs are w / T_perp times powers of this factor below the
+# first grid step
 _LADDER_FACTOR = 4.0
 # an outcome exactly pure at theta = 0 makes the pole a minimum from the
 # right: its term rises like theta^2 log(1/theta).  That layer can be far
@@ -94,16 +97,6 @@ _LADDER_FACTOR = 4.0
 # starts at this angle; a well nearer the pole is within rounding of the
 # pole's value, as its depth is about the curvature times this squared
 _PURE_POLE_RUNG = 1e-8
-# the endpoint rule of `_discord_x` reads the sign of the objective's
-# derivative only where it is well conditioned: each outcome's weight
-# (twice its probability) above _ENDPOINT_LIVE_MARGIN, as the slope at
-# theta = 0 divides by it, and 1 - r above _ENDPOINT_PURE_MARGIN, r the
-# conditional Bloch length, as h'(r) and h''(r) diverge at r = 1 (every
-# outcome of a Bell pair).  Within both, a relative rounding error eps in
-# a weight or in r moves a term of the derivative by about eps / 1e-6,
-# 2e-10 of itself
-_ENDPOINT_LIVE_MARGIN = 1e-6
-_ENDPOINT_PURE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -481,49 +474,6 @@ def _patch_steps(n_theta: int, n_phi: int):
     return column
 
 
-def _endpoint_is_minimum(a3: float, b3: float, t33: float, t_perp: float, pole: bool) -> bool:
-    """Whether theta = 0 (pole) or theta = pi/2 is a strict local minimum
-    of the polar-angle objective s of `_discord_x`, from its derivative.
-
-    With c = cos theta, each outcome +-1 has weight w = 1 +- a3 c, squared
-    conditional Bloch length r^2 = u / w^2, u = T_perp^2 (1 - c^2) +
-    (b3 +- T33 c)^2, and adds w/2 h(r), h(r) = H((1 + r)/2), with
-    h'(r) = -atanh(r) / ln 2 and h''(r) = -1 / (ln 2 (1 - r^2)); below,
-    k(r) = atanh(r) / r (1 at r = 0) and log is the natural logarithm.
-    - At theta = 0, ds/dtheta = 0 and d2s/dtheta2 = -ds/dc at c = 1, so
-      the pole is a strict minimum where -2 ln 2 ds/dc > 0, the sum over
-      the outcomes of
-      1/2 (+-a3) log(1 - r^2) + k(r) (+-T33 (b3 +- T33) - T_perp^2) / w.
-    - At theta = pi/2, s is even in c, so d2s/dtheta2 = d2s/dc2 at c = 0.
-      There both weights are 1 and u0 = T_perp^2 + b3^2 = r^2, and
-      theta = pi/2 is a strict minimum where -ln 2 u0 d2s/dc2 < 0, that is
-      k(r) T_perp^2 (T33^2 - u0) + (T33 b3 - a3 u0)^2 / (1 - u0) < 0.
-    The sign is read only where both weights exceed _ENDPOINT_LIVE_MARGIN
-    and both 1 - r exceed _ENDPOINT_PURE_MARGIN; a NaN fails every
-    comparison, so it is never certified.
-    """
-    tt = t_perp * t_perp
-    if not pole:
-        u = tt + b3 * b3
-        r = math.sqrt(u)
-        if not 1.0 - r > _ENDPOINT_PURE_MARGIN:
-            return False
-        k = math.atanh(r) / r if r else 1.0
-        return k * tt * (t33 * t33 - u) + (t33 * b3 - a3 * u) ** 2 / (1.0 - u) < 0.0
-    slope = 0.0
-    for sign in (1.0, -1.0):
-        w = 1.0 + sign * a3
-        m = b3 + sign * t33
-        if not w > _ENDPOINT_LIVE_MARGIN:
-            return False
-        r = abs(m) / w
-        if not 1.0 - r > _ENDPOINT_PURE_MARGIN:
-            return False
-        k = math.atanh(r) / r if r else 1.0
-        slope += 0.5 * sign * a3 * math.log1p(-r * r) + k * (sign * t33 * m - tt) / w
-    return slope > 0.0
-
-
 def _atanh_ratio(r: float, w: float, root_u: float, d: float) -> float:
     """k(r) = atanh(r) / r (1 at r = 0) at r = root_u / w, d = w^2 - u.
 
@@ -545,14 +495,22 @@ def _polar_slope(
     objective s of `_discord_x` at theta in [0, pi/2], or None where a
     live outcome is pure (r = 1) and the slope is undefined.
 
-    In the notation of `_endpoint_is_minimum`, with m = b3 +- T33 c,
+    With c = cos theta, each outcome +-1 has weight w = 1 +- a3 c, squared
+    conditional Bloch length r^2 = u / w^2, u = T_perp^2 (1 - c^2) + m^2,
+    m = b3 +- T33 c, and adds w/2 h(r), h(r) = H((1 + r)/2), with
+    h'(r) = -atanh(r) / ln 2 and h''(r) = -1 / (ln 2 (1 - r^2)); below,
+    k(r) = atanh(r) / r (1 at r = 0) and log is the natural logarithm.
     ds/dc = sum over the outcomes of +-(a3/2) h(r) - w/(2 ln 2) atanh(r) r',
     and ds/dtheta = -sin(theta) ds/dc.  This returns -2 ln 2 ds/dc, the
-    sum of +-1/2 a3 log(1 - r^2) + k(r) (+-T33 m - T_perp^2 c) / w: at
-    theta = 0 the c = 1 limit that `_endpoint_is_minimum` reads.  At
-    theta = pi/2, where the slope is 0, it returns the curvature expression
-    of `_endpoint_is_minimum` instead, whose sign is that of the slope just
-    below pi/2.
+    sum of +-1/2 a3 log(1 - r^2) + k(r) (+-T33 m - T_perp^2 c) / w.
+    - At theta = 0, ds/dtheta = 0 and d2s/dtheta2 = -ds/dc, so the value
+      is positive where the pole is a strict local minimum.
+    - At theta = pi/2, where the slope is 0, s is even in c, so
+      d2s/dtheta2 = d2s/dc2 at c = 0.  There both weights are 1 and
+      u0 = T_perp^2 + b3^2 = r^2, and this returns -ln 2 u0 d2s/dc2,
+      k(r) T_perp^2 (T33^2 - u0) + (T33 b3 - a3 u0)^2 / (1 - u0), whose
+      sign is that of the slope just below pi/2: negative where pi/2 is a
+      strict local minimum.
 
     Nothing is formed from 1 +- a3 c, which cancels near purity.  With
     s2 = sin^2(theta/2), the + outcome has w = 2 (r00 + r11) - 2 a3 s2,
@@ -658,21 +616,20 @@ def _descend(s_cond, c: float, s_c: float, g_c: float, f: float, entries) -> flo
     return c
 
 
-def _polar_minimum(
-    s_cond, r00: float, r11: float, r22: float, r33: float,
-    a3: float, b3: float, t33: float, t_perp: float,
-) -> tuple[float, float]:
+def _polar_minimum(s_cond, entries) -> tuple[float, float]:
     """The minimum over theta in [0, pi/2] of the polar-angle objective
-    s_cond of `_discord_x` at the X entries, and its theta.
+    s_cond of `_discord_x`, and its theta; `entries` are the X entries
+    (r00, r11, r22, r33, a3, b3, T33, T_perp) that `_polar_slope` takes.
 
     The first minimum of a grid of _X_THETA_POINTS is kept as it is when
-    its value is 0.0 (s >= 0) or when it is an endpoint that
-    `_endpoint_is_minimum` certifies.  Otherwise the sign of
-    `_polar_slope` places the minimum, and the value is s_cond there
-    unless the grid value is lower:
+    its value is 0.0 (s >= 0).  Otherwise the sign of `_polar_slope`
+    places the minimum, and the value is s_cond there unless the grid
+    value is lower:
     - At the grid minimum: a pure outcome, a slope of 0, or pi/2 as a
       minimum from the left keep it; elsewhere the slope picks the grid
-      step on the downhill side (at the pole, the step beside it).
+      step on the downhill side (at the pole, the step beside it; there a
+      positive slope makes the pole a minimum from the right, which stands
+      unless the ladder below brackets a well).
     - In that step, a sign change from - to + between its ends brackets a
       root, which `_slope_root` takes.  Next to the pole the step's probes
       climb a ladder of powers of _LADDER_FACTOR: from w / T_perp where an
@@ -693,11 +650,9 @@ def _polar_minimum(
         if value < best_val:
             best_val, i = value, k
     best_theta, last = i * step, _X_THETA_POINTS - 1
-    if best_val == 0.0 or (
-        i in (0, last) and _endpoint_is_minimum(a3, b3, t33, t_perp, i == 0)
-    ):
+    if best_val == 0.0:
         return best_val, best_theta
-    entries = (r00, r11, r22, r33, a3, b3, t33, t_perp)
+    r00, r11, r22, r33, _, _, _, t_perp = entries
     g_best = _polar_slope(best_theta, *entries)
     if i and (g_best is None or g_best == 0.0 or (i == last and g_best < 0.0)):
         return best_val, best_theta
@@ -770,9 +725,9 @@ def _discord_x(
     the meridian of the larger transverse correlation,
     T_perp = 2 (|c03| + |c12|); d -> -d swaps the two outcomes, so
     t in [0, pi/2] suffices.  `_polar_minimum` takes the minimum over t
-    from a coarse grid and the sign of the objective's slope: theta* is a
-    certified endpoint, the grid minimum where its value is 0, or a root of
-    the slope.
+    from a coarse grid and the sign of the objective's slope: theta* is the
+    grid minimum where its value is 0 or the slope there marks a local
+    minimum, and otherwise a root of the slope.
     """
     a3 = r00 + r11 - r22 - r33
     b3 = r00 - r11 + r22 - r33
@@ -814,7 +769,7 @@ def _discord_x(
                 raise DomainError(f"conditional Bloch length is NaN at theta {theta}")
         return total
 
-    val, theta = _polar_minimum(s_cond, r00, r11, r22, r33, a3, b3, t33, t_perp)
+    val, theta = _polar_minimum(s_cond, (r00, r11, r22, r33, a3, b3, t33, t_perp))
     s_ab = 0.0
     for lam in _block_eigenvalues(r00, r33, c03) + _block_eigenvalues(r11, r22, c12):
         if lam > 0.0:

@@ -9,7 +9,7 @@ discord survives past that point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,26 +24,26 @@ class DephasingChannel:
 
     gamma = 1 - exp(-rate t) grows monotonically from 0 to 1.  The
     single-mode Kraus pair diag(1, sqrt(1-gamma)), diag(0, sqrt(gamma))
-    resolves the identity for every gamma in [0, 1].
+    resolves the identity for every gamma in [0, 1].  gamma is computed
+    once, from the rate and the time, which alone set repr, eq and hash.
     """
 
     gamma_rate: float
     t: float
+    gamma: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.gamma_rate < 0.0 or math.isnan(self.gamma_rate):
             raise DomainError(f"decay rate must be nonnegative, got {self.gamma_rate}")
         if self.t < 0.0 or math.isnan(self.t):
             raise DomainError(f"time must be nonnegative, got {self.t}")
+        gamma = -math.expm1(-self.gamma_rate * self.t)
         # a zero rate for an infinite time (0 * inf) leaves gamma undefined
-        if math.isnan(self.gamma):
+        if math.isnan(gamma):
             raise DomainError(
                 f"gamma is undefined for rate {self.gamma_rate} and time {self.t}"
             )
-
-    @property
-    def gamma(self) -> float:
-        return -math.expm1(-self.gamma_rate * self.t)
+        object.__setattr__(self, "gamma", gamma)
 
     @classmethod
     def from_gamma(cls, gamma: float) -> "DephasingChannel":

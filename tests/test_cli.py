@@ -551,10 +551,11 @@ def test_readme_outputs_are_pinned(capsys, command):
 # near p = 1 with discords of 1e-11 and below and a nearly orthogonal odd
 # pair; a change to the polar-angle search of discord_t moves their
 # printed digits (a golden-section tolerance of sqrt(eps) instead of 1e-10
-# changed 51 and 2 of their rows).  The odd pair's digest is taken with the
-# endpoint rule of discord_t, which returns the grid value at a certified
-# endpoint where the search returned a value a few ulps lower: 5 of its
-# 200 rows moved by one unit in the 12th significant digit.  The pair near
+# changed 51 and 2 of their rows).  The odd pair's digest is taken with
+# discord_t keeping the grid value at an endpoint that the sign of the
+# objective's slope makes a minimum, where the search returned a value a
+# few ulps lower: 5 of its 200 rows moved by one unit in the 12th
+# significant digit.  The pair near
 # p = 1 is taken with the polar minimum placed by the sign of the slope,
 # evaluated once at its root: all 200 of its discords moved by up to
 # 2.6e-15 from the golden-section values, each closer to a 50-digit

@@ -128,6 +128,17 @@ def test_overlap_value_range_enforced():
     assert Overlap(1.0 + 1e-13, HARMONIC, 0.0).value == 1.0
 
 
+def test_overlap_slack_holds_on_both_sides():
+    # 1% inside OVERLAP_SLACK beyond either end an overlap clamps to [0, 1],
+    # 1% outside it is a DomainError
+    slack = coherent.OVERLAP_SLACK
+    assert Overlap(1.0 + 0.99 * slack, HARMONIC, 0.0).value == 1.0
+    assert Overlap(-0.99 * slack, HARMONIC, 1.0).value == 0.0
+    for value in (1.0 + 1.01 * slack, -1.01 * slack):
+        with pytest.raises(DomainError):
+            Overlap(value, HARMONIC, 1.0)
+
+
 @pytest.mark.parametrize(
     "alg,z_max",
     [

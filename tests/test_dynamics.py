@@ -38,6 +38,15 @@ def test_channel_gamma_growth():
     assert DephasingChannel(gamma_rate=1.0, t=math.inf).gamma == 1.0
 
 
+def test_channel_stores_gamma_outside_repr_eq_and_hash():
+    # gamma is kept as computed, -expm1(-rate t); the rate and the time
+    # alone make the repr, equality and hash
+    ch = DephasingChannel(gamma_rate=1.3, t=0.7)
+    assert ch.gamma == -math.expm1(-1.3 * 0.7)
+    assert repr(ch) == "DephasingChannel(gamma_rate=1.3, t=0.7)"
+    assert ch == DephasingChannel(1.3, 0.7) and hash(ch) == hash((1.3, 0.7))
+
+
 def test_channel_validation():
     with pytest.raises(DomainError):
         DephasingChannel(gamma_rate=-1.0, t=0.0)

@@ -28,6 +28,7 @@ from catcorr import (
 )
 from catcorr import correlations
 from catcorr.correlations import (
+    DEFAULT_GRID,
     _PATCH_POINTS,
     _PATCH_SHRINK,
     _PATCH_STEP_TOL,
@@ -240,3 +241,18 @@ def test_scan_ending_on_an_improving_level_evaluates_the_phi0_tie_again(monkeypa
     calls.clear()
     discord_brute_force(reduced_rho12(SuperpositionSpec(0.9, Parity.EVEN, 3)))
     assert calls[-1][1] > 81
+
+
+def test_patch_levels_hold_the_step_tolerance_on_both_sides(monkeypatch):
+    # the default grid's 13th patch half-width is pi/180 / 4^12, about
+    # 1.04e-9: a _PATCH_STEP_TOL 1% above it leaves 12 levels, 1% below 13
+    last = math.pi / 180.0 / _PATCH_SHRINK**12
+    assert correlations._patch_steps(*DEFAULT_GRID)[-1, 0] == last
+    try:
+        for factor, levels in ((1.01, 12), (0.99, 13)):
+            monkeypatch.setattr(correlations, "_PATCH_STEP_TOL", factor * last)
+            correlations._patch_steps.cache_clear()
+            assert len(correlations._patch_steps(*DEFAULT_GRID)) == levels
+    finally:
+        monkeypatch.undo()
+        correlations._patch_steps.cache_clear()

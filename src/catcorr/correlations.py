@@ -552,68 +552,38 @@ def _polar_slope(
     return slope
 
 
-def _slope_root(lo: float, g_lo: float, hi: float, g_hi: float, entries) -> float:
-    """A root of `_polar_slope` (at the X entries `entries`) in (lo, hi),
-    where it is g_lo < 0 at lo and g_hi > 0 at hi: a local minimum of the
-    objective.
+def _slope_search(s_cond, c: float, s_c, g_c: float, f: float, g_f, entries) -> float:
+    """A local minimum of the objective s_cond between c and f, where the
+    slope g_c of `_polar_slope` (at the X entries `entries`) at c points
+    down towards f.
 
-    Illinois false position: the slope kept at a bracket end that survives
-    two steps in a row is halved.  Where three steps in a row have not
-    halved the bracket, the next step bisects it.  Ends at a bracket at
-    most _ROOT_STEP_TOL wide, at its false-position point, or at a probe
-    where the slope is 0 or undefined.
+    Where g_f, the slope at f, points back towards c, the bracket narrows
+    on slopes alone: false position alternating with bisection.  Where g_f
+    is None, midpoints decide by value (s_c is s_cond(c), read only here):
+    one lower than c replaces c and one no lower replaces f, until a
+    midpoint's slope points back towards c and brackets a root.  Ends at
+    a bracket at most _ROOT_STEP_TOL wide, at its false-position point (at
+    c where no root was bracketed), or at a probe where the slope is 0 or
+    undefined.
     """
-    kept = 0  # the end the last false-position step kept: -1 lo, 1 hi
-    halved_at, stalled = hi - lo, 0
-    while hi - lo > _ROOT_STEP_TOL:
-        bisect = stalled == 3
-        theta = 0.5 * (lo + hi) if bisect else lo - g_lo * (hi - lo) / (g_hi - g_lo)
-        g = _polar_slope(theta, *entries)
-        if g is None or g == 0.0:
-            return theta
-        if g < 0.0:
-            lo, g_lo = theta, g
-            if kept == 1:
-                g_hi *= 0.5
-            kept = 0 if bisect else 1
-        else:
-            hi, g_hi = theta, g
-            if kept == -1:
-                g_lo *= 0.5
-            kept = 0 if bisect else -1
-        if hi - lo <= 0.5 * halved_at:
-            halved_at, stalled = hi - lo, 0
-        else:
-            stalled += 1
-    return lo - g_lo * (hi - lo) / (g_hi - g_lo)
-
-
-def _descend(s_cond, c: float, s_c: float, g_c: float, f: float, entries) -> float:
-    """A local minimum of s_cond between c and f, where s_cond(f) >= s_c
-    and the slope g_c at c points down into the interval, though no probe
-    has shown the slope's sign change.
-
-    Bisection: the midpoint replaces c where it is lower and f elsewhere,
-    until the slope there points down towards c, which brackets a root for
-    `_slope_root`, or c and f are at most _ROOT_STEP_TOL apart, when c is
-    returned.  A midpoint where a live outcome is pure ends it there.
-    """
+    bisect = True
     while abs(f - c) > _ROOT_STEP_TOL:
-        m = 0.5 * (c + f)
+        bisect = g_f is None or not bisect
+        m = 0.5 * (c + f) if bisect else c - g_c * (f - c) / (g_f - g_c)
         g = _polar_slope(m, *entries)
-        if g is None:
+        if g is None or g == 0.0:
             return m
-        if f < c:
-            if g < 0.0:
-                return _slope_root(m, g, c, g_c, entries)
-        elif g > 0.0:
-            return _slope_root(c, g_c, m, g, entries)
-        s_m = s_cond(m)
-        if s_m < s_c:
-            c, s_c, g_c = m, s_m, g
+        if (g < 0.0) != (g_c < 0.0):
+            f, g_f = m, g
+        elif g_f is not None:
+            c, g_c = m, g
         else:
-            f = m
-    return c
+            s_m = s_cond(m)
+            if s_m < s_c:
+                c, s_c, g_c = m, s_m, g
+            else:
+                f = m
+    return c if g_f is None else c - g_c * (f - c) / (g_f - g_c)
 
 
 def _polar_minimum(s_cond, entries) -> tuple[float, float]:
@@ -630,17 +600,21 @@ def _polar_minimum(s_cond, entries) -> tuple[float, float]:
       step on the downhill side (at the pole, the step beside it; there a
       positive slope makes the pole a minimum from the right, which stands
       unless the ladder below brackets a well).
-    - In that step, a sign change from - to + between its ends brackets a
-      root, which `_slope_root` takes.  Next to the pole the step's probes
-      climb a ladder of powers of _LADDER_FACTOR: from w / T_perp where an
-      outcome's weight w at the pole is below _ENDPOINT_LIVE_MARGIN, as
-      the objective bends within about that of the pole, and from
-      _PURE_POLE_RUNG where a live outcome is pure at the pole and the
-      other is mixed.  Such a pure outcome makes the pole a minimum from
-      the right.  A probe where a live outcome is pure ends the search.
-    - With no sign change, a minimum still lies inside the step wherever
-      the slope at the grid minimum points into it, as the step's other
-      end is no lower; `_descend` takes it.  Otherwise the pole stands.
+    - In that step probes read the slope upwards from its lower end, and
+      at its upper end only after a negative slope.  Next to the pole they
+      also climb a ladder of powers of _LADDER_FACTOR: from w / T_perp
+      where an outcome's weight w at the pole is below
+      _ENDPOINT_LIVE_MARGIN, as the objective bends within about that of
+      the pole, and from _PURE_POLE_RUNG where a live outcome is pure at
+      the pole and the other is mixed.  Such a pure outcome makes the pole
+      a minimum from the right.  A probe where a live outcome is pure ends
+      the search.
+    - One call to `_slope_search` takes the minimum inside the step: on
+      slopes, from the first sign change from - to + between probes (the
+      last rung with a negative slope against the step's end included),
+      and with none, on values wherever the slope at the grid minimum
+      points into the step, as the step's other end is no lower.
+      Otherwise the pole stands.
     """
     step = 0.5 * math.pi / (_X_THETA_POINTS - 1)
     # first minimum of the grid: a tie keeps the smaller theta
@@ -684,12 +658,12 @@ def _polar_minimum(s_cond, entries) -> tuple[float, float]:
         if g_probe is None:
             return _lower(s_cond, probe, best_val, best_theta)
         if g < 0.0 <= g_probe:
-            root = _slope_root(theta, g, probe, g_probe, entries)
+            root = _slope_search(s_cond, theta, None, g, probe, g_probe, entries)
             return _lower(s_cond, root, best_val, best_theta)
         theta, g = probe, g_probe
     if lo < i or (g_best is not None and g_best < 0.0):
         far = (lo if lo < i else lo + 1) * step
-        theta = _descend(s_cond, best_theta, best_val, g_best, far, entries)
+        theta = _slope_search(s_cond, best_theta, best_val, g_best, far, None, entries)
         return _lower(s_cond, theta, best_val, best_theta)
     return best_val, best_theta
 
@@ -727,7 +701,9 @@ def _discord_x(
     t in [0, pi/2] suffices.  `_polar_minimum` takes the minimum over t
     from a coarse grid and the sign of the objective's slope: theta* is the
     grid minimum where its value is 0 or the slope there marks a local
-    minimum, and otherwise a root of the slope.
+    minimum, and otherwise where the search of the grid step on the
+    downhill side ends: at a root of the slope, or at a probe where a live
+    outcome is pure.
     """
     a3 = r00 + r11 - r22 - r33
     b3 = r00 - r11 + r22 - r33

@@ -559,12 +559,20 @@ def test_readme_outputs_are_pinned(capsys, command):
 # p = 1 is taken with the polar minimum placed by the sign of the slope,
 # evaluated once at its root: all 200 of its discords moved by up to
 # 2.6e-15 from the golden-section values, each closer to a 50-digit
-# minimum (at t = 0, 1.082979e-11 became 1.083239e-11 against 1.083127e-11)
+# minimum (at t = 0, 1.082979e-11 became 1.083239e-11 against 1.083127e-11).
+# Two more pin the search paths themselves, taken with the polar optimum
+# placed by Illinois false position: at p = 0.846, 3 rows end at a slope
+# root where the optimum leaves the equator, and in the W pair (p = 1, odd)
+# 189 of the 200 rows climb the ladder from a pure pole
 _DYNAMICS_DIGESTS = {
     "dynamics --p 0.999999 --n 3 --parity even --gamma-rate 1.3":
         "54f1c31d25d03e19f0ff481163857ccb7f0cc8bdbc9351c6195619baee23602a",
     "dynamics --p 0.05 --n 4 --parity odd --gamma-rate 1.3":
         "a5e4952b01167eeadde38df89edb1e523c192daa1874695d08b41ddcf0d9829f",
+    "dynamics --p 0.846 --n 4 --parity even --gamma-rate 1":
+        "87c1720bc02ba6ce45e7809b7ea87ccf3d5ce6be733373cb03d66adeefb942e8",
+    "dynamics --p 1 --n 4 --parity odd --gamma-rate 1":
+        "b3959f2118dc1298d26972b0acbc748f8d3641a39a61b0fcb91ce9504c4ed63f",
 }
 
 

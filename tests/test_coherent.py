@@ -139,6 +139,55 @@ def test_overlap_slack_holds_on_both_sides():
             Overlap(value, HARMONIC, 1.0)
 
 
+def counted_terms(monkeypatch):
+    """Patch the structure function to record the last term index n that
+    `overlap_series` asks it for: the number of terms summed."""
+    last = [0]
+    original = coherent.structure_function
+
+    def counted(alg, n):
+        last[0] = n
+        return original(alg, n)
+
+    monkeypatch.setattr(coherent, "structure_function", counted)
+    return last
+
+
+def test_series_tol_holds_on_both_sides(monkeypatch):
+    # the harmonic series at |z|^2 = x has terms x^n / n! and sum e^x, and
+    # stops at the first term below SERIES_TOL / 100 of its sum: its 20th
+    # term is 1% inside that bound at |z| = 1.18815, where 20 terms are
+    # summed, and 1% outside it at |z| = 1.18879, where a 21st is added
+    terms = counted_terms(monkeypatch)
+    for z, factor, summed in ((1.18815, 0.99, 20), (1.18879, 1.01, 21)):
+        x = z * z
+        last_term = math.exp(20 * math.log(x) - math.lgamma(21) - x)
+        assert abs(last_term / (coherent.SERIES_TOL / 100.0) - factor) < 1e-3
+        series = overlap_series(HARMONIC, complex(z)).value
+        assert terms[0] == summed
+        assert abs(series - overlap_closed(HARMONIC, complex(z)).value) < 1e-15
+
+
+def test_series_rounding_max_holds_on_both_sides(monkeypatch):
+    # su(1,1) with k = 1/2 near the unit circle: the sum of n terms has the
+    # rounding bound n eps (1 + log N^-2), N^-2 = 1 / (1 - |z|^2).  At
+    # |z| = 0.999721 the bound of the whole sum is 0.992 of
+    # _SERIES_ROUNDING_MAX and the overlap is returned; at |z| = 0.999726
+    # it would reach 1.011 of it, and the series is refused after more
+    # terms than the first sum took, within its last 2%
+    terms = counted_terms(monkeypatch)
+    alg = AlgebraSpec.su11(0.5)
+    z = 0.999721
+    series = overlap_series(alg, complex(z)).value
+    inside = terms[0]
+    bound = inside * math.ulp(1.0) * (1.0 - math.log1p(-z * z))
+    assert 0.99 < bound / coherent._SERIES_ROUNDING_MAX < 0.995
+    assert abs(series - overlap_closed(alg, complex(z)).value) < coherent._SERIES_ROUNDING_MAX
+    with pytest.raises(ConvergenceError, match="rounding"):
+        overlap_series(alg, complex(0.999726))
+    assert inside < terms[0] < 1.02 * inside
+
+
 @pytest.mark.parametrize(
     "alg,z_max",
     [

@@ -49,10 +49,10 @@ CLOSED_FORMS = {
         "_block_eigenvalues",
         "_discord_x",
         "_atanh_ratio",
-        "_descend",
+        "_lower",
         "_polar_minimum",
         "_polar_slope",
-        "_slope_root",
+        "_slope_search",
         "_pair_correlations",
         "_pure_correlations",
         "_concurrence_pure",

@@ -341,11 +341,15 @@ def test_golden_section_misses_a_well_the_slope_rule_finds():
 
 
 def test_interior_optima_take_the_root_path(monkeypatch):
-    roots = counted_calls(monkeypatch, "_slope_root")
+    # one search per interior optimum, given a bracket whose ends' slopes
+    # differ in sign (g_f, the slope at the far end, is not None)
+    searches = counted_calls(monkeypatch, "_slope_search")
     for entries in interior_optima():
-        roots.clear()
+        searches.clear()
         _discord_x(*entries)
-        assert len(roots) == 1, entries
+        assert len(searches) == 1, entries
+        _, _, _, g_c, _, g_f, _ = searches[0]
+        assert g_f is not None and (g_f < 0.0) != (g_c < 0.0), entries
 
 
 def test_theta_star_matches_the_scan_argmin():
@@ -390,26 +394,26 @@ def test_root_finder_stops_at_its_step_tolerance(monkeypatch):
     # probe is at most _ROOT_STEP_TOL wide and the one before it wider, so
     # the finder neither stops outside its tolerance nor goes on inside it
     # (a search may also end on a slope of exactly 0)
-    roots = counted_calls(monkeypatch, "_slope_root")
+    searches = counted_calls(monkeypatch, "_slope_search")
     slopes = counted_calls(monkeypatch, "_polar_slope")
     on_tolerance = 0
     for entries in interior_optima():
-        roots.clear()
+        searches.clear()
         _discord_x(*entries)
-        lo, g_lo, hi, g_hi, args = roots[0]
+        s_cond, c, s_c, g_c, f, g_f, args = searches[0]
         slopes.clear()
-        correlations._slope_root(lo, g_lo, hi, g_hi, args)
+        correlations._slope_search(s_cond, c, s_c, g_c, f, g_f, args)
         widths = []
         for theta, *_ in slopes:
             g = _polar_slope(theta, *args)
             assert g is not None
-            lo, hi = (theta, hi) if g < 0.0 else (lo, theta)
-            widths.append(hi - lo)
+            c, f = (c, theta) if (g < 0.0) != (g_c < 0.0) else (theta, f)
+            widths.append(abs(f - c))
         assert widths[-2] > _ROOT_STEP_TOL, entries
         if g != 0.0:
             assert widths[-1] <= _ROOT_STEP_TOL, entries
             on_tolerance += 1
-    assert on_tolerance >= 5  # 6 of the 11, the others end on a slope of 0
+    assert on_tolerance >= 5  # 10 of the 11, the other ends on a slope of 0
 
 
 # seeded random_dephased_entries near p = 1: the -z outcome has weight
@@ -456,19 +460,42 @@ HIDDEN_WELLS = [
 
 def test_wells_without_a_sign_change_at_the_probes(monkeypatch):
     mpmath = pytest.importorskip("mpmath")
+    # the first well is bracketed by the ladder from _PURE_POLE_RUNG, and
+    # the second found by one search on values (no slope at the far end)
     slopes = counted_calls(monkeypatch, "_polar_slope")
-    descents = counted_calls(monkeypatch, "_descend")
+    searches = counted_calls(monkeypatch, "_slope_search")
     for k, entries in enumerate(HIDDEN_WELLS):
         slopes.clear()
-        descents.clear()
+        searches.clear()
         discord, theta = _discord_x(*entries)
         assert abs(discord - mp_discord(mpmath, *entries)) < 3e-15
         assert abs(discord - old_search_discord_x(*entries)) < 3e-15
         assert 0.05 < theta < 0.5
+        assert len(searches) == 1
+        g_f = searches[0][5]
         if k == 0:
-            assert slopes[1][0] == _PURE_POLE_RUNG and not descents
+            assert slopes[1][0] == _PURE_POLE_RUNG and g_f is not None
         else:
-            assert len(descents) == 1
+            assert g_f is None
+
+
+def test_pure_pole_rung_on_both_sides(monkeypatch):
+    # the ladder from a pure pole starts at _PURE_POLE_RUNG, so a well
+    # nearer the pole than the rung goes unseen: with the rung moved to 1%
+    # below theta* of HIDDEN_WELLS[0] the ladder still brackets the well,
+    # and 1% above it every probe reads a positive slope and the pole
+    # stands, 6.8e-5 higher.  The rung itself lies on the well's downhill
+    # side, far beyond the pole's pure layer (thinner than 1e-12 here)
+    entries = HIDDEN_WELLS[0]
+    discord, theta = _discord_x(*entries)
+    assert _PURE_POLE_RUNG < 0.01 * theta
+    for factor, found in ((0.99, True), (1.01, False)):
+        monkeypatch.setattr(correlations, "_PURE_POLE_RUNG", factor * theta)
+        moved, moved_theta = _discord_x(*entries)
+        if found:
+            assert abs(moved - discord) < 1e-17 and abs(moved_theta - theta) < 1e-12
+        else:
+            assert moved_theta == 0.0 and moved - discord > 6e-5
 
 
 # seeded X state with one population scaled towards 0: the +z outcome is

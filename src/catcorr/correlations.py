@@ -79,17 +79,20 @@ _SIGNS.flags.writeable = False
 # (test_x_state_kernel_finds_interior_optimum); 5 points bound the bracket
 # of a slope root to one grid step, pi/8
 _X_THETA_POINTS = 5
+_X_THETA_GRID = tuple(
+    k * (0.5 * math.pi / (_X_THETA_POINTS - 1)) for k in range(_X_THETA_POINTS)
+)
 # the slope root is taken to a bracket at most this wide in theta; near
 # the root the objective is off its minimum by about its curvature times
 # the square of this, far below rounding
 _ROOT_STEP_TOL = 1e-12
 # an outcome of weight w (twice its probability) below this at theta = 0
 # is nearly dead: it bends the objective within about w / T_perp of the
-# pole, far inside the first grid step, so `_polar_minimum` probes the
-# slope there on a ladder (_LADDER_FACTOR)
+# pole, far inside the first grid step, so `_polar_minimum` adds a ladder
+# of angles from there (_LADDER_FACTOR) to its grid
 _ENDPOINT_LIVE_MARGIN = 1e-6
-# the ladder's rungs are w / T_perp times powers of this factor below the
-# first grid step
+# the ladder's rungs are its first angle times powers of this factor
+# below the first grid step
 _LADDER_FACTOR = 4.0
 # an outcome exactly pure at theta = 0 makes the pole a minimum from the
 # right: its term rises like theta^2 log(1/theta).  That layer can be far
@@ -591,81 +594,62 @@ def _polar_minimum(s_cond, entries) -> tuple[float, float]:
     s_cond of `_discord_x`, and its theta; `entries` are the X entries
     (r00, r11, r22, r33, a3, b3, T33, T_perp) that `_polar_slope` takes.
 
-    The first minimum of a grid of _X_THETA_POINTS is kept as it is when
-    its value is 0.0 (s >= 0).  Otherwise the sign of `_polar_slope`
-    places the minimum, and the value is s_cond there unless the grid
-    value is lower:
-    - At the grid minimum: a pure outcome, a slope of 0, or pi/2 as a
-      minimum from the left keep it; elsewhere the slope picks the grid
-      step on the downhill side (at the pole, the step beside it; there a
-      positive slope makes the pole a minimum from the right, which stands
-      unless the ladder below brackets a well).
-    - In that step probes read the slope upwards from its lower end, and
-      at its upper end only after a negative slope.  Next to the pole they
-      also climb a ladder of powers of _LADDER_FACTOR: from w / T_perp
-      where an outcome's weight w at the pole is below
-      _ENDPOINT_LIVE_MARGIN, as the objective bends within about that of
-      the pole, and from _PURE_POLE_RUNG where a live outcome is pure at
-      the pole and the other is mixed.  Such a pure outcome makes the pole
-      a minimum from the right.  A probe where a live outcome is pure ends
-      the search.
-    - One call to `_slope_search` takes the minimum inside the step: on
-      slopes, from the first sign change from - to + between probes (the
-      last rung with a negative slope against the step's end included),
-      and with none, on values wherever the slope at the grid minimum
-      points into the step, as the step's other end is no lower.
-      Otherwise the pole stands.
+    s >= 0, so a value of 0.0 at the pole is kept with no other read.  The
+    grid is _X_THETA_GRID, with a ladder of angles inserted after the pole
+    where T_perp > 0 and the objective bends far inside the first step:
+    from _PURE_POLE_RUNG where a live outcome is pure at the pole (a
+    minimum from the right, with the other outcome mixed), and otherwise
+    from w / T_perp where an outcome's weight w at the pole is below
+    _ENDPOINT_LIVE_MARGIN; its rungs grow by _LADDER_FACTOR up to the first
+    step.  The first grid minimum is kept when its value is 0.0, when its
+    slope is undefined (a live outcome is pure) or 0, at the pole where a
+    positive slope makes it a minimum from the right, and at pi/2 where a
+    negative one makes it a minimum from the left.  Otherwise the slope at
+    the neighbouring grid point on the downhill side decides: an undefined
+    one keeps the grid minimum, and one call to `_slope_search` takes the
+    minimum between the two points, on slopes where that slope points
+    back, and on values where it does not, as the neighbour is no lower.
+    The value is s_cond there unless the grid value is lower.
     """
-    step = 0.5 * math.pi / (_X_THETA_POINTS - 1)
+    best_val = s_cond(0.0)
+    if best_val == 0.0:
+        return 0.0, 0.0
+    r00, r11, r22, r33, _, _, _, t_perp = entries
+    grid, weight = _X_THETA_GRID, 2.0 * min(r00 + r11, r22 + r33)
+    rung = grid[1]  # no ladder
+    if t_perp > 0.0:
+        products = r00 * r11, r22 * r33
+        if weight > _LIVE_Q and min(products) <= 0.0 < max(products):
+            rung = _PURE_POLE_RUNG
+        elif 0.0 < weight < _ENDPOINT_LIVE_MARGIN:
+            rung = weight / t_perp
+    if rung < grid[1]:
+        ladder = []
+        while rung < grid[1]:
+            ladder.append(rung)
+            rung *= _LADDER_FACTOR
+        grid = (0.0, *ladder, *grid[1:])
     # first minimum of the grid: a tie keeps the smaller theta
-    best_val, i = s_cond(0.0), 0
-    for k in range(1, _X_THETA_POINTS):
-        value = s_cond(k * step)
+    i = 0
+    for k in range(1, len(grid)):
+        value = s_cond(grid[k])
         if value < best_val:
             best_val, i = value, k
-    best_theta, last = i * step, _X_THETA_POINTS - 1
+    best_theta = grid[i]
     if best_val == 0.0:
         return best_val, best_theta
-    r00, r11, r22, r33, _, _, _, t_perp = entries
-    g_best = _polar_slope(best_theta, *entries)
-    if i and (g_best is None or g_best == 0.0 or (i == last and g_best < 0.0)):
+    g = _polar_slope(best_theta, *entries)
+    if g is None or g == 0.0:
         return best_val, best_theta
-    lo = i if i == 0 or g_best < 0.0 else i - 1
-    theta = lo * step
-    g = g_best if lo == i else _polar_slope(theta, *entries)
-    rung = step  # the ladder's first rung: none below the step's end
-    if lo == 0:
-        weight = 2.0 * min(r00 + r11, r22 + r33)
-        if g is None:
-            # a live outcome is pure at the pole; the ladder starts low
-            # unless the other is pure or dead as well, when s(0) = 0
-            g = math.inf
-            if r00 * r11 + r22 * r33 > 0.0:
-                rung = _PURE_POLE_RUNG
-        elif 0.0 < weight < _ENDPOINT_LIVE_MARGIN and t_perp > 0.0:
-            rung = weight / t_perp
-    elif g is None:
-        return _lower(s_cond, theta, best_val, best_theta)
-    probes = []
-    while rung < step:
-        probes.append(rung)
-        rung *= _LADDER_FACTOR
-    probes.append((lo + 1) * step)
-    for probe in probes:
-        if probe == probes[-1] and not g < 0.0:
-            break
-        g_probe = g_best if probe == best_theta else _polar_slope(probe, *entries)
-        if g_probe is None:
-            return _lower(s_cond, probe, best_val, best_theta)
-        if g < 0.0 <= g_probe:
-            root = _slope_search(s_cond, theta, None, g, probe, g_probe, entries)
-            return _lower(s_cond, root, best_val, best_theta)
-        theta, g = probe, g_probe
-    if lo < i or (g_best is not None and g_best < 0.0):
-        far = (lo if lo < i else lo + 1) * step
-        theta = _slope_search(s_cond, best_theta, best_val, g_best, far, None, entries)
-        return _lower(s_cond, theta, best_val, best_theta)
-    return best_val, best_theta
+    j = i + 1 if g < 0.0 else i - 1
+    if not 0 <= j < len(grid):
+        return best_val, best_theta
+    g_j = _polar_slope(grid[j], *entries)
+    if g_j is None:
+        return best_val, best_theta
+    theta = _slope_search(s_cond, best_theta, best_val, g, grid[j],
+                          g_j if (g_j < 0.0) != (g < 0.0) else None, entries)
+    return _lower(s_cond, theta, best_val, best_theta)
 
 
 def _lower(s_cond, theta: float, best_val: float, best_theta: float) -> tuple[float, float]:
@@ -699,11 +683,12 @@ def _discord_x(
     the meridian of the larger transverse correlation,
     T_perp = 2 (|c03| + |c12|); d -> -d swaps the two outcomes, so
     t in [0, pi/2] suffices.  `_polar_minimum` takes the minimum over t
-    from a coarse grid and the sign of the objective's slope: theta* is the
-    grid minimum where its value is 0 or the slope there marks a local
-    minimum, and otherwise where the search of the grid step on the
-    downhill side ends: at a root of the slope, or at a probe where a live
-    outcome is pure.
+    from one coarse grid (with a ladder of angles next to the pole where
+    the objective bends far inside its first step) and the sign of the
+    objective's slope: theta* is the grid minimum where its value is 0 or
+    the slope there marks a local minimum, and otherwise where the search
+    between it and the grid point on its downhill side ends: at a root of
+    the slope, or at a midpoint where a live outcome is pure.
     """
     a3 = r00 + r11 - r22 - r33
     b3 = r00 - r11 + r22 - r33

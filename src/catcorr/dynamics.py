@@ -110,8 +110,8 @@ def discord_t(spec: SuperpositionSpec, channel: DephasingChannel) -> float:
     The dephased pair is a real X state: the pair entries with both
     coherences scaled by 1 - gamma.  Its projective discord is taken
     exactly by the X-state reduction (optimal azimuth in closed form, the
-    polar angle from a coarse grid and the sign of the objective's slope);
-    `discord_brute_force` on
+    polar angle from one grid of angles and the sign of the objective's
+    slope, see `_polar_minimum`); `discord_brute_force` on
     `apply_dephasing(reduced_rho12(spec), channel)` is the independent 2-D
     check.  Once dephasing raises the rank above two this is an upper
     bound on the unrestricted-POVM discord.

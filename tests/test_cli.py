@@ -560,13 +560,17 @@ def test_readme_outputs_are_pinned(capsys, command):
 # evaluated once at its root: all 200 of its discords moved by up to
 # 2.6e-15 from the golden-section values, each closer to a 50-digit
 # minimum (at t = 0, 1.082979e-11 became 1.083239e-11 against 1.083127e-11).
+# It was taken again with the ladder's rungs among the points of the theta
+# grid: the t = 0 row alone moved, 1.083239e-11 to 1.082993e-11, 1.3e-15
+# from the 50-digit value where it had been 1.1e-15.
 # Two more pin the search paths themselves, taken with the polar optimum
 # placed by Illinois false position: at p = 0.846, 3 rows end at a slope
 # root where the optimum leaves the equator, and in the W pair (p = 1, odd)
-# 189 of the 200 rows climb the ladder from a pure pole
+# 189 of the 200 rows climbed the ladder from a pure pole (all 200 now
+# add its rungs to the theta grid; no printed byte moved)
 _DYNAMICS_DIGESTS = {
     "dynamics --p 0.999999 --n 3 --parity even --gamma-rate 1.3":
-        "54f1c31d25d03e19f0ff481163857ccb7f0cc8bdbc9351c6195619baee23602a",
+        "fe1dd70e5e52568e1529910bd0670dabe459ffdad586dbbd495c06a15a96bf5b",
     "dynamics --p 0.05 --n 4 --parity odd --gamma-rate 1.3":
         "a5e4952b01167eeadde38df89edb1e523c192daa1874695d08b41ddcf0d9829f",
     "dynamics --p 0.846 --n 4 --parity even --gamma-rate 1":

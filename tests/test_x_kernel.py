@@ -23,11 +23,11 @@ from catcorr import DomainError, Parity, TwoQubitState, discord_brute_force
 from catcorr import correlations
 from catcorr.correlations import (
     _ENDPOINT_LIVE_MARGIN,
-    _LADDER_FACTOR,
     _LIVE_Q,
     _PURE_POLE_RUNG,
     _ROOT_STEP_TOL,
     _TIE_TOL,
+    _X_THETA_GRID,
     _X_THETA_POINTS,
     _block_eigenvalues,
     _discord_x,
@@ -180,8 +180,8 @@ BOUNDARY_ENTRIES = [
     # seeded random_dephased_entries near p = 1 with wells next to theta = 0:
     # theta* ~ 4.8e-5, where golden section stops 3.19e-13 above the
     # 50-digit minimum; theta* ~ 3.0e-6, next to an outcome of weight 1e-12,
-    # whose well only the ladder of slope probes brackets (the slope at the
-    # grid step alone misses it by 7.4e-14); and theta* ~ 3.8e-5, a well
+    # whose well only the ladder's rungs in the theta grid bracket (the
+    # uniform grid alone misses it by 7.4e-14); and theta* ~ 3.8e-5, a well
     # 1e-12 deep, which needs atanh(r) / r as such at small r
     (0.9999999999907498, 4.500004500103205e-12, 4.500004500103205e-12,
      2.5000025001225285e-13, 4.831227507245445e-07, 4.348106930586014e-12),
@@ -252,6 +252,22 @@ def counted_calls(monkeypatch, name):
 
     monkeypatch.setattr(correlations, name, counted)
     return calls
+
+
+def objective_reads(monkeypatch):
+    """Patch `_polar_minimum` to record the angles at which it reads the objective."""
+    reads = []
+    original = correlations._polar_minimum
+
+    def counted(s_cond, entries):
+        def read(theta):
+            reads.append(theta)
+            return s_cond(theta)
+
+        return original(read, entries)
+
+    monkeypatch.setattr(correlations, "_polar_minimum", counted)
+    return reads
 
 
 def interior_optima():
@@ -417,37 +433,38 @@ def test_root_finder_stops_at_its_step_tolerance(monkeypatch):
 
 
 # seeded random_dephased_entries near p = 1: the -z outcome has weight
-# 2.7e-10 at theta = 0, the pole, which is the minimum, and the slope
-# stays positive on the whole ladder
+# 2.7e-10 at theta = 0, the pole, which is the minimum of the whole grid,
+# ladder included
 LADDER_POLE = (0.9999999997236017, 1.344641710770467e-10, 1.344641710770467e-10,
                7.470231732508939e-12, 1.6125451000443387e-07, 7.9332549583577e-12)
 
 
 def test_ladder_climbs_to_the_first_grid_step(monkeypatch):
-    # the slope is read at the pole and at w / T_perp times every power of
-    # _LADDER_FACTOR below the first grid step, and at no rung at or above it
+    # the objective is read at the pole, at w / T_perp times every power of
+    # 4 below the first grid step, at no rung at or above it, and then on
+    # the uniform grid; the slope only at the pole, which it keeps
+    reads = objective_reads(monkeypatch)
     slopes = counted_calls(monkeypatch, "_polar_slope")
     discord, theta = _discord_x(*LADDER_POLE)
     assert theta == 0.0
     r00, r11, r22, r33, c03, c12 = LADDER_POLE
     rung = 2.0 * (r22 + r33) / (2.0 * (abs(c03) + abs(c12)))
     assert 2.0 * (r22 + r33) < _ENDPOINT_LIVE_MARGIN
-    rungs = []
-    while rung < 0.5 * math.pi / (_X_THETA_POINTS - 1):
-        rungs.append(rung)
-        rung *= _LADDER_FACTOR
-    assert len(rungs) == 5
-    assert [args[0] for args in slopes] == [0.0] + rungs
-    assert all(_polar_slope(*args) > 0.0 for args in slopes)
+    rungs = [rung * 4.0 ** k for k in range(5)]
+    assert rungs[-1] < _X_THETA_GRID[1] <= 4.0 * rungs[-1]
+    assert reads == [0.0] + rungs + list(_X_THETA_GRID[1:])
+    assert [args[0] for args in slopes] == [0.0]
+    assert _polar_slope(*slopes[0]) > 0.0
 
 
 # X states with a population of 0 or nearly 0, from seeded random draws,
-# whose polar minimum no probe of the grid step shows a sign change for
-# (golden section on the step found each)
+# whose polar minimum the slopes at the uniform grid's points do not
+# bracket (golden section on the step found each)
 HIDDEN_WELLS = [
     # r11 = 0: the +z outcome is pure at the pole, a minimum from the right
     # within a layer thinner than 1e-8; the well at theta* ~ 0.1 is 6.8e-5
-    # deeper, and the ladder from _PURE_POLE_RUNG brackets it
+    # deeper, and the slopes at two rungs of the ladder from
+    # _PURE_POLE_RUNG bracket it
     (0.9985689446693059, 0.0, 0.001094908390330416, 0.00033614694036370883,
      -0.014606233376479195, 0.0),
     # the +z outcome is 1.5e-8 from pure at the pole, where the slope is
@@ -460,12 +477,13 @@ HIDDEN_WELLS = [
 
 def test_wells_without_a_sign_change_at_the_probes(monkeypatch):
     mpmath = pytest.importorskip("mpmath")
-    # the first well is bracketed by the ladder from _PURE_POLE_RUNG, and
-    # the second found by one search on values (no slope at the far end)
-    slopes = counted_calls(monkeypatch, "_polar_slope")
+    # the first well is bracketed by the rungs of the ladder from
+    # _PURE_POLE_RUNG among the grid's points, and the second found by one
+    # search on values (no slope at the far end)
+    reads = objective_reads(monkeypatch)
     searches = counted_calls(monkeypatch, "_slope_search")
     for k, entries in enumerate(HIDDEN_WELLS):
-        slopes.clear()
+        reads.clear()
         searches.clear()
         discord, theta = _discord_x(*entries)
         assert abs(discord - mp_discord(mpmath, *entries)) < 3e-15
@@ -474,28 +492,42 @@ def test_wells_without_a_sign_change_at_the_probes(monkeypatch):
         assert len(searches) == 1
         g_f = searches[0][5]
         if k == 0:
-            assert slopes[1][0] == _PURE_POLE_RUNG and g_f is not None
+            assert reads[1] == 1e-8 and g_f is not None  # _PURE_POLE_RUNG
         else:
-            assert g_f is None
+            assert reads[1] == _X_THETA_GRID[1] and g_f is None
+
+
+# the basin where the objective of HIDDEN_WELLS[0] is below its value at
+# the pole ends at this theta, between the well and the first grid step
+HIDDEN_WELL_EDGE = 0.21510015235292204
 
 
 def test_pure_pole_rung_on_both_sides(monkeypatch):
-    # the ladder from a pure pole starts at _PURE_POLE_RUNG, so a well
-    # nearer the pole than the rung goes unseen: with the rung moved to 1%
-    # below theta* of HIDDEN_WELLS[0] the ladder still brackets the well,
-    # and 1% above it every probe reads a positive slope and the pole
-    # stands, 6.8e-5 higher.  The rung itself lies on the well's downhill
-    # side, far beyond the pole's pure layer (thinner than 1e-12 here)
+    # the ladder from a pure pole starts at _PURE_POLE_RUNG, 1e-8, and a
+    # well whose basin does not reach a rung goes unseen: with the rung moved
+    # to 1% outside the basin of HIDDEN_WELLS[0], the single rung and every
+    # grid value lie above the pole's, which stands 6.8e-5 above the well;
+    # 1% inside it the rung is the grid minimum and the result leaves the
+    # pole (the slope at the pole, next to it, is undefined, so the rung is
+    # kept).  The rung itself lies far beyond the pole's pure layer (thinner
+    # than 1e-12 here)
+    reads = objective_reads(monkeypatch)
     entries = HIDDEN_WELLS[0]
     discord, theta = _discord_x(*entries)
+    assert reads[1:14] == [1e-8 * 4.0 ** k for k in range(13)]
     assert _PURE_POLE_RUNG < 0.01 * theta
-    for factor, found in ((0.99, True), (1.01, False)):
-        monkeypatch.setattr(correlations, "_PURE_POLE_RUNG", factor * theta)
+    pole = None
+    for factor, found in ((1.01, False), (0.99, True)):
+        rung = factor * HIDDEN_WELL_EDGE
+        monkeypatch.setattr(correlations, "_PURE_POLE_RUNG", rung)
+        reads.clear()
         moved, moved_theta = _discord_x(*entries)
+        assert reads[:3] == [0.0, rung, _X_THETA_GRID[1]]
         if found:
-            assert abs(moved - discord) < 1e-17 and abs(moved_theta - theta) < 1e-12
+            assert moved_theta == rung and discord < moved < pole
         else:
             assert moved_theta == 0.0 and moved - discord > 6e-5
+            pole = moved
 
 
 # seeded X state with one population scaled towards 0: the +z outcome is
@@ -515,6 +547,25 @@ def test_a_well_behind_a_nearly_pure_pole():
     assert abs(_discord_x(*POLE_HIDES_A_WELL)[0] - exact) < 3e-15
 
 
+# a dephased pair near p = 1 from a seeded fuzz: the uniform grid's
+# minimum is pi/2, where the slope makes it a local minimum, and the pole's
+# slope is negative, but the discord's well lies next to the pole: the
+# -z outcome's weight of 2e-11 puts the ladder's rungs into the grid, and
+# the slope changes sign between the rungs at 3e-5 and 1e-4.  Reading the
+# ladder only below a grid minimum at the first step kept pi/2, 3.6e-13
+# (1.3%) above the 50-digit discord
+WELL_NEXT_TO_A_FALLING_POLE = (0.9999999999803946, 9.651810822267042e-12,
+                               9.651810822267042e-12, 3.016190882264496e-13,
+                               5.30020251095399e-07, 9.314763938672608e-12)
+
+
+def test_a_well_next_to_a_falling_pole():
+    mpmath = pytest.importorskip("mpmath")
+    discord, theta = _discord_x(*WELL_NEXT_TO_A_FALLING_POLE)
+    assert abs(discord - mp_discord(mpmath, *WELL_NEXT_TO_A_FALLING_POLE)) < 3e-15
+    assert 3e-5 < theta < 1e-4
+
+
 def x_state(r00, r11, r22, r33, c03, c12):
     m = np.diag([r00, r11, r22, r33]).astype(complex)
     m[0, 3] = m[3, 0] = c03
@@ -531,29 +582,28 @@ def near_dead_pole(weight):
 
 
 def test_ladder_needs_an_outcome_below_the_live_margin(monkeypatch):
-    # _ENDPOINT_LIVE_MARGIN on both sides: 1% below it the slope is read at
-    # the pole and on the ladder from w / T_perp, 1% above it at the pole
-    # alone, and with the margin halved the input below it reads the pole
-    # alone as well, so the margin alone starts the ladder
-    slopes = counted_calls(monkeypatch, "_polar_slope")
-    live = _ENDPOINT_LIVE_MARGIN
+    # _ENDPOINT_LIVE_MARGIN on both sides: 1% below it the ladder's rungs
+    # from w / T_perp join the grid, 1% above it the grid is the uniform
+    # one, and with the margin halved the input below it reads the uniform
+    # grid as well, so the margin alone starts the ladder
+    reads = objective_reads(monkeypatch)
+    uniform = list(_X_THETA_GRID)
+    live = 1e-6  # _ENDPOINT_LIVE_MARGIN
     for factor, laddered in ((0.99, True), (1.01, False)):
         entries = near_dead_pole(factor * live)
-        slopes.clear()
+        reads.clear()
         assert _discord_x(*entries)[1] == 0.0
-        probes = [args[0] for args in slopes]
-        assert probes[0] == 0.0
         if laddered:
             r00, r11, r22, r33, c03, c12 = entries
-            assert probes[1] == 2.0 * (r22 + r33) / (2.0 * (abs(c03) + abs(c12)))
-            assert len(probes) > 2
+            assert reads[1] == 2.0 * (r22 + r33) / (2.0 * (abs(c03) + abs(c12)))
+            assert len(reads) > len(uniform) and reads[-4:] == uniform[1:]
         else:
-            assert probes == [0.0]
+            assert reads == uniform
     with monkeypatch.context() as patched:
         patched.setattr(correlations, "_ENDPOINT_LIVE_MARGIN", 0.5 * live)
-        slopes.clear()
+        reads.clear()
         _discord_x(*near_dead_pole(0.99 * live))
-        assert [args[0] for args in slopes] == [0.0]
+        assert reads == uniform
 
 
 def test_slope_reads_the_sign_of_the_curvature_at_the_endpoints(rng):
@@ -598,3 +648,24 @@ def test_slope_reads_the_sign_of_the_curvature_at_the_endpoints(rng):
                     (r00, r11, r22, r33, c03, c12), theta)
                 checked[curvature > 0] += 1
     assert min(checked) > 200  # 279 and 284
+
+
+def test_polar_search_evaluation_budget(monkeypatch, rng):
+    # objective reads and slope reads per `_discord_x` call on the dephased
+    # pairs, at most their means when the ladder's rungs joined the theta
+    # grid (5.686 and 2.063 over these 780 calls); a pair whose objective
+    # is exactly 0 at the pole (n = 2, where every conditional state there
+    # is pure) reads it once and the slope never
+    reads = objective_reads(monkeypatch)
+    slopes = counted_calls(monkeypatch, "_polar_slope")
+    calls = 0
+    for entries in dephased_pair_entries(rng):
+        _discord_x(*entries)
+        calls += 1
+    assert len(reads) / calls <= 5.686
+    assert len(slopes) / calls <= 2.063
+    r00, r33, r03, r11, _ = _pair_block(0.5, 0, 1)
+    reads.clear()
+    slopes.clear()
+    assert _discord_x(r00, r11, r11, r33, r03, r11)[1] == 0.0
+    assert reads == [0.0] and not slopes

@@ -8,7 +8,6 @@ from .coherent import (
     Overlap,
     overlap_closed,
     overlap_series,
-    structure_function,
 )
 from .correlations import (
     CorrelationReport,
@@ -16,7 +15,6 @@ from .correlations import (
     binary_entropy,
     concurrence_pure,
     concurrence_x,
-    conditional_entropy,
     discord_brute_force,
     discord_mixed_closed,
     discord_pure,
@@ -67,7 +65,6 @@ __all__ = [
     "concurrence_pure",
     "concurrence_t",
     "concurrence_x",
-    "conditional_entropy",
     "default_time_grid",
     "discord_brute_force",
     "discord_mixed_closed",
@@ -80,7 +77,6 @@ __all__ = [
     "partial_trace_pair",
     "pure_bipartition",
     "reduced_rho12",
-    "structure_function",
     "sudden_death_time",
     "superposition_vector",
     "von_neumann_entropy",

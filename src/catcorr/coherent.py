@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConvergenceError, DomainError, _is_whole
+from .errors import ConvergenceError, DomainError
 
 # the series stops once its latest term falls below this, relative to its sum
 SERIES_TOL = 1e-14
@@ -82,25 +82,18 @@ class AlgebraSpec:
         return cls(AlgebraKind.SU11, k)
 
 
-def structure_function(alg: AlgebraSpec, n: int) -> float:
-    """Evaluate the structure function F(n) of the algebra.
+def _structure_function(alg: AlgebraSpec, n: int) -> float:
+    """The structure function F(n) of the algebra at a level n >= 1 of
+    `overlap_series`.
 
     F(n) = n for the harmonic oscillator, n(2k - 1 + n) for su(1,1), and
-    n(2j + 1 - n) for su(2).  The su(2) ladder terminates where F first
-    vanishes again, at n = 2j + 1; larger n is a domain error.
+    n(2j + 1 - n) for su(2), whose ladder ends where F first vanishes
+    again, at n = 2j + 1: the series stops there.
     """
-    if not _is_whole(n) or n < 0:
-        raise DomainError(f"level index must be a nonnegative integer, got {n}")
-    n = int(n)
     if alg.kind is AlgebraKind.HARMONIC:
         return float(n)
     if alg.kind is AlgebraKind.SU11:
         return n * (2.0 * alg.rep_param - 1.0 + n)
-    top = int(2.0 * alg.rep_param) + 1
-    if n > top:
-        raise DomainError(
-            f"su(2) ladder with j={alg.rep_param} ends at level {top}, got n={n}"
-        )
     return n * (2.0 * alg.rep_param + 1.0 - n)
 
 
@@ -129,7 +122,10 @@ class Overlap:
 
 
 def _amplitude_sq(alg: AlgebraSpec, z: complex) -> float:
-    """|z|^2, inf where it overflows; su(1,1) amplitudes must lie in the open unit disc."""
+    """|z|^2, inf where it overflows; a z with a NaN part is refused, and
+    su(1,1) amplitudes must lie in the open unit disc."""
+    if z != z:  # abs(complex(inf, nan)) is inf, not NaN
+        raise DomainError(f"amplitude must be a number, got z={z}")
     try:
         x = abs(z) ** 2
     except OverflowError:
@@ -196,7 +192,7 @@ def overlap_series(alg: AlgebraSpec, z: complex) -> Overlap:
     n = 0
     while True:
         n += 1
-        f_n = structure_function(alg, n)
+        f_n = _structure_function(alg, n)
         if f_n == 0.0:
             break  # finite su(2) ladder exhausted
         if n > SERIES_TERM_CAP:

@@ -276,21 +276,6 @@ def _eof_from_concurrence(conc: float) -> float:
     return binary_entropy(0.5 * c_sq / (1.0 + math.sqrt(max(0.0, 1.0 - c_sq))))
 
 
-def conditional_entropy(state: TwoQubitState, basis: MeasurementBasis) -> float:
-    """Average entropy of the second qubit after measuring the first
-    along `basis`, weighted by the outcome probabilities."""
-    table = bloch_matrix(state)
-    d1, d2, d3 = basis.direction()
-    return float(_field_kernel(table)(table, np.float64(d1), np.float64(d2), np.float64(d3)))
-
-
-def _field_kernel(table):
-    """The field kernel for a Bloch table: `_x_field` for a real X state
-    (pair and dephased states), `_cond_entropy_field` for any other.  The
-    two give the same bits."""
-    return _cond_entropy_field if table[_OFF_REAL_X].any() else _x_field
-
-
 def _outcome_entropy(len_sq, q):
     """-q/2 H(x) per outcome at x = (1 + sqrt(len_sq)/q)/2, written over len_sq.
 
@@ -330,7 +315,9 @@ def _cond_entropy_field(table, d1, d2, d3):
     through the same operations in the same order for any block size or
     input shape.
 
-    The scan calls this for every table that `_x_field` does not serve.
+    `discord_brute_force` calls this for every table with a nonzero slot
+    in _OFF_REAL_X, where a real X state has zeros; `_x_field` serves the
+    rest.
     """
     shape = np.shape(d1)
     d1, d2, d3 = np.ravel(d1), np.ravel(d2), np.ravel(d3)
@@ -649,15 +636,8 @@ def _polar_minimum(s_cond, entries) -> tuple[float, float]:
         return best_val, best_theta
     theta = _slope_search(s_cond, best_theta, best_val, g, grid[j],
                           g_j if (g_j < 0.0) != (g < 0.0) else None, entries)
-    return _lower(s_cond, theta, best_val, best_theta)
-
-
-def _lower(s_cond, theta: float, best_val: float, best_theta: float) -> tuple[float, float]:
-    """(s_cond(theta), theta) where that is below best_val, else (best_val, best_theta)."""
     value = s_cond(theta)
-    if value < best_val:
-        return value, theta
-    return best_val, best_theta
+    return (value, theta) if value < best_val else (best_val, best_theta)
 
 
 def _block_eigenvalues(d1: float, d2: float, off: complex) -> tuple[float, float]:
@@ -774,9 +754,10 @@ def discord_brute_force(
     evaluated again.  A scan of a pair state makes about 3 field calls in
     all, one of a random full-rank state about 12.
 
-    The kernel is chosen once per scan, from the table: a real X state
-    (pair and dephased states) takes `_x_field` for every call, any other
-    state `_cond_entropy_field`.  The two give the same bits.  A real X
+    The kernel is chosen once per scan, from the table: a table zero in
+    every slot of _OFF_REAL_X, that of a real X state (pair and dephased
+    states), takes `_x_field` for every call, any other table
+    `_cond_entropy_field`.  The two give the same bits.  A real X
     state reads a direction only through (R[1,1] d1)^2 and (R[2,2] d2)^2,
     so its grid call evaluates only the representative columns of
     `_direction_grid` (91 of 361 by default), whose |d1| and |d2| are
@@ -796,7 +777,7 @@ def discord_brute_force(
         )
     table = bloch_matrix(state)
     # one kernel for every field call of the scan
-    field = _field_kernel(table)
+    field = _cond_entropy_field if table[_OFF_REAL_X].any() else _x_field
     theta, phi, *grid_dirs, n_rep = _direction_grid(n_theta, n_phi)
     if field is _x_field:
         # a column's values are bitwise those of its representative, and

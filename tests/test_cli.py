@@ -418,6 +418,10 @@ def test_domain_errors_exit_three(capsys):
         ["point", "--algebra", "su2", "--z", "1e160", "--rep-param", "0.5",
          "--n", "4", "--parity", "even"],
         ["overlap", "--algebra", "su2", "--z", "1e160", "--rep-param", "1"],
+        # a NaN amplitude, once taken as p = 1 by the closed form
+        ["point", "--algebra", "su11", "--z", "nan", "--rep-param", "1",
+         "--n", "4", "--parity", "even"],
+        ["overlap", "--algebra", "glauber", "--z", "nanj"],
         # 5/rate overflows: rejected before the time grid turns into NaN
         ["dynamics", "--p", "0.5", "--n", "4", "--parity", "even",
          "--gamma-rate", "1e-320"],

@@ -13,37 +13,28 @@ from catcorr import (
     coherent,
     overlap_closed,
     overlap_series,
-    structure_function,
 )
+from catcorr.coherent import _structure_function
 
 HARMONIC = AlgebraSpec.harmonic()
 
 
 def test_structure_function_harmonic():
-    assert structure_function(HARMONIC, 0) == 0.0
-    assert structure_function(HARMONIC, 3) == 3.0
+    assert _structure_function(HARMONIC, 0) == 0.0
+    assert _structure_function(HARMONIC, 3) == 3.0
 
 
 def test_structure_function_su2():
     alg = AlgebraSpec.su2(0.5)
-    assert structure_function(alg, 1) == 1.0  # 1*(2*0.5+1-1)
+    assert _structure_function(alg, 1) == 1.0  # 1*(2*0.5+1-1)
     alg = AlgebraSpec.su2(1.0)
-    assert [structure_function(alg, n) for n in range(4)] == [0.0, 2.0, 2.0, 0.0]
-    with pytest.raises(DomainError):
-        structure_function(alg, 4)  # beyond the finite ladder
+    assert [_structure_function(alg, n) for n in range(4)] == [0.0, 2.0, 2.0, 0.0]
 
 
 def test_structure_function_su11():
     alg = AlgebraSpec.su11(1.0)
-    assert structure_function(alg, 2) == 2 * (2 * 1.0 - 1 + 2)
-    assert structure_function(alg, 1) == 2.0
-
-
-def test_structure_function_domain():
-    with pytest.raises(DomainError):
-        structure_function(HARMONIC, -1)
-    with pytest.raises(DomainError):
-        structure_function(HARMONIC, 2.5)
+    assert _structure_function(alg, 2) == 2 * (2 * 1.0 - 1 + 2)
+    assert _structure_function(alg, 1) == 2.0
 
 
 def test_rep_param_validation():
@@ -118,6 +109,17 @@ def test_overlap_closed_su11():
             route(AlgebraSpec.su11(0.5), 1e200)  # |z|^2 overflows
 
 
+@pytest.mark.parametrize("alg", [HARMONIC, AlgebraSpec.su2(1), AlgebraSpec.su11(1)],
+                         ids=lambda alg: alg.kind.value)
+@pytest.mark.parametrize("z", ["nan", "nanj", "0.1+nanj", "inf+nanj"])
+def test_nan_amplitudes_are_refused(alg, z):
+    # a NaN |z|^2 once passed as the overflow limit (closed p = 1) and sent
+    # the series to its term cap; abs(inf+nanj) is inf, taken as an overflow
+    for route in (overlap_closed, overlap_series):
+        with pytest.raises(DomainError, match="amplitude must be a number"):
+            route(alg, complex(z))
+
+
 def test_overlap_value_range_enforced():
     with pytest.raises(DomainError):
         Overlap(1.5, HARMONIC, 0.0)
@@ -143,13 +145,13 @@ def counted_terms(monkeypatch):
     """Patch the structure function to record the last term index n that
     `overlap_series` asks it for: the number of terms summed."""
     last = [0]
-    original = coherent.structure_function
+    original = coherent._structure_function
 
     def counted(alg, n):
         last[0] = n
         return original(alg, n)
 
-    monkeypatch.setattr(coherent, "structure_function", counted)
+    monkeypatch.setattr(coherent, "_structure_function", counted)
     return last
 
 
@@ -232,7 +234,7 @@ def test_series_su2_ladder_above_the_cap_fails_before_summing(monkeypatch):
     def no_terms(alg, n):
         raise AssertionError("summed a ladder that cannot fit under the cap")
 
-    monkeypatch.setattr(coherent, "structure_function", no_terms)
+    monkeypatch.setattr(coherent, "_structure_function", no_terms)
     with pytest.raises(ConvergenceError, match="ladder"):
         overlap_series(AlgebraSpec.su2(1e9), 0.3)
     monkeypatch.setattr(coherent, "SERIES_TERM_CAP", 10)

@@ -16,7 +16,6 @@ from catcorr import (
     concurrence_pure,
     concurrence_x,
     concurrence_t,
-    conditional_entropy,
     discord_brute_force,
     discord_mixed_closed,
     discord_pure,
@@ -30,7 +29,7 @@ from catcorr import (
 from catcorr import correlations
 from catcorr.correlations import _eof_from_concurrence
 from catcorr.states import PAULI, _pair_block
-from conftest import random_full_rank_state
+from conftest import cond_entropy, random_full_rank_state
 
 
 def spec(p, parity, n):
@@ -321,9 +320,8 @@ def test_mutual_information_against_entropy_oracle(rng):
 
 def test_conditional_entropy_equatorial_matches_koashi_winter(rng):
     worst = 0.0
-    basis = MeasurementBasis(math.pi / 2.0, 0.0)
     for s in random_specs(rng, 60, p_max=0.999):
-        got = conditional_entropy(reduced_rho12(s), basis)
+        got = cond_entropy(reduced_rho12(s), math.pi / 2.0, 0.0)
         worst = max(worst, abs(got - koashi_winter_min(s)))
     assert worst < 1e-12
 
@@ -333,11 +331,8 @@ def test_conditional_entropy_dominates_the_closed_minimum(rng):
         state = reduced_rho12(s)
         floor = koashi_winter_min(s)
         for _ in range(20):
-            basis = MeasurementBasis(
-                float(rng.uniform(0.0, math.pi)),
-                float(rng.uniform(0.0, 2.0 * math.pi)),
-            )
-            assert conditional_entropy(state, basis) >= floor - 1e-12
+            theta, phi = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)
+            assert cond_entropy(state, theta, phi) >= floor - 1e-12
 
 
 def test_conditional_entropy_skips_dead_outcome():
@@ -346,7 +341,7 @@ def test_conditional_entropy_skips_dead_outcome():
     state = TwoQubitState(vacuum)
     # measuring along +z leaves the second qubit pure and the -z outcome
     # never fires; the average must be exactly zero
-    assert conditional_entropy(state, MeasurementBasis(0.0, 0.0)) == 0.0
+    assert cond_entropy(state, 0.0, 0.0) == 0.0
 
 
 def test_discord_closed_report_identities(rng):
@@ -474,9 +469,9 @@ def test_conditional_entropy_is_antipodally_symmetric(rng):
         assert not state.is_x
         for _ in range(5):
             theta, phi = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)
-            flipped = MeasurementBasis(math.pi - theta, (phi + math.pi) % (2.0 * math.pi))
-            assert conditional_entropy(state, MeasurementBasis(theta, phi)) == pytest.approx(
-                conditional_entropy(state, flipped), abs=1e-14
+            flipped = math.pi - theta, (phi + math.pi) % (2.0 * math.pi)
+            assert cond_entropy(state, theta, phi) == pytest.approx(
+                cond_entropy(state, *flipped), abs=1e-14
             )
 
 
@@ -491,7 +486,7 @@ def test_brute_force_matches_multistart_scipy_on_non_x_states(rng):
         theta, phi = x[0] % (2.0 * math.pi), x[1]
         if theta > math.pi:  # fold the unbounded plane onto the sphere
             theta, phi = 2.0 * math.pi - theta, phi + math.pi
-        return conditional_entropy(state, MeasurementBasis(theta, phi % (2.0 * math.pi)))
+        return cond_entropy(state, theta, phi % (2.0 * math.pi))
 
     for _ in range(30):
         state = random_full_rank_state(rng)
@@ -552,17 +547,16 @@ def test_tie_rule_fires_only_within_its_tolerance(monkeypatch):
     pair = reduced_rho12(spec(0.846, Parity.EVEN, 4))
     far, near = (apply_dephasing(pair, DephasingChannel.from_gamma(gamma))
                  for gamma in (0.33481787109375005, 0.3347980041503907))
-    equator = MeasurementBasis(math.pi / 2.0, 0.0)
     kept = discord_brute_force(far)
     assert round(kept.argmin.theta, 4) == 1.5232 and kept.argmin.phi == 0.0
-    assert 3e-10 < conditional_entropy(far, equator) - kept.s_cond_min < 3.5e-10
+    assert 3e-10 < cond_entropy(far, math.pi / 2.0, 0.0) - kept.s_cond_min < 3.5e-10
     tied = discord_brute_force(near)
     assert (tied.argmin.theta, tied.argmin.phi) == (math.pi / 2.0, 0.0)
     # with no tolerance the same scan keeps its minimum off the equator
     monkeypatch.setattr(correlations, "_TIE_TOL", 0.0)
     untied = discord_brute_force(near)
     assert untied.argmin.theta < 1.57
-    assert 0.0 < conditional_entropy(near, equator) - untied.s_cond_min < 1e-12
+    assert 0.0 < cond_entropy(near, math.pi / 2.0, 0.0) - untied.s_cond_min < 1e-12
     assert untied.s_cond_min == tied.s_cond_min
 
 

@@ -6,14 +6,12 @@ import pytest
 from catcorr import (
     DephasingChannel,
     DomainError,
-    MeasurementBasis,
     Parity,
     SuperpositionSpec,
     TwoQubitState,
     apply_dephasing,
     concurrence_t,
     concurrence_x,
-    conditional_entropy,
     default_time_grid,
     discord_brute_force,
     discord_mixed_closed,
@@ -22,6 +20,7 @@ from catcorr import (
     sudden_death_time,
 )
 from catcorr.correlations import _discord_x
+from conftest import cond_entropy
 
 
 def spec(p, parity, n):
@@ -259,10 +258,8 @@ def test_x_state_kernel_finds_interior_optimum():
         report = discord_brute_force(state, grid=(64, 128))
         assert abs(math.sin(2.0 * report.argmin.theta)) > 0.5
         if k < 3:
-            at_pole = conditional_entropy(state, MeasurementBasis(0.0, 0.0))
-            assert at_pole < conditional_entropy(
-                state, MeasurementBasis(1e-3, report.argmin.phi)
-            )
+            at_pole = cond_entropy(state, 0.0, 0.0)
+            assert at_pole < cond_entropy(state, 1e-3, report.argmin.phi)
         assert abs(_discord_x(*entries)[0] - report.discord) < 1e-9
 
 

@@ -1,7 +1,7 @@
 """The field kernels against the formula they replaced.
 
-`reference_field` and `reference_h2` below are the per-outcome formula
-that `_cond_entropy_field` now evaluates in blocks of directions,
+`reference_field` and `reference_h2` in conftest.py are the per-outcome
+formula that `_cond_entropy_field` now evaluates in blocks of directions,
 unchanged but for the names.  Both kernels must return its bits for every
 input shape the scan serves (the grid, the refinement patches with the
 two tie-rule directions, and the one-direction tie call): the general
@@ -38,31 +38,7 @@ from catcorr.correlations import (
     _x_field,
 )
 from catcorr.states import PAULI
-from conftest import random_full_rank_state
-
-
-def reference_h2(x):
-    # vectorized binary entropy, inputs assumed near [0, 1]
-    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
-    return np.where((x <= 0.0) | (x >= 1.0), 0.0, raw)
-
-
-def reference_field(table, d1, d2, d3):
-    total = 0.0
-    for sign in (1.0, -1.0):
-        u = sign * (table[1, 0] * d1 + table[2, 0] * d2 + table[3, 0] * d3)
-        weight = 0.5 * (1.0 + u)
-        v1 = table[0, 1] + sign * (table[1, 1] * d1 + table[2, 1] * d2 + table[3, 1] * d3)
-        v2 = table[0, 2] + sign * (table[1, 2] * d1 + table[2, 2] * d2 + table[3, 2] * d3)
-        v3 = table[0, 3] + sign * (table[1, 3] * d1 + table[2, 3] * d2 + table[3, 3] * d3)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3) / np.abs(1.0 + u)
-        live = weight > 1e-15
-        r = np.where(live, np.minimum(r, 1.0), 0.0)
-        total = total + np.where(live, weight, 0.0) * reference_h2(0.5 + 0.5 * r)
-    return total
+from conftest import random_full_rank_state, reference_field
 
 
 def bits(values):

@@ -49,7 +49,6 @@ CLOSED_FORMS = {
         "_block_eigenvalues",
         "_discord_x",
         "_atanh_ratio",
-        "_lower",
         "_polar_minimum",
         "_polar_slope",
         "_slope_search",

@@ -201,21 +201,6 @@ def test_pair_state_scan_makes_few_field_calls(rng, monkeypatch):
     assert sum(per_scan) / len(per_scan) <= 3.18
 
 
-def test_conditional_entropy_takes_the_kernel_of_the_scan(rng, monkeypatch):
-    calls = counted_field_calls(monkeypatch)
-    basis = MeasurementBasis(0.7, 1.9)
-    for state, kernel in (
-        (reduced_rho12(SuperpositionSpec(0.6, Parity.ODD, 3)), "_x_field"),
-        (ends_on_an_improving_level(), "_x_field"),
-        (random_full_rank_state(rng), "_cond_entropy_field"),
-    ):
-        calls.clear()
-        discord_brute_force(state)
-        correlations.conditional_entropy(state, basis)
-        assert {name for name, _ in calls} == {kernel}
-        assert calls[-1] == (kernel, 1)
-
-
 def test_scan_diagonalizes_only_the_marginals(rng, monkeypatch):
     # S(AB) reads the spectrum the state's construction checked; both
     # marginal spectra come from one stacked call

@@ -17,7 +17,6 @@ from catcorr import (
     partial_trace_pair,
     pure_bipartition,
     reduced_rho12,
-    structure_function,
     superposition_vector,
     werner_discord,
 )
@@ -71,10 +70,9 @@ def test_spec_validation():
     [
         lambda x: SuperpositionSpec(0.5, Parity.EVEN, x),
         lambda x: pure_bipartition(SuperpositionSpec(0.5, Parity.EVEN, 6), x),
-        lambda x: structure_function(AlgebraSpec.su11(1.5), x),
         lambda x: werner_discord(x),
     ],
-    ids=["spec_n", "block_size", "structure_level", "werner_n"],
+    ids=["spec_n", "block_size", "werner_n"],
 )
 def test_whole_number_arguments_refuse_non_integers(call, x):
     # int(x) raises ValueError for NaN and OverflowError for inf

@@ -22,6 +22,7 @@ from .states import (
     PureBipartition,
     SuperpositionSpec,
     TwoQubitState,
+    _check_mode_count,
     _density_spectrum,
     _pair_block,
     bloch_matrix,
@@ -118,10 +119,6 @@ class MeasurementBasis:
             raise DomainError(f"theta must lie in [0, pi], got {self.theta}")
         if not 0.0 <= self.phi <= 2.0 * math.pi + _RANGE_SLACK:
             raise DomainError(f"phi must lie in [0, 2 pi), got {self.phi}")
-
-    def direction(self) -> tuple[float, float, float]:
-        st = math.sin(self.theta)
-        return st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)
 
 
 @dataclass(frozen=True)
@@ -415,8 +412,9 @@ def _pair_correlations(p: float, n: int, sign: int) -> tuple[float, ...]:
 @functools.lru_cache(maxsize=4)
 def _direction_grid(n_theta: int, n_phi: int):
     """Read-only scan directions: the rows theta <= pi/2 of the
-    n_theta x n_phi grid linspace(0, pi) x linspace(0, 2 pi), and the
-    number of its representative columns.
+    n_theta x n_phi grid linspace(0, pi) x linspace(0, 2 pi), the column
+    of the refinement patch half-widths h, one row per level (see
+    _PATCH_POINTS), and the number of representative columns.
 
     Measuring along d and along -d only swaps the two outcomes, so the
     lower hemisphere repeats the upper one.  linspace is symmetric about
@@ -444,24 +442,17 @@ def _direction_grid(n_theta: int, n_phi: int):
     cos_phi = np.copysign(np.abs(cos_phi)[rep], cos_phi)
     sin_phi = np.copysign(np.abs(sin_phi)[rep], sin_phi)
     st, ct = np.sin(theta)[:, None], np.cos(theta)[:, None]
-    arrays = (theta, phi, st * cos_phi, st * sin_phi, np.repeat(ct, n_phi, axis=1))
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays + (int(rep.max()) + 1,)
-
-
-@functools.lru_cache(maxsize=4)
-def _patch_steps(n_theta: int, n_phi: int):
-    """Read-only column of the refinement patch half-widths h of the
-    n_theta x n_phi grid: one grid step, divided by _PATCH_SHRINK per level
-    while above _PATCH_STEP_TOL."""
     steps, h = [], max(math.pi / (n_theta - 1), 2.0 * math.pi / (n_phi - 1))
     while h > _PATCH_STEP_TOL:
         steps.append(h)
         h /= _PATCH_SHRINK
-    column = np.array(steps)[:, None]
-    column.flags.writeable = False
-    return column
+    arrays = (
+        theta, phi, st * cos_phi, st * sin_phi, np.repeat(ct, n_phi, axis=1),
+        np.array(steps)[:, None],
+    )
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays + (int(rep.max()) + 1,)
 
 
 def _atanh_ratio(r: float, w: float, root_u: float, d: float) -> float:
@@ -749,10 +740,12 @@ def discord_brute_force(
     counterpart gets phi = 0, so flat objectives (pure states) resolve
     deterministically.
     Every refinement call also evaluates those two tie directions, at the
-    theta of the best direction when it is made; only when the last call
-    moved theta and the equatorial rule does not fire is the phi = 0 one
-    evaluated again.  A scan of a pair state makes about 3 field calls in
-    all, one of a random full-rank state about 12.
+    theta of the best direction when it is made.  When an improving call
+    used up the levels and the equatorial rule does not fire, the loop
+    makes one more call, of the two tie directions alone, so that the
+    phi = 0 one is read at the final theta; no field call is made outside
+    the loop.  A scan of a pair state makes about 3 field calls in all,
+    one of a random full-rank state about 12.
 
     The kernel is chosen once per scan, from the table: a table zero in
     every slot of _OFF_REAL_X, that of a real X state (pair and dephased
@@ -778,7 +771,7 @@ def discord_brute_force(
     table = bloch_matrix(state)
     # one kernel for every field call of the scan
     field = _cond_entropy_field if table[_OFF_REAL_X].any() else _x_field
-    theta, phi, *grid_dirs, n_rep = _direction_grid(n_theta, n_phi)
+    theta, phi, *grid_dirs, steps, n_rep = _direction_grid(n_theta, n_phi)
     if field is _x_field:
         # a column's values are bitwise those of its representative, and
         # the representatives are the first columns of their orbits
@@ -798,22 +791,23 @@ def discord_brute_force(
     sp, cp = math.sin(best_phi), math.cos(best_phi)
     best_dir = np.array([st * cp, st * sp, ct])
     tangent = np.outer([ct * cp, ct * sp, -st], _PATCH_U) + np.outer([-sp, cp, 0.0], _PATCH_V)
-    steps = _patch_steps(n_theta, n_phi)
     # a level that does not improve leaves the centre in place, so the
     # patches of every remaining level are evaluated in one call; the first
     # level that improves moves the centre, and the levels after it are
     # evaluated again around the new one.  Each call also evaluates the
-    # tie-rule directions (pi/2, 0) and (tie_theta, 0), tie_theta the best
-    # theta when it was made
+    # tie-rule directions (pi/2, 0) and (best_theta, 0).  When an improving
+    # call used up the levels and the equatorial rule does not fire, its
+    # (theta, 0) value is stale: one more call, with no patch, evaluates
+    # the ties at the final theta and improves nothing.  Every admissible
+    # grid has a level, so the first pass never reads `equatorial`
     level = 0
-    while level < len(steps):
+    while level < len(steps) or equatorial > best_val + _TIE_TOL:
         patches = best_dir[:, None, None] + steps[level:] * tangent[:, None, :]
         patches /= np.linalg.norm(patches, axis=0)
-        tie_theta = best_theta
         ties = [
-            [math.sin(th) for th in (math.pi / 2.0, tie_theta)],
+            [math.sin(th) for th in (math.pi / 2.0, best_theta)],
             [0.0, 0.0],
-            [math.cos(th) for th in (math.pi / 2.0, tie_theta)],
+            [math.cos(th) for th in (math.pi / 2.0, best_theta)],
         ]
         vals = field(table, *np.concatenate((patches.reshape(3, -1), ties), axis=1))
         equatorial, at_phi0 = vals[-2:].tolist()
@@ -832,17 +826,9 @@ def discord_brute_force(
     if equatorial <= best_val + _TIE_TOL:
         best_theta, best_phi = math.pi / 2.0, 0.0
         best_val = min(best_val, equatorial)
-    else:
-        if best_theta != tie_theta:  # the last call moved theta
-            at_phi0 = float(field(
-                table,
-                np.float64(math.sin(best_theta)),
-                np.float64(0.0),
-                np.float64(math.cos(best_theta)),
-            ))
-        if at_phi0 <= best_val + _TIE_TOL:  # flat phi direction
-            best_phi = 0.0
-            best_val = min(best_val, at_phi0)
+    elif at_phi0 <= best_val + _TIE_TOL:  # flat phi direction
+        best_phi = 0.0
+        best_val = min(best_val, at_phi0)
     best_phi %= 2.0 * math.pi
 
     # both marginal spectra from one eigensolver call; the marginals of a
@@ -867,9 +853,9 @@ def werner_discord(n: int) -> float:
 
     Equals 1 at n = 2 and decays to zero for large n.
     """
-    if not _is_whole(n) or n < 2:
-        raise DomainError(f"mode count must be an integer >= 2, got {n}")
-    root = math.sqrt(n * n - 4.0 * n + 8.0) / n
+    _check_mode_count(n)
+    # sqrt((n - 2)^2 + 4) / n, with no n * n to overflow
+    root = math.hypot(n - 2.0, 2.0) / n
     return (
         binary_entropy(1.0 - 1.0 / n)
         + binary_entropy(0.5 + 0.5 * root)

@@ -13,6 +13,7 @@ explicit 2^n expansion of the state in the logical product basis.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -71,8 +72,7 @@ class SuperpositionSpec:
             raise DomainError(f"overlap must lie in [0, 1], got {self.p}")
         if not isinstance(self.parity, Parity):
             raise DomainError(f"parity must be a Parity, got {self.parity!r}")
-        if not _is_whole(self.n) or self.n < 2:
-            raise DomainError(f"mode count must be an integer >= 2, got {self.n}")
+        _check_mode_count(self.n)
         if not isinstance(self.n, int):
             object.__setattr__(self, "n", int(self.n))
 
@@ -84,6 +84,15 @@ class SuperpositionSpec:
     def q(self) -> float:
         """Cross-branch weight p^(n-2) left after tracing out n - 2 modes."""
         return self.p ** (self.n - 2)
+
+
+def _check_mode_count(n) -> None:
+    """Refuse n unless it is a whole number from 2 to the largest float:
+    the closed forms take float(n) and p ** n."""
+    if not _is_whole(n) or n < 2:
+        raise DomainError(f"mode count must be an integer >= 2, got {n}")
+    if n > sys.float_info.max:
+        raise DomainError(f"mode count must be at most {sys.float_info.max}, got {n}")
 
 
 def _block_weights(p: float, size: int) -> tuple[float, float]:

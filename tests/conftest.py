@@ -45,10 +45,15 @@ def reference_field(table, d1, d2, d3):
     return total
 
 
+def unit_direction(theta, phi):
+    """The unit vector (sin t cos f, sin t sin f, cos t)."""
+    st = math.sin(theta)
+    return st * math.cos(phi), st * math.sin(phi), math.cos(theta)
+
+
 def cond_entropy(state, theta, phi):
     """Average entropy of the second qubit of `state` after measuring the
-    first along (sin t cos f, sin t sin f, cos t), weighted by the outcome
+    first along `unit_direction(theta, phi)`, weighted by the outcome
     probabilities: `reference_field` at that one direction."""
-    st = math.sin(theta)
-    direction = st * math.cos(phi), st * math.sin(phi), math.cos(theta)
+    direction = unit_direction(theta, phi)
     return float(reference_field(bloch_matrix(state), *map(np.float64, direction)))

@@ -425,6 +425,12 @@ def test_domain_errors_exit_three(capsys):
         # 5/rate overflows: rejected before the time grid turns into NaN
         ["dynamics", "--p", "0.5", "--n", "4", "--parity", "even",
          "--gamma-rate", "1e-320"],
+        # a mode count beyond the largest float, which float(n) cannot take
+        ["point", "--p", "0.5", "--n", str(2**1024), "--parity", "odd"],
+        ["figure", "2", "--n", str(2**1024)],
+        ["sweep-pure", "--n", str(2**1024), "--k", "1", "--parity", "odd"],
+        ["dynamics", "--p", "0.5", "--n", str(2**1024), "--parity", "odd",
+         "--gamma-rate", "1"],
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, argv)

@@ -29,7 +29,7 @@ from catcorr import (
 from catcorr import correlations
 from catcorr.correlations import _eof_from_concurrence
 from catcorr.states import PAULI, _pair_block
-from conftest import cond_entropy, random_full_rank_state
+from conftest import cond_entropy, random_full_rank_state, unit_direction
 
 
 def spec(p, parity, n):
@@ -510,10 +510,10 @@ def test_brute_force_finds_minima_near_the_poles(rng):
     for _ in range(4):
         state = random_full_rank_state(rng)
         ref = discord_brute_force(state)
-        d_opt = np.array(ref.argmin.direction())
+        d_opt = np.array(unit_direction(ref.argmin.theta, ref.argmin.phi))
         for target_theta in (1e-3, 0.02, 0.05, math.pi - 0.02):
             target_phi = rng.uniform(0.0, 2.0 * math.pi)
-            target = np.array(MeasurementBasis(target_theta, target_phi).direction())
+            target = np.array(unit_direction(target_theta, target_phi))
             axis = np.cross(d_opt, target)
             angle = math.atan2(np.linalg.norm(axis), d_opt @ target)
             n_sigma = sum(c * pauli for c, pauli in zip(axis / np.linalg.norm(axis), PAULI[1:]))
@@ -646,8 +646,6 @@ def test_measurement_basis_validation():
         MeasurementBasis(-0.1, 0.0)
     with pytest.raises(DomainError):
         MeasurementBasis(0.0, 7.0)
-    d = MeasurementBasis(1.1, 2.2).direction()
-    assert math.hypot(*d) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_correlation_report_validation():

@@ -4,10 +4,11 @@
 formula that `_cond_entropy_field` now evaluates in blocks of directions,
 unchanged but for the names.  Both kernels must return its bits for every
 input shape the scan serves (the grid, the refinement patches with the
-two tie-rule directions, and the one-direction tie call): the general
-kernel on every table, `_x_field` on the tables of real X states.  The
-scan picks one of them per state.  The two kernels share their last step,
-`_outcome_entropy`, so each is held to the reference, never to the other.
+two tie-rule directions, and those two directions alone) and for single
+directions: the general kernel on every table, `_x_field` on the tables
+of real X states.  The scan picks one of them per state.  The two
+kernels share their last step, `_outcome_entropy`, so each is held to
+the reference, never to the other.
 """
 
 import sys
@@ -124,7 +125,7 @@ def test_x_field_matches_per_outcome_reference_bitwise(rng):
     # 65 x 129 and the default grid end in a shorter block of rows; the
     # folded rows of 64 x 20000 are longer than a block, one row per block
     assert 33 % (_FIELD_BLOCK // 129) and 91 % (_FIELD_BLOCK // 361)
-    *long_rows, n_rep = _direction_grid(64, 20000)[2:]
+    *long_rows, _, n_rep = _direction_grid(64, 20000)[2:]
     assert n_rep == 10000 > _FIELD_BLOCK
     tables = [bloch_matrix(state) for state in kernel_states(rng)] + signed_zero_tables()
     tables = [table for table in tables if not table[_OFF_REAL_X].any()]
@@ -247,7 +248,7 @@ def phi_orbit(j, n_phi):
 def test_grid_columns_fold_onto_their_representatives():
     counts = {128: 64, 131: 33, 361: 91, 362: 181, 1999: 500}
     for n_theta, n_phi in FOLD_GRIDS:
-        theta, phi, d1, d2, d3, n_rep = _direction_grid(n_theta, n_phi)
+        theta, phi, d1, d2, d3, _, n_rep = _direction_grid(n_theta, n_phi)
         reps = [min(phi_orbit(j, n_phi)) for j in range(n_phi)]
         # the representatives are the smallest of their orbits, and the
         # folded grid is the first n_rep columns in order
@@ -280,7 +281,7 @@ def test_folded_grid_call_matches_the_full_grid_bitwise():
     tables = [bloch_matrix(s) for s in pairs + dephased + [bell, TwoQubitState(ground)]]
     assert not any(table[_OFF_REAL_X].any() for table in tables)
     for n_theta, n_phi in FOLD_GRIDS:
-        _, _, d1, d2, d3, n_rep = _direction_grid(n_theta, n_phi)
+        _, _, d1, d2, d3, _, n_rep = _direction_grid(n_theta, n_phi)
         reps = [min(phi_orbit(j, n_phi)) for j in range(n_phi)]
         for table in tables:
             full = _x_field(table, d1, d2, d3)

@@ -3,7 +3,9 @@
 `discord_brute_force` evaluates the refinement patches of every remaining
 level in one field call and evaluates again only after a level improves.
 Each of those calls also evaluates the two tie-rule directions, and every
-call of a pair or dephased state goes through `_x_field`.
+call of a pair or dephased state goes through `_x_field`.  A scan whose
+last improving call used up the levels, off the equator, makes one more
+loop call of the two tie directions alone.
 `reference_brute_force` below is the scan with one field call per level,
 unchanged but for the name and its return value: the scan must return the
 same bits on every state.
@@ -15,7 +17,6 @@ import numpy as np
 
 from catcorr import (
     DephasingChannel,
-    MeasurementBasis,
     Parity,
     SuperpositionSpec,
     TwoQubitState,
@@ -37,7 +38,7 @@ from catcorr.correlations import (
     _spectrum_entropy,
 )
 from catcorr.states import PAULI
-from conftest import random_full_rank_state
+from conftest import random_full_rank_state, unit_direction
 
 GRIDS = ((181, 361), (64, 128))
 
@@ -45,7 +46,7 @@ GRIDS = ((181, 361), (64, 128))
 def reference_brute_force(state, grid):
     n_theta, n_phi = grid
     table = bloch_matrix(state)
-    theta, phi, d1, d2, d3, _ = _direction_grid(n_theta, n_phi)
+    theta, phi, d1, d2, d3, _, _ = _direction_grid(n_theta, n_phi)
     values = _cond_entropy_field(table, d1, d2, d3)
     flat = int(np.argmin(values))  # first occurrence: lexicographic (theta, phi)
     i, j = divmod(flat, n_phi)
@@ -115,10 +116,11 @@ def pole_rotated_states(rng):
     # rotate the first qubit so that the optimum sits next to a pole
     for _ in range(4):
         state = random_full_rank_state(rng)
-        d_opt = np.array(discord_brute_force(state).argmin.direction())
+        argmin = discord_brute_force(state).argmin
+        d_opt = np.array(unit_direction(argmin.theta, argmin.phi))
         for target_theta in (1e-3, 0.02, 0.05, math.pi - 0.02):
             target_phi = rng.uniform(0.0, 2.0 * math.pi)
-            target = np.array(MeasurementBasis(target_theta, target_phi).direction())
+            target = np.array(unit_direction(target_theta, target_phi))
             axis = np.cross(d_opt, target)
             angle = math.atan2(np.linalg.norm(axis), d_opt @ target)
             n_sigma = sum(c * pauli for c, pauli in zip(axis / np.linalg.norm(axis), PAULI[1:]))
@@ -144,7 +146,8 @@ def edge_states():
 def ends_on_an_improving_level():
     """A dephased pair state whose default-grid scan improves at the last
     refinement level, away from the equator: the (theta, 0) value of that
-    call's tie directions is stale, and the scan evaluates it again."""
+    call's tie directions is stale, and the loop calls once more for the
+    two tie directions at the final theta."""
     return apply_dephasing(
         reduced_rho12(SuperpositionSpec(0.9, Parity.EVEN, 3)),
         DephasingChannel.from_gamma(0.2),
@@ -218,10 +221,39 @@ def test_scan_diagonalizes_only_the_marginals(rng, monkeypatch):
         assert shapes == [(2, 2, 2)]
 
 
+def test_dephased_scan_makes_few_field_calls(rng, monkeypatch):
+    # the grid and one batched refinement call per improving level, with
+    # the tie directions: pinned at the counts of these 100 scans, at most
+    # 13 and 3.07 on average
+    calls = counted_field_calls(monkeypatch)
+    per_scan = []
+    for spec in seeded_pair_specs(rng, 100):
+        state = apply_dephasing(reduced_rho12(spec), DephasingChannel.from_gamma(float(rng.random())))
+        calls.clear()
+        discord_brute_force(state)
+        assert {name for name, _ in calls} == {"_x_field"}
+        per_scan.append(len(calls))
+    assert max(per_scan) <= 13
+    assert sum(per_scan) / len(per_scan) <= 3.07
+
+
 def test_scan_ending_on_an_improving_level_evaluates_the_phi0_tie_again(monkeypatch):
     calls = counted_field_calls(monkeypatch)
-    discord_brute_force(ends_on_an_improving_level())
-    assert calls[-1] == ("_x_field", 1)
+    directions, counted = [], correlations._x_field
+
+    def recorded(table, *d):
+        directions.append(np.array(d))
+        return counted(table, *d)
+
+    monkeypatch.setattr(correlations, "_x_field", recorded)
+    theta = discord_brute_force(ends_on_an_improving_level()).argmin.theta
+    # the loop's last call holds only (pi/2, 0) and (theta*, 0), at the
+    # reported theta*
+    assert calls[-1] == ("_x_field", 2)
+    ties = [[math.sin(th) for th in (math.pi / 2.0, theta)], [0.0, 0.0],
+            [math.cos(th) for th in (math.pi / 2.0, theta)]]
+    assert np.array_equal(directions[-1], ties)
+    assert theta != math.pi / 2.0
     # pair states end on the equator, where the tie rule needs no new call
     calls.clear()
     discord_brute_force(reduced_rho12(SuperpositionSpec(0.9, Parity.EVEN, 3)))
@@ -232,12 +264,12 @@ def test_patch_levels_hold_the_step_tolerance_on_both_sides(monkeypatch):
     # the default grid's 13th patch half-width is pi/180 / 4^12, about
     # 1.04e-9: a _PATCH_STEP_TOL 1% above it leaves 12 levels, 1% below 13
     last = math.pi / 180.0 / _PATCH_SHRINK**12
-    assert correlations._patch_steps(*DEFAULT_GRID)[-1, 0] == last
+    assert _direction_grid(*DEFAULT_GRID)[5][-1, 0] == last
     try:
         for factor, levels in ((1.01, 12), (0.99, 13)):
             monkeypatch.setattr(correlations, "_PATCH_STEP_TOL", factor * last)
-            correlations._patch_steps.cache_clear()
-            assert len(correlations._patch_steps(*DEFAULT_GRID)) == levels
+            _direction_grid.cache_clear()
+            assert len(_direction_grid(*DEFAULT_GRID)[5]) == levels
     finally:
         monkeypatch.undo()
-        correlations._patch_steps.cache_clear()
+        _direction_grid.cache_clear()

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +79,21 @@ def test_whole_number_arguments_refuse_non_integers(call, x):
     # int(x) raises ValueError for NaN and OverflowError for inf
     with pytest.raises(DomainError):
         call(x)
+
+
+def test_mode_counts_beyond_float_range_are_refused():
+    # every closed form takes float(n) or p ** n, which overflow past the
+    # largest float
+    largest = int(sys.float_info.max)
+    for n in (largest + 1, 2**1024):
+        with pytest.raises(DomainError, match="mode count"):
+            SuperpositionSpec(0.5, Parity.ODD, n)
+        with pytest.raises(DomainError, match="mode count"):
+            werner_discord(n)
+    assert SuperpositionSpec(0.5, Parity.ODD, largest).n == largest
+    # n * n overflowed from n = 1.34e154 on; 1 - 1/n rounds to 1 far below
+    for n in (2 * 10**154, largest):
+        assert 0.0 <= werner_discord(n) < 1e-15
 
 
 def test_spec_derived_quantities():

@@ -382,7 +382,7 @@ def test_theta_star_matches_the_scan_argmin():
             assert report.argmin.theta == 0.5 * math.pi
             assert abs(report.discord - discord) < _TIE_TOL
         else:
-            gap = abs(math.cos(theta)) - abs(report.argmin.direction()[2])
+            gap = abs(math.cos(theta)) - abs(math.cos(report.argmin.theta))
             assert abs(gap) < 1e-6, entries
 
 

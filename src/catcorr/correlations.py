@@ -41,9 +41,9 @@ _RANGE_SLACK = 1e-12
 # folded grid row of at most 15 625 (n_theta >= 64 bounds n_phi by 31 250)
 MAX_GRID_DIRECTIONS = 2_000_000
 # directions per block of both field kernels: 24 rows of the default grid,
-# so that its folded X-state call (91 x 91) is one block.  On a 2-CPU Xeon
-# that call took 172-174 us against 197-202 us at 16 rows, two blocks
-# (medians of 31 interleaved in-process rounds)
+# so that its folded X-state call (91 x 91) is one block.  On a shared
+# 2-CPU Xeon that call took 167-170 us against 190-197 us at 16 rows, two
+# blocks (medians of 31 interleaved in-process rounds, in three runs)
 _FIELD_BLOCK = 24 * 361
 # an outcome whose q, twice its probability, is at most this contributes
 # nothing to the conditional entropy
@@ -70,10 +70,6 @@ _OFF_REAL_X = ~np.array(
     [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]], dtype=bool
 )
 _OFF_REAL_X.flags.writeable = False
-# the signs of the two measurement outcomes, along axis 0 of the per-row
-# terms of `_x_field`
-_SIGNS = np.array([1.0, -1.0])[:, None, None]
-_SIGNS.flags.writeable = False
 # theta grid of the X-state kernel on [0, pi/2], whose minimum the sign of
 # the objective's slope then places.  The objective can have a local
 # minimum at theta = 0 and a deeper one inside
@@ -208,10 +204,10 @@ def _spectrum_entropy(vals) -> float:
     eigenvalue is at least the sum of the state's two smallest (so down
     to -2e-10).  Rounding outside [0, 1] is clipped and adds nothing.
     """
-    vals = np.clip(vals, 0.0, 1.0)
     pos = vals[vals > 0.0]
+    np.minimum(pos, 1.0, out=pos)
     # 0.0 - sum: an exactly-zero sum (a pure state) gives +0.0, not -0.0
-    return float(0.0 - (pos * np.log2(pos)).sum())
+    return float(0.0 - np.add.reduce(pos * np.log2(pos)))
 
 
 def concurrence_pure(bp: PureBipartition) -> float:
@@ -279,26 +275,31 @@ def _outcome_entropy(len_sq, q):
     q is twice the outcome probability, broadcast against len_sq, the
     squared length of the conditional Bloch vector times q.  Dead outcomes
     (not q > _LIVE_Q) and pure conditionals (x >= 1) contribute exactly 0.
-    The caller silences the divisions.
+    The caller silences the divisions and invalid operations.
     """
     x = np.sqrt(len_sq, out=len_sq)
-    # q > _LIVE_Q wherever the outcome is live, so q = |q| there and the
-    # weight -q/2 carries the entropy's sign
-    x /= q
-    x *= 0.5
+    # where q is live, sqrt(len_sq) / q is 0 or at least 1e-162, so
+    # dividing by 2q halves it exactly: the bits of (x / q) * 0.5
+    x /= q + q
     x += 0.5
-    zero = x >= 1.0
-    zero |= ~(q > _LIVE_Q)
     # 1 - x and a log2 buffer in one allocation: as two, the oracle_sweep
     # benchmark took about 80 page faults per item, as the allocator gave
-    # back the heap top between calls, and ran 8% slower
+    # back the heap top between calls, and ran 8% slower.  x and 1 - x
+    # stacked in one (2, 2, ...) buffer, for one log2 call, ran its item
+    # loop 0.88x as fast and raised the traced peak of the folded
+    # default-grid call by 197 kB, to 750 kB
     y, t = np.empty((2,) + x.shape)
     np.subtract(1.0, x, out=y)
     y *= np.log2(y, out=t)
     x *= np.log2(x, out=t)
     x += y
+    # a live outcome is positive where x < 1 (both terms are negative and
+    # the weight -q/2 is too) and NaN where x >= 1 (y <= 0 has no log, or
+    # 0 * -inf), which fmax makes +0.0
     x *= q * -0.5
-    np.copyto(x, 0.0, where=zero)
+    np.fmax(x, 0.0, out=x)
+    if not np.minimum.reduce(q, axis=None) > _LIVE_Q:
+        np.copyto(x, 0.0, where=~(q > _LIVE_Q))
     return x
 
 
@@ -339,9 +340,11 @@ def _x_field(table, d1, d2, d3):
     Such a table is nonzero only at R[0,0], R[0,3], R[3,0] and R[i,i]
     (pair and dephased states).  A 2-D input is rows of the grid of
     `_direction_grid`, or of its representative columns, along which
-    d3 = cos(theta) is one float; any other input is taken as one
-    direction per row.  q = +-R[3,0] d3 + 1 and the z term
-    (+-R[3,3] d3 + R[0,3])^2 are formed once per row.  The offsets R[0,1]
+    d3 = cos(theta) is one float; a 1-D or 0-d input (the refinement's
+    patches and tie directions) holds one direction per element, and the
+    output has the input's shape.  q = +-R[3,0] d3 + 1 and the z term
+    (+-R[3,3] d3 + R[0,3])^2 are formed once per row of a 2-D input and
+    once per direction otherwise.  The offsets R[0,1]
     and R[0,2] are zero and (+-0 +- w)^2 = w^2, so both outcomes share the
     transverse term w1^2 + w2^2, with w1 = R[1,1] d1 and w2 = R[2,2] d2.
     Negation is exact, the general kernel's terms at zero coefficients are
@@ -351,24 +354,35 @@ def _x_field(table, d1, d2, d3):
     kernels finish with `_outcome_entropy`.
 
     Whole rows are taken in blocks of at most _FIELD_BLOCK directions, or
-    of one row when a row is longer.  The caller checks the table.
+    of one row when a row is longer, and 1-D input in blocks of
+    _FIELD_BLOCK.  The caller checks the table.
     """
+    r30, r33, r03 = table.item(3, 0), table.item(3, 3), table.item(0, 3)
+    r11, r22 = table.item(1, 1), table.item(2, 2)
     shape = np.shape(d1)
-    if len(shape) != 2:
-        d1, d2, d3 = (np.reshape(d, (-1, 1)) for d in (d1, d2, d3))
-    n_rows, n_phi = d1.shape
-    rows = max(1, _FIELD_BLOCK // n_phi)
-    # per outcome (axis 0) and row (axis 1), broadcast along the row
-    q = _SIGNS * (table[3, 0] * d3[:, :1]) + 1.0
-    z_sq = np.square(_SIGNS * (table[3, 3] * d3[:, :1]) + table[0, 3])
-    out = np.empty((n_rows, n_phi))
+    rows = _FIELD_BLOCK
+    if len(shape) == 2:
+        # one d3 per row, broadcast along it
+        d3 = d3[:, :1]
+        rows = max(1, rows // shape[1])
+    elif len(shape) != 1:
+        d1, d2, d3 = np.ravel(d1), np.ravel(d2), np.ravel(d3)
+    # per outcome (axis 0): q = +-R[3,0] d3 + 1 and z^2 = (+-R[3,3] d3 + R[0,3])^2,
+    # from one outer product; (-c) d3 is -(c d3) bitwise
+    q, z_sq = np.multiply.outer((r30, -r30, r33, -r33), d3).reshape((2, 2) + d3.shape)
+    q += 1.0
+    z_sq += r03
+    np.square(z_sq, out=z_sq)
+    out = np.empty(d1.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, n_rows, rows):
+        for lo in range(0, len(d1), rows):
             block = slice(lo, lo + rows)
-            # the transverse term w1^2 + w2^2, then each outcome's z term
-            h = _outcome_entropy(
-                np.square(d1[block] * table[1, 1]) + np.square(d2[block] * table[2, 2])
-                + z_sq[:, block], q[:, block])
+            # the transverse term w1^2 + w2^2, then each outcome's z term;
+            # the transverse arrays are gone before _outcome_entropy runs
+            len_sq = np.square(d1[block] * r11)
+            len_sq += np.square(d2[block] * r22)
+            len_sq = len_sq + z_sq[:, block]
+            h = _outcome_entropy(len_sq, q[:, block])
             np.add(h[0], h[1], out=out[block])
     return out.reshape(shape)
 
@@ -770,7 +784,7 @@ def discord_brute_force(
         )
     table = bloch_matrix(state)
     # one kernel for every field call of the scan
-    field = _cond_entropy_field if table[_OFF_REAL_X].any() else _x_field
+    field = _cond_entropy_field if np.count_nonzero(table[_OFF_REAL_X]) else _x_field
     theta, phi, *grid_dirs, steps, n_rep = _direction_grid(n_theta, n_phi)
     if field is _x_field:
         # a column's values are bitwise those of its representative, and
@@ -778,7 +792,7 @@ def discord_brute_force(
         grid_dirs = [d[:, :n_rep] for d in grid_dirs]
     values = field(table, *grid_dirs)
     # first occurrence: lexicographic (theta, phi), on the folded grid too
-    i, j = divmod(int(np.argmin(values)), values.shape[1])
+    i, j = divmod(int(values.argmin()), values.shape[1])
     best_theta, best_phi = float(theta[i]), float(phi[j])
     best_val = float(values[i, j])
 
@@ -790,7 +804,8 @@ def discord_brute_force(
     st, ct = math.sin(best_theta), math.cos(best_theta)
     sp, cp = math.sin(best_phi), math.cos(best_phi)
     best_dir = np.array([st * cp, st * sp, ct])
-    tangent = np.outer([ct * cp, ct * sp, -st], _PATCH_U) + np.outer([-sp, cp, 0.0], _PATCH_V)
+    tangent = (np.multiply.outer((ct * cp, ct * sp, -st), _PATCH_U)
+               + np.multiply.outer((-sp, cp, 0.0), _PATCH_V))
     # a level that does not improve leaves the centre in place, so the
     # patches of every remaining level are evaluated in one call; the first
     # level that improves moves the centre, and the levels after it are
@@ -800,28 +815,39 @@ def discord_brute_force(
     # (theta, 0) value is stale: one more call, with no patch, evaluates
     # the ties at the final theta and improves nothing.  Every admissible
     # grid has a level, so the first pass never reads `equatorial`
+    per_level = _PATCH_U.size
+    # every level's patch offsets, level-major along axis 1
+    offsets = (steps * tangent[:, None, :]).reshape(3, -1)
+    ties = np.array([[math.sin(math.pi / 2.0), st], [0.0, 0.0], [math.cos(math.pi / 2.0), ct]])
     level = 0
     while level < len(steps) or equatorial > best_val + _TIE_TOL:
-        patches = best_dir[:, None, None] + steps[level:] * tangent[:, None, :]
-        patches /= np.linalg.norm(patches, axis=0)
-        ties = [
-            [math.sin(th) for th in (math.pi / 2.0, best_theta)],
-            [0.0, 0.0],
-            [math.cos(th) for th in (math.pi / 2.0, best_theta)],
-        ]
-        vals = field(table, *np.concatenate((patches.reshape(3, -1), ties), axis=1))
-        equatorial, at_phi0 = vals[-2:].tolist()
-        patch_vals = vals[:-2].reshape(patches.shape[1:])
-        better = np.flatnonzero(patch_vals.min(axis=1) < best_val)
-        if not better.size:
+        # one array per call: the patches of the remaining levels, then the
+        # two tie directions in the last two columns
+        rest = offsets[:, level * per_level:]
+        n = rest.shape[1]
+        dirs = np.empty((3, n + 2))
+        patches = dirs[:, :n]
+        np.add(best_dir[:, None], rest, out=patches)
+        # x0^2 + x1^2 + x2^2, summed as np.linalg.norm(axis=0) sums it
+        norm = np.add.reduce(np.square(patches))
+        patches /= np.sqrt(norm, out=norm)
+        dirs[:, n:] = ties
+        vals = field(table, *dirs)
+        equatorial, at_phi0 = vals[n:].tolist()
+        # the first level with a value below best_val holds the first such
+        # value; its first minimum is the new best
+        below = (vals[:n] < best_val).nonzero()[0]
+        if not below.size:
             break
-        j = int(better[0])
-        k = int(np.argmin(patch_vals[j]))
-        best_val = float(patch_vals[j, k])
-        best_dir = patches[:, j, k]
+        first = int(below[0])
+        lo = first - first % per_level
+        k = lo + int(vals[lo:lo + per_level].argmin())
+        best_val = float(vals[k])
+        best_dir = patches[:, k]
         x, y, z = best_dir.tolist()
         best_theta, best_phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
-        level += j + 1
+        ties[::2, 1] = math.sin(best_theta), math.cos(best_theta)
+        level += first // per_level + 1
 
     if equatorial <= best_val + _TIE_TOL:
         best_theta, best_phi = math.pi / 2.0, 0.0
@@ -834,7 +860,7 @@ def discord_brute_force(
     # both marginal spectra from one eigensolver call; the marginals of a
     # validated state need no checks of their own
     rho_a, rho_b = marginals(state)
-    s_a, s_b = map(_spectrum_entropy, np.linalg.eigvalsh(np.stack((rho_a, rho_b))))
+    s_a, s_b = map(_spectrum_entropy, np.linalg.eigvalsh(np.array((rho_a, rho_b))))
     s_ab = _spectrum_entropy(state.spectrum)
     info = s_a + s_b - s_ab
     disc = s_a + best_val - s_ab
@@ -851,13 +877,21 @@ def werner_discord(n: int) -> float:
     """Pairwise discord of the n-mode single-excitation (W-type) state:
     H(1 - 1/n) + H(1/2 + sqrt(n^2 - 4n + 8)/(2n)) - H(1 - 2/n).
 
-    Equals 1 at n = 2 and decays to zero for large n.
+    Equals 1 at n = 2 and decays like 2/n for large n, where three terms
+    of order (log n)/n cancel.  So each H is taken at the small side of
+    H(x) = H(1 - x), the arguments 1/n, (1 - root)/2 and 2/n, which
+    1 - 1/n and the like would round away, and its (1 - x) log(1 - x) from
+    log1p(-x), which log(1 - x) would lose to the rounding of 1 - x; in
+    `binary_entropy`'s form the value is off by up to 3x near n = 1e16.
     """
     _check_mode_count(n)
-    # sqrt((n - 2)^2 + 4) / n, with no n * n to overflow
+    # root = sqrt((n - 2)^2 + 4) / n, with no n * n to overflow
     root = math.hypot(n - 2.0, 2.0) / n
-    return (
-        binary_entropy(1.0 - 1.0 / n)
-        + binary_entropy(0.5 + 0.5 * root)
-        - binary_entropy(1.0 - 2.0 / n)
-    )
+    # (1 - root)/2 = 2 (n - 2) / (n^2 (1 + root)), with no intermediate
+    # above 2, so that it stays >= 0 up to the largest n
+    total = 0.0
+    for x, sign in ((1.0 / n, 1.0), ((2.0 / (1.0 + root)) * ((n - 2) / n) / n, 1.0),
+                    (2.0 / n, -1.0)):
+        if 0.0 < x < 1.0:  # H(0) = H(1) = 0
+            total -= sign * (x * math.log(x) + (1.0 - x) * math.log1p(-x))
+    return total / math.log(2.0)

@@ -65,14 +65,17 @@ def apply_dephasing(state: TwoQubitState, channel: DephasingChannel) -> TwoQubit
     """Kraus-sum evolution with the dephasing pair acting on each mode.
 
     Diagonal entries are preserved; the X-state coherences pick up the
-    factor 1 - gamma.
+    factor 1 - gamma.  Each Kraus product kron(first, second) is
+    diagonal, so it acts as its diagonal d: d_i rho_ij conj(d_j), with
+    the bits of the matrix products op @ rho @ op^dagger.
     """
-    e0, e1 = channel.kraus_single()
+    rho = state.matrix
+    diagonals = [np.diag(op) for op in channel.kraus_single()]
     out = np.zeros((4, 4), dtype=complex)
-    for first in (e0, e1):
-        for second in (e0, e1):
-            op = np.kron(first, second)
-            out += op @ state.matrix @ op.conj().T
+    for first in diagonals:
+        for second in diagonals:
+            d = np.multiply.outer(first, second).ravel()
+            out += (d[:, None] * rho) * d.conj()[None, :]
     return TwoQubitState(out)
 
 

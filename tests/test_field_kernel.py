@@ -327,6 +327,38 @@ def test_scan_memory_does_not_grow_with_the_grid(rng):
     assert max(peaks) < 16e6
 
 
+def test_x_field_call_memory_peak():
+    # one allocation for 1 - x and the log2 buffer in _outcome_entropy, and
+    # no transverse temporaries alive while it runs: the traced peak of the
+    # folded default-grid call (91 x 91) was 553 kB and that of a
+    # 1 055-direction call (13 patch levels and the two tie directions)
+    # 114 kB while the kernel kept a boolean mask of dead outcomes, and is
+    # 536 kB and 111 kB without it; either may grow by at most 10% over the
+    # former.  Measured in a fresh thread, after one untraced call of each
+    table = bloch_matrix(reduced_rho12(SuperpositionSpec(0.6, Parity.EVEN, 4)))
+    *grid, _, n_rep = _direction_grid(181, 361)[2:]
+    patch = np.random.default_rng(3).normal(size=(3, 1055))
+    patch /= np.linalg.norm(patch, axis=0)
+    calls = {553e3: [d[:, :n_rep] for d in grid], 114e3: tuple(patch)}
+    peaks = {}
+
+    def measure():
+        for bound, directions in calls.items():
+            _x_field(table, *directions)
+            tracemalloc.start()
+            try:
+                _x_field(table, *directions)
+                peaks[bound] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    thread = threading.Thread(target=measure)
+    thread.start()
+    thread.join(timeout=60.0)
+    assert len(peaks) == 2
+    assert all(peak <= 1.1 * bound for bound, peak in peaks.items()), peaks
+
+
 def test_dead_outcome_threshold_is_one_rule_in_every_kernel():
     # diag(r00, 0, r22, r33) is classical on the first qubit.  Measured
     # along z, outcome 0 leaves the second qubit pure and outcome 1 leaves

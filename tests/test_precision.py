@@ -1,5 +1,9 @@
 """Closed forms near the degenerate odd limit p -> 1, against a 50-digit
-reference built from the textbook (uncancelled) formulas."""
+reference built from the textbook (uncancelled) formulas, and the W-type
+pair discord at large n."""
+
+import math
+import random
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from catcorr import (
     discord_mixed_closed,
     koashi_winter_min,
     pure_bipartition,
+    werner_discord,
 )
 
 mpmath = pytest.importorskip("mpmath")
@@ -76,3 +81,20 @@ def test_closed_forms_match_50_digit_reference_near_p_one():
                     bp = pure_bipartition(spec, k)
                     record("concurrence_pure", concurrence_pure(bp), pure)
     assert max(worst.values()) <= TOL, worst
+
+
+def test_werner_discord_keeps_its_value_at_large_n():
+    # the value is about 2/n, what is left where three terms of order
+    # (log n)/n cancel.  Written with 1 - 1/n and log2(1 - x), it read
+    # 0.0 from about n = 1e16 on and was off by up to 3x near n = 1e16.
+    # Every power of ten from 1e12 to 1e20 and five seeded n per decade
+    # against the textbook formula, with log10(n) + 30 digits
+    draw = random.Random(20121030)
+    for exp in range(12, 21):
+        ns = [10**exp] + [int(10 ** (exp + draw.random())) for _ in range(5)]
+        for n in ns:
+            with mpmath.workdps(int(math.log10(n)) + 30):
+                root = mpmath.sqrt(mpmath.mpf(n) ** 2 - 4 * n + 8) / n
+                expect = (_h(1 - mpmath.mpf(1) / n) + _h(mpmath.mpf(1) / 2 + root / 2)
+                          - _h(1 - mpmath.mpf(2) / n))
+                assert abs(werner_discord(n) - expect) <= 1e-13 * expect, n

@@ -267,6 +267,8 @@ def _resolve_algebra(args) -> AlgebraSpec:
         raise UsageError("--algebra and --z must be given together")
     if args.algebra == "glauber" and args.rep_param is not None:
         raise UsageError("--rep-param does not apply to --algebra glauber")
+    if args.algebra != "glauber" and args.rep_param is None:
+        raise UsageError(f"--algebra {args.algebra} needs --rep-param")
     return AlgebraSpec(AlgebraKind(args.algebra), args.rep_param)
 
 

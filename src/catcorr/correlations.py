@@ -38,12 +38,14 @@ _RANGE_SLACK = 1e-12
 # largest n_theta * n_phi the scan accepts, about 30x the default grid; the
 # field itself allocates only its output of at most n_theta * n_phi / 2
 # floats and the work of one block: at most _FIELD_BLOCK directions, or one
-# folded grid row of at most 15 625 (n_theta >= 64 bounds n_phi by 31 250)
+# grid row of at most 31 250 (n_theta >= 64 bounds n_phi), 15 625 when folded
 MAX_GRID_DIRECTIONS = 2_000_000
-# directions per block of both field kernels: 24 rows of the default grid,
-# so that its folded X-state call (91 x 91) is one block.  On a shared
-# 2-CPU Xeon that call took 167-170 us against 190-197 us at 16 rows, two
-# blocks (medians of 31 interleaved in-process rounds, in three runs)
+# directions per block of `_field`: 24 rows of the default grid, so that
+# its folded X-state call (91 x 91) is one block, as is every refinement
+# call (at most 13 x 81 + 2 = 1 055 rows of one direction).  On a shared
+# 2-CPU Xeon that folded call took 167-170 us against 190-197 us at 16
+# rows, two blocks (medians of 31 interleaved in-process rounds, in three
+# runs)
 _FIELD_BLOCK = 24 * 361
 # an outcome whose q, twice its probability, is at most this contributes
 # nothing to the conditional entropy
@@ -269,26 +271,32 @@ def _eof_from_concurrence(conc: float) -> float:
     return binary_entropy(0.5 * c_sq / (1.0 + math.sqrt(max(0.0, 1.0 - c_sq))))
 
 
-def _outcome_entropy(len_sq, q):
+def _outcome_entropy(work, q):
     """-q/2 H(x) per outcome at x = (1 + sqrt(len_sq)/q)/2, written over len_sq.
 
-    q is twice the outcome probability, broadcast against len_sq, the
-    squared length of the conditional Bloch vector times q.  Dead outcomes
-    (not q > _LIVE_Q) and pure conditionals (x >= 1) contribute exactly 0.
-    The caller silences the divisions and invalid operations.
+    work[0] holds len_sq, the squared length of the conditional Bloch
+    vector times q, and is returned; work[1] and work[2] are scratch.  q
+    is twice the outcome probability, broadcast against len_sq.  Dead
+    outcomes (not q > _LIVE_Q) and pure conditionals (x >= 1) contribute
+    exactly 0.  The caller silences the divisions and invalid operations.
+
+    Each term function forms work in the one large allocation of its
+    block.  glibc gives the heap top back once it exceeds twice the largest
+    mmapped chunk freed so far, and a call that frees about that much at
+    the top faults it in again on the next.  With len_sq apart from the
+    scratch, the folded default-grid call of an X state did: from the 17th
+    to the 33rd pass of a 30-second oracle_sweep run, the worker faulted
+    in about 97 pages per item and read 0.8-0.9x the points per second.
     """
-    x = np.sqrt(len_sq, out=len_sq)
+    x, y, t = work
+    np.sqrt(x, out=x)
     # where q is live, sqrt(len_sq) / q is 0 or at least 1e-162, so
     # dividing by 2q halves it exactly: the bits of (x / q) * 0.5
     x /= q + q
     x += 0.5
-    # 1 - x and a log2 buffer in one allocation: as two, the oracle_sweep
-    # benchmark took about 80 page faults per item, as the allocator gave
-    # back the heap top between calls, and ran 8% slower.  x and 1 - x
-    # stacked in one (2, 2, ...) buffer, for one log2 call, ran its item
-    # loop 0.88x as fast and raised the traced peak of the folded
-    # default-grid call by 197 kB, to 750 kB
-    y, t = np.empty((2,) + x.shape)
+    # x and 1 - x stacked for one log2 call ran the oracle_sweep item loop
+    # 0.88x as fast and raised the traced peak of the folded default-grid
+    # call by 197 kB, to 750 kB
     np.subtract(1.0, x, out=y)
     y *= np.log2(y, out=t)
     x *= np.log2(x, out=t)
@@ -303,88 +311,87 @@ def _outcome_entropy(len_sq, q):
     return x
 
 
-def _cond_entropy_field(table, d1, d2, d3):
-    """Measurement-conditioned entropy, vectorized over direction arrays.
+def _field(terms, table, d1, d2, d3):
+    """Measurement-conditioned entropy of the Bloch table at each direction.
 
-    For each outcome the conditional qubit has Bloch vector
-    (R[0,b] + sum_i R[i,b] s_i) / (1 + sum_i R[i,0] s_i) with s the signed
-    direction; `_outcome_entropy` weighs its entropy H((1 + |r|)/2).  The
-    directions are taken in blocks of _FIELD_BLOCK; every element goes
-    through the same operations in the same order for any block size or
-    input shape.
-
-    `discord_brute_force` calls this for every table with a nonzero slot
-    in _OFF_REAL_X, where a real X state has zeros; `_x_field` serves the
-    rest.
+    d1 and d2 are rows x columns and d3 is one column, one float per row
+    (a grid row shares its cos(theta)); the refinement passes one
+    direction per row.  Whole rows are taken in blocks of at most
+    _FIELD_BLOCK directions, or of one row when a row is longer, and
+    `terms` returns the block's two outcome terms, whose sum is the
+    output.  Every element goes through the same operations in the same
+    order for any block.
     """
-    shape = np.shape(d1)
-    d1, d2, d3 = np.ravel(d1), np.ravel(d2), np.ravel(d3)
-    out = np.empty(d1.size)
-    # rows of coefficients R[i, :] and the offsets (1, R[0,1], R[0,2], R[0,3])
-    c1, c2, c3 = table[1:, :, None]
-    offset = np.array([1.0, table[0, 1], table[0, 2], table[0, 3]])[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, d1.size, _FIELD_BLOCK):
-            block = slice(lo, lo + _FIELD_BLOCK)
-            # w_b = sum_i R[i,b] d_i; the outcomes are offset_b +- w_b
-            w = c1 * d1[block] + c2 * d2[block] + c3 * d3[block]
-            h = [_outcome_entropy(v1 * v1 + v2 * v2 + v3 * v3, q)
-                 for q, v1, v2, v3 in (offset + w, offset - w)]
-            np.add(*h, out=out[block])
-    return out.reshape(shape)
-
-
-def _x_field(table, d1, d2, d3):
-    """`_cond_entropy_field` on the table of a real X state, with its bits.
-
-    Such a table is nonzero only at R[0,0], R[0,3], R[3,0] and R[i,i]
-    (pair and dephased states).  A 2-D input is rows of the grid of
-    `_direction_grid`, or of its representative columns, along which
-    d3 = cos(theta) is one float; a 1-D or 0-d input (the refinement's
-    patches and tie directions) holds one direction per element, and the
-    output has the input's shape.  q = +-R[3,0] d3 + 1 and the z term
-    (+-R[3,3] d3 + R[0,3])^2 are formed once per row of a 2-D input and
-    once per direction otherwise.  The offsets R[0,1]
-    and R[0,2] are zero and (+-0 +- w)^2 = w^2, so both outcomes share the
-    transverse term w1^2 + w2^2, with w1 = R[1,1] d1 and w2 = R[2,2] d2.
-    Negation is exact, the general kernel's terms at zero coefficients are
-    signed zeros, which leave a nonzero sum unchanged, and the sign of a
-    zero sum is lost in 1 +- w and in the squares: these are the q and
-    squared lengths `_cond_entropy_field` forms, in its order, and both
-    kernels finish with `_outcome_entropy`.
-
-    Whole rows are taken in blocks of at most _FIELD_BLOCK directions, or
-    of one row when a row is longer, and 1-D input in blocks of
-    _FIELD_BLOCK.  The caller checks the table.
-    """
-    r30, r33, r03 = table.item(3, 0), table.item(3, 3), table.item(0, 3)
-    r11, r22 = table.item(1, 1), table.item(2, 2)
-    shape = np.shape(d1)
-    rows = _FIELD_BLOCK
-    if len(shape) == 2:
-        # one d3 per row, broadcast along it
-        d3 = d3[:, :1]
-        rows = max(1, rows // shape[1])
-    elif len(shape) != 1:
-        d1, d2, d3 = np.ravel(d1), np.ravel(d2), np.ravel(d3)
-    # per outcome (axis 0): q = +-R[3,0] d3 + 1 and z^2 = (+-R[3,3] d3 + R[0,3])^2,
-    # from one outer product; (-c) d3 is -(c d3) bitwise
-    q, z_sq = np.multiply.outer((r30, -r30, r33, -r33), d3).reshape((2, 2) + d3.shape)
-    q += 1.0
-    z_sq += r03
-    np.square(z_sq, out=z_sq)
     out = np.empty(d1.shape)
+    rows = max(1, _FIELD_BLOCK // d1.shape[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, len(d1), rows):
             block = slice(lo, lo + rows)
-            # the transverse term w1^2 + w2^2, then each outcome's z term;
-            # the transverse arrays are gone before _outcome_entropy runs
-            len_sq = np.square(d1[block] * r11)
-            len_sq += np.square(d2[block] * r22)
-            len_sq = len_sq + z_sq[:, block]
-            h = _outcome_entropy(len_sq, q[:, block])
-            np.add(h[0], h[1], out=out[block])
-    return out.reshape(shape)
+            np.add(*terms(table, d1[block], d2[block], d3[block]), out=out[block])
+    return out
+
+
+def _general_terms(table, d1, d2, d3):
+    """The two outcome terms of `_field` for any table.
+
+    For each outcome the conditional qubit has Bloch vector
+    (R[0,b] + sum_i R[i,b] s_i) / (1 + sum_i R[i,0] s_i) with s the signed
+    direction; `_outcome_entropy` weighs its entropy H((1 + |r|)/2).
+    """
+    # rows of coefficients R[i, :] and the offsets (1, R[0,1], R[0,2], R[0,3])
+    c1, c2, c3 = table[1:, :, None, None]
+    offset = np.array([1.0, table[0, 1], table[0, 2], table[0, 3]])[:, None, None]
+    # both outcomes offset_b +- w_b, w_b = sum_i R[i,b] d_i, in one array
+    # and no other: w is summed in the plus half, with R[2,b] d2 in the
+    # minus half, which then takes offset - w
+    outcomes = np.empty((4, 2) + d1.shape)
+    w = np.multiply(c1, d1, out=outcomes[:, 0])
+    w += np.multiply(c2, d2, out=outcomes[:, 1])
+    w += c3 * d3
+    np.subtract(offset, w, out=outcomes[:, 1])
+    np.add(offset, w, out=w)
+    # len_sq = v1^2 + v2^2 + v3^2 over v1; v2 and v3 are then the scratch
+    # of _outcome_entropy
+    q, v1, v2, v3 = outcomes
+    np.square(outcomes[1:], out=outcomes[1:])
+    v1 += v2
+    v1 += v3
+    return _outcome_entropy(outcomes[1:], q)
+
+
+def _x_terms(table, d1, d2, d3):
+    """`_general_terms` on the table of a real X state, with its bits.
+
+    Such a table is nonzero only at R[0,0], R[0,3], R[3,0] and R[i,i]
+    (pair and dephased states).  q = +-R[3,0] d3 + 1 and the z term
+    (+-R[3,3] d3 + R[0,3])^2 are formed once per row.  The offsets R[0,1]
+    and R[0,2] are zero and (+-0 +- w)^2 = w^2, so both outcomes share the
+    transverse term w1^2 + w2^2, with w1 = R[1,1] d1 and w2 = R[2,2] d2.
+    Negation is exact, the general terms at zero coefficients are signed
+    zeros, which leave a nonzero sum unchanged, and the sign of a zero sum
+    is lost in 1 +- w and in the squares: these are the q and squared
+    lengths `_general_terms` forms, in its order, and both finish with
+    `_outcome_entropy`.  The caller checks the table.
+    """
+    r30, r33, r03 = table.item(3, 0), table.item(3, 3), table.item(0, 3)
+    r11, r22 = table.item(1, 1), table.item(2, 2)
+    # per outcome (axis 0): q = +-R[3,0] d3 + 1 and z^2 = (+-R[3,3] d3 + R[0,3])^2,
+    # from one outer product; (-c) d3 is -(c d3) bitwise
+    q, z_sq = np.multiply.outer(((r30, -r30), (r33, -r33)), d3)
+    q += 1.0
+    z_sq += r03
+    np.square(z_sq, out=z_sq)
+    # len_sq and the scratch of _outcome_entropy in one array; w1^2 and
+    # w2^2 are formed in the scratch, so that no other array is alive
+    work = np.empty((3, 2) + d1.shape)
+    w_sq = work[2]
+    np.multiply(d1, r11, out=w_sq[0])
+    np.multiply(d2, r22, out=w_sq[1])
+    np.square(w_sq, out=w_sq)
+    # the transverse term, then each outcome's z term
+    np.add(w_sq[0], w_sq[1], out=w_sq[0])
+    np.add(w_sq[0], z_sq, out=work[0])
+    return _outcome_entropy(work, q)
 
 
 def koashi_winter_min(spec: SuperpositionSpec) -> float:
@@ -426,9 +433,11 @@ def _pair_correlations(p: float, n: int, sign: int) -> tuple[float, ...]:
 @functools.lru_cache(maxsize=4)
 def _direction_grid(n_theta: int, n_phi: int):
     """Read-only scan directions: the rows theta <= pi/2 of the
-    n_theta x n_phi grid linspace(0, pi) x linspace(0, 2 pi), the column
-    of the refinement patch half-widths h, one row per level (see
-    _PATCH_POINTS), and the number of representative columns.
+    n_theta x n_phi grid linspace(0, pi) x linspace(0, 2 pi), as theta,
+    phi, d1 and d2 (rows x columns) and d3 = cos(theta) (one column, the
+    layout of `_field`), then the column of the refinement patch
+    half-widths h, one row per level (see _PATCH_POINTS), and the number
+    of representative columns.
 
     Measuring along d and along -d only swaps the two outcomes, so the
     lower hemisphere repeats the upper one.  linspace is symmetric about
@@ -461,8 +470,7 @@ def _direction_grid(n_theta: int, n_phi: int):
         steps.append(h)
         h /= _PATCH_SHRINK
     arrays = (
-        theta, phi, st * cos_phi, st * sin_phi, np.repeat(ct, n_phi, axis=1),
-        np.array(steps)[:, None],
+        theta, phi, st * cos_phi, st * sin_phi, ct, np.array(steps)[:, None],
     )
     for arr in arrays:
         arr.flags.writeable = False
@@ -761,16 +769,16 @@ def discord_brute_force(
     the loop.  A scan of a pair state makes about 3 field calls in all,
     one of a random full-rank state about 12.
 
-    The kernel is chosen once per scan, from the table: a table zero in
-    every slot of _OFF_REAL_X, that of a real X state (pair and dephased
-    states), takes `_x_field` for every call, any other table
-    `_cond_entropy_field`.  The two give the same bits.  A real X
-    state reads a direction only through (R[1,1] d1)^2 and (R[2,2] d2)^2,
-    so its grid call evaluates only the representative columns of
-    `_direction_grid` (91 of 361 by default), whose |d1| and |d2| are
-    bitwise those of every column they fold onto.  Each representative is
-    the first column of its orbit, so the first minimum of the folded grid
-    is the cell of the full one.
+    Every field call goes through `_field`, with one term function chosen
+    once per scan, from the table: a table zero in every slot of
+    _OFF_REAL_X, that of a real X state (pair and dephased states), takes
+    `_x_terms` for every call, any other table `_general_terms`.  The two
+    give the same bits.  A real X state reads a direction only through
+    (R[1,1] d1)^2 and (R[2,2] d2)^2, so its grid call evaluates only the
+    representative columns of `_direction_grid` (91 of 361 by default),
+    whose |d1| and |d2| are bitwise those of every column they fold onto.
+    Each representative is the first column of its orbit, so the first
+    minimum of the folded grid is the cell of the full one.
     """
     n_theta, n_phi = grid
     if not (_is_whole(n_theta) and _is_whole(n_phi)):
@@ -783,14 +791,14 @@ def discord_brute_force(
             f"scan grid must have at most {MAX_GRID_DIRECTIONS} points, got {grid}"
         )
     table = bloch_matrix(state)
-    # one kernel for every field call of the scan
-    field = _cond_entropy_field if np.count_nonzero(table[_OFF_REAL_X]) else _x_field
+    # one term function for every field call of the scan
+    terms = _general_terms if np.count_nonzero(table[_OFF_REAL_X]) else _x_terms
     theta, phi, *grid_dirs, steps, n_rep = _direction_grid(n_theta, n_phi)
-    if field is _x_field:
+    if terms is _x_terms:
         # a column's values are bitwise those of its representative, and
         # the representatives are the first columns of their orbits
         grid_dirs = [d[:, :n_rep] for d in grid_dirs]
-    values = field(table, *grid_dirs)
+    values = _field(terms, table, *grid_dirs)
     # first occurrence: lexicographic (theta, phi), on the folded grid too
     i, j = divmod(int(values.argmin()), values.shape[1])
     best_theta, best_phi = float(theta[i]), float(phi[j])
@@ -821,18 +829,18 @@ def discord_brute_force(
     ties = np.array([[math.sin(math.pi / 2.0), st], [0.0, 0.0], [math.cos(math.pi / 2.0), ct]])
     level = 0
     while level < len(steps) or equatorial > best_val + _TIE_TOL:
-        # one array per call: the patches of the remaining levels, then the
-        # two tie directions in the last two columns
+        # one array per call, one direction per row: the patches of the
+        # remaining levels, then the two tie directions in the last two rows
         rest = offsets[:, level * per_level:]
         n = rest.shape[1]
-        dirs = np.empty((3, n + 2))
-        patches = dirs[:, :n]
+        dirs = np.empty((3, n + 2, 1))
+        patches = dirs[:, :n, 0]
         np.add(best_dir[:, None], rest, out=patches)
         # x0^2 + x1^2 + x2^2, summed as np.linalg.norm(axis=0) sums it
         norm = np.add.reduce(np.square(patches))
         patches /= np.sqrt(norm, out=norm)
-        dirs[:, n:] = ties
-        vals = field(table, *dirs)
+        dirs[:, n:, 0] = ties
+        vals = _field(terms, table, *dirs)[:, 0]
         equatorial, at_phi0 = vals[n:].tolist()
         # the first level with a value below best_val holds the first such
         # value; its first minimum is the new best

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from catcorr import TwoQubitState, bloch_matrix
+from catcorr import correlations
 
 
 @pytest.fixture
@@ -28,8 +29,8 @@ def reference_h2(x):
 
 def reference_field(table, d1, d2, d3):
     """Measurement-conditioned entropy of the Bloch table `table`, per
-    outcome, at the directions (d1, d2, d3): the formula the field kernels
-    evaluate in blocks, and their bitwise reference."""
+    outcome, at the directions (d1, d2, d3): the formula `_field` evaluates
+    in blocks with either term function, and its bitwise reference."""
     total = 0.0
     for sign in (1.0, -1.0):
         u = sign * (table[1, 0] * d1 + table[2, 0] * d2 + table[3, 0] * d3)
@@ -57,3 +58,15 @@ def cond_entropy(state, theta, phi):
     probabilities: `reference_field` at that one direction."""
     direction = unit_direction(theta, phi)
     return float(reference_field(bloch_matrix(state), *map(np.float64, direction)))
+
+
+def counted_field_calls(monkeypatch):
+    """Patch the scan's field routine to log (term function, directions) per call."""
+    calls, field = [], correlations._field
+
+    def counted(terms, table, d1, d2, d3):
+        calls.append((terms.__name__, d1.size))
+        return field(terms, table, d1, d2, d3)
+
+    monkeypatch.setattr(correlations, "_field", counted)
+    return calls

@@ -349,6 +349,23 @@ def test_rep_param_with_glauber_is_usage_error(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["overlap", "--algebra", "su2", "--z", "0.3"],
+        ["point", "--algebra", "su11", "--z", "0.3", "--n", "4", "--parity", "even"],
+        ["dynamics", "--algebra", "su2", "--z", "0.3", "--n", "4", "--parity", "even",
+         "--gamma-rate", "1.0"],
+    ],
+    ids=["overlap", "point", "dynamics"],
+)
+def test_missing_rep_param_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "needs --rep-param" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["point", "--p", "0.5", "--rep-param", "2", "--n", "4", "--parity", "even"],
         ["point", "--rep-param", "2", "--n", "4", "--werner-limit"],
         ["dynamics", "--p", "0.5", "--rep-param", "2", "--n", "4", "--parity", "even",
@@ -398,7 +415,6 @@ def test_domain_errors_exit_three(capsys):
     cases = [
         ["point", "--p", "1.5", "--n", "4", "--parity", "odd"],
         ["overlap", "--algebra", "su11", "--z", "1.2", "--rep-param", "1"],
-        ["overlap", "--algebra", "su2", "--z", "0.5"],  # rep param missing
         ["point", "--algebra", "su2", "--z", "2.0", "--rep-param", "0.5",
          "--n", "3", "--parity", "even"],
         ["sweep-pure", "--n", "4", "--k", "9", "--p-steps", "3"],

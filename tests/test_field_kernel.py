@@ -1,14 +1,15 @@
-"""The field kernels against the formula they replaced.
+"""The scan's field routine against the formula it replaced.
 
 `reference_field` and `reference_h2` in conftest.py are the per-outcome
-formula that `_cond_entropy_field` now evaluates in blocks of directions,
-unchanged but for the names.  Both kernels must return its bits for every
-input shape the scan serves (the grid, the refinement patches with the
-two tie-rule directions, and those two directions alone) and for single
-directions: the general kernel on every table, `_x_field` on the tables
-of real X states.  The scan picks one of them per state.  The two
-kernels share their last step, `_outcome_entropy`, so each is held to
-the reference, never to the other.
+formula that `_field` now evaluates in blocks of rows, unchanged but for
+the names.  `_field` must return its bits with either term function on
+every input the scan serves, in the scan's one layout (d1 and d2 rows x
+columns, d3 one column): the grid, the refinement patches with the two
+tie-rule directions, those two directions alone, and single directions,
+one per row.  `_general_terms` is held to it on every table, `_x_terms`
+on the tables of real X states.  The scan picks one term function per
+state.  The two share their last step, `_outcome_entropy`, so each is
+held to the reference, never to the other.
 """
 
 import sys
@@ -28,18 +29,18 @@ from catcorr import (
     discord_brute_force,
     reduced_rho12,
 )
-from catcorr import correlations
 from catcorr.correlations import (
     _FIELD_BLOCK,
     _LIVE_Q,
     _OFF_REAL_X,
-    _cond_entropy_field,
     _direction_grid,
     _discord_x,
-    _x_field,
+    _field,
+    _general_terms,
+    _x_terms,
 )
 from catcorr.states import PAULI
-from conftest import random_full_rank_state, reference_field
+from conftest import counted_field_calls, random_full_rank_state, reference_field
 
 
 def bits(values):
@@ -101,21 +102,21 @@ def signed_zero_tables():
 def direction_sets(rng):
     patch = rng.normal(size=(3, 81))
     patch /= np.linalg.norm(patch, axis=0)
-    scalars = [tuple(np.float64(c) for c in patch[:, k]) for k in range(3)]
+    singles = [tuple(patch[:, k:k + 1, None]) for k in range(3)]
     return [
         _direction_grid(181, 361)[2:5],
         _direction_grid(65, 129)[2:5],
-        tuple(patch),
-    ] + scalars
+        tuple(patch[:, :, None]),
+    ] + singles
 
 
 def test_field_matches_per_outcome_reference_bitwise(rng):
-    # the default half grid and 33 x 129 both end in a shorter block
-    assert (91 * 361) % _FIELD_BLOCK and (33 * 129) % _FIELD_BLOCK
+    # the default half grid ends in a shorter block of rows
+    assert 91 % (_FIELD_BLOCK // 361)
     tables = [bloch_matrix(state) for state in kernel_states(rng)]
     for table in tables + signed_zero_tables():
         for directions in direction_sets(rng):
-            new = _cond_entropy_field(table, *directions)
+            new = _field(_general_terms, table, *directions)
             ref = reference_field(table, *directions)
             assert np.shape(new) == np.shape(ref)
             assert np.array_equal(bits(new), bits(ref))
@@ -130,19 +131,20 @@ def test_x_field_matches_per_outcome_reference_bitwise(rng):
     tables = [bloch_matrix(state) for state in kernel_states(rng)] + signed_zero_tables()
     tables = [table for table in tables if not table[_OFF_REAL_X].any()]
     assert len(tables) == 19
-    patch = rng.normal(size=(3, 1053))
+    patch = rng.normal(size=(3, 1053, 1))
     patch /= np.linalg.norm(patch, axis=0)
     # the tie-rule directions (pi/2, 0) and (0.4, 0), and single directions:
     # the equator, the pole and three of the patch
-    ties = (np.sin([np.pi / 2.0, 0.4]), np.zeros(2), np.cos([np.pi / 2.0, 0.4]))
-    singles = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)] + [tuple(patch[:, k]) for k in range(3)]
+    tie_theta = [[np.pi / 2.0], [0.4]]
+    ties = (np.sin(tie_theta), np.zeros((2, 1)), np.cos(tie_theta))
+    singles = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)] + [tuple(patch[:, k, 0]) for k in range(3)]
     direction_sets = [_direction_grid(*grid)[2:5]
                       for grid in ((64, 128), (65, 129), (181, 361), (1000, 1999))]
     direction_sets += [tuple(d[:, :n_rep] for d in long_rows), tuple(patch), ties]
-    direction_sets += [tuple(np.float64(c) for c in single) for single in singles]
+    direction_sets += [tuple(np.array(single)[:, None, None]) for single in singles]
     for table in tables:
         for directions in direction_sets:
-            new = _x_field(table, *directions)
+            new = _field(_x_terms, table, *directions)
             ref = reference_field(table, *directions)
             assert np.shape(new) == np.shape(ref)
             assert np.array_equal(bits(new), bits(ref)), (table, np.shape(new))
@@ -172,62 +174,51 @@ def test_field_kernels_match_reference_bitwise_property():
     @st.composite
     def direction_sets(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        kind = draw(st.sampled_from(("0-d", "1-D", "grid")))
+        kind = draw(st.sampled_from(("single", "column", "grid")))
         if kind == "grid":
             grid = draw(st.integers(2, 80)), draw(st.integers(2, 700))
             return _direction_grid(*grid)[2:5]
-        size = 1 if kind == "0-d" else draw(st.integers(1, 2 * _FIELD_BLOCK + 3))
-        d = rng.normal(size=(3, size))
+        # one direction per row, as the refinement passes them
+        size = 1 if kind == "single" else draw(st.integers(1, 2 * _FIELD_BLOCK + 3))
+        d = rng.normal(size=(3, size, 1))
         # leading poles or equatorial directions, where components are zero
         axis = draw(st.sampled_from(((0, 0, 1), (0, 0, -1), (1, 0, 0), (0, 1, 0))))
-        d[:, : draw(st.integers(0, size))] = np.array(axis)[:, None]
+        d[:, : draw(st.integers(0, size))] = np.array(axis)[:, None, None]
         d /= np.linalg.norm(d, axis=0)
-        return tuple(np.float64(c[0]) for c in d) if kind == "0-d" else tuple(d)
+        return tuple(d)
 
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @hypothesis.given(real_x_tables(), direction_sets())
     def check(table, directions):
         ref = reference_field(table, *directions)
-        for field in (_x_field, _cond_entropy_field):
-            new = field(table, *directions)
+        for terms in (_x_terms, _general_terms):
+            new = _field(terms, table, *directions)
             assert np.shape(new) == np.shape(ref)
-            assert np.array_equal(bits(new), bits(ref)), field.__name__
+            assert np.array_equal(bits(new), bits(ref)), terms.__name__
 
     check()
 
 
-def counted_kernels(monkeypatch):
-    """Patch both field kernels to log the name of each one called."""
-    names = []
-    for name in ("_x_field", "_cond_entropy_field"):
-        def counted(*args, _name=name, _field=getattr(correlations, name)):
-            names.append(_name)
-            return _field(*args)
-
-        monkeypatch.setattr(correlations, name, counted)
-    return names
-
-
 def test_scan_takes_one_kernel_chosen_from_the_table(rng, monkeypatch):
-    names = counted_kernels(monkeypatch)
+    calls = counted_field_calls(monkeypatch)
 
     def kernels(state, grid=(181, 361)):
-        names.clear()
+        calls.clear()
         discord_brute_force(state, grid=grid)
-        return set(names)
+        return {name for name, _ in calls}
 
     pairs = [reduced_rho12(SuperpositionSpec(p, parity, n))
              for p, n in ((0.3, 2), (0.6, 3), (1.0, 5)) for parity in Parity]
     dephased = [apply_dephasing(pair, DephasingChannel.from_gamma(0.4)) for pair in pairs]
     others = rotated_and_complex_x(pairs[2]) + [random_full_rank_state(rng)]
-    assert all(kernels(state) == {"_x_field"} for state in pairs + dephased)
-    assert all(kernels(state) == {"_cond_entropy_field"} for state in others)
+    assert all(kernels(state) == {"_x_terms"} for state in pairs + dephased)
+    assert all(kernels(state) == {"_general_terms"} for state in others)
     # at any grid: 64 x 6000 folds to rows of 3000, 64 x 20000 to rows
     # longer than one block
     assert _direction_grid(64, 6000)[-1] < _FIELD_BLOCK < _direction_grid(64, 20000)[-1]
     for grid in ((64, 6000), (64, 20000)):
-        assert all(kernels(state, grid) == {"_x_field"} for state in pairs[:2] + dephased[:1])
-        assert kernels(others[0], grid) == {"_cond_entropy_field"}
+        assert all(kernels(state, grid) == {"_x_terms"} for state in pairs[:2] + dephased[:1])
+        assert kernels(others[0], grid) == {"_general_terms"}
 
 
 # m = n_phi - 1 odd (the 2 pi - phi fold only), even but not a multiple of
@@ -266,7 +257,8 @@ def test_grid_columns_fold_onto_their_representatives():
         for d, plain in ((d1, st * np.cos(phi)), (d2, st * np.sin(phi))):
             assert np.max(np.abs(d - plain)) <= tol
             assert np.array_equal(np.signbit(d), np.signbit(plain))
-        assert np.array_equal(bits(d3), bits(np.repeat(np.cos(theta)[:, None], n_phi, axis=1)))
+        # d3 is the cos(theta) column, one float per row
+        assert np.array_equal(bits(d3), bits(np.cos(theta)[:, None]))
 
 
 def test_folded_grid_call_matches_the_full_grid_bitwise():
@@ -284,9 +276,9 @@ def test_folded_grid_call_matches_the_full_grid_bitwise():
         _, _, d1, d2, d3, _, n_rep = _direction_grid(n_theta, n_phi)
         reps = [min(phi_orbit(j, n_phi)) for j in range(n_phi)]
         for table in tables:
-            full = _x_field(table, d1, d2, d3)
+            full = _field(_x_terms, table, d1, d2, d3)
             # the scan's grid call
-            folded = _x_field(table, d1[:, :n_rep], d2[:, :n_rep], d3[:, :n_rep])
+            folded = _field(_x_terms, table, d1[:, :n_rep], d2[:, :n_rep], d3[:, :n_rep])
             assert np.array_equal(bits(full), bits(folded[:, reps]))
             # first minimum in (theta, phi) order
             assert (np.unravel_index(np.argmin(full), full.shape)
@@ -310,8 +302,8 @@ def test_bloch_matrix_matches_trace_loop_bitwise(rng):
 def test_scan_memory_does_not_grow_with_the_grid(rng):
     # the cached directions are kept between scans and are not counted; the
     # scan itself should need its field plus the work of one block.  The
-    # pair state takes `_x_field` on the folded grid, a 500 x 500 field
-    # (2 MB); the random state takes the general kernel on the 500 x 1999
+    # pair state takes `_x_terms` on the folded grid, a 500 x 500 field
+    # (2 MB); the random state takes `_general_terms` on the 500 x 1999
     # one (8 MB)
     grid = (1000, 1999)
     _direction_grid(*grid)
@@ -327,36 +319,54 @@ def test_scan_memory_does_not_grow_with_the_grid(rng):
     assert max(peaks) < 16e6
 
 
-def test_x_field_call_memory_peak():
-    # one allocation for 1 - x and the log2 buffer in _outcome_entropy, and
-    # no transverse temporaries alive while it runs: the traced peak of the
-    # folded default-grid call (91 x 91) was 553 kB and that of a
-    # 1 055-direction call (13 patch levels and the two tie directions)
-    # 114 kB while the kernel kept a boolean mask of dead outcomes, and is
-    # 536 kB and 111 kB without it; either may grow by at most 10% over the
-    # former.  Measured in a fresh thread, after one untraced call of each
-    table = bloch_matrix(reduced_rho12(SuperpositionSpec(0.6, Parity.EVEN, 4)))
-    *grid, _, n_rep = _direction_grid(181, 361)[2:]
-    patch = np.random.default_rng(3).normal(size=(3, 1055))
-    patch /= np.linalg.norm(patch, axis=0)
-    calls = {553e3: [d[:, :n_rep] for d in grid], 114e3: tuple(patch)}
-    peaks = {}
+def traced_peaks(calls):
+    """The traced peak of each (terms, table, directions) `_field` call,
+    measured in a fresh thread after one untraced call of each."""
+    peaks = []
 
     def measure():
-        for bound, directions in calls.items():
-            _x_field(table, *directions)
+        for terms, table, directions in calls:
+            _field(terms, table, *directions)
             tracemalloc.start()
             try:
-                _x_field(table, *directions)
-                peaks[bound] = tracemalloc.get_traced_memory()[1]
+                _field(terms, table, *directions)
+                peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
 
     thread = threading.Thread(target=measure)
     thread.start()
     thread.join(timeout=60.0)
-    assert len(peaks) == 2
-    assert all(peak <= 1.1 * bound for bound, peak in peaks.items()), peaks
+    assert len(peaks) == len(calls)
+    return peaks
+
+
+def test_x_field_call_memory_peak():
+    # len_sq and the scratch of _outcome_entropy in one allocation, and no
+    # transverse temporaries alive while it runs: the traced peak of the
+    # folded default-grid call (91 x 91) was 553 kB and that of a
+    # 1 055-direction call (13 patch levels and the two tie directions)
+    # 114 kB while the kernel kept a boolean mask of dead outcomes, and is
+    # 537 kB and 112 kB without it; either may grow by at most 10% over the
+    # former
+    table = bloch_matrix(reduced_rho12(SuperpositionSpec(0.6, Parity.EVEN, 4)))
+    *grid, _, n_rep = _direction_grid(181, 361)[2:]
+    patch = np.random.default_rng(3).normal(size=(3, 1055, 1))
+    patch /= np.linalg.norm(patch, axis=0)
+    bounds = (553e3, 114e3)
+    peaks = traced_peaks([(_x_terms, table, [d[:, :n_rep] for d in grid]),
+                          (_x_terms, table, tuple(patch))])
+    assert all(peak <= 1.1 * bound for bound, peak in zip(bounds, peaks)), peaks
+
+
+def test_general_field_call_memory_peak(rng):
+    # both outcomes and the scratch of _outcome_entropy in one array per
+    # block: the traced peak of a default-grid call on a random full-rank
+    # table, 24 rows per block, is 0.959 MB (1.583 MB when each sum and
+    # outcome was a new array); it may grow by at most 10%
+    table = bloch_matrix(random_full_rank_state(rng))
+    [peak] = traced_peaks([(_general_terms, table, _direction_grid(181, 361)[2:5])])
+    assert peak <= 1.1 * 0.959e6, peak
 
 
 def test_dead_outcome_threshold_is_one_rule_in_every_kernel():
@@ -368,7 +378,7 @@ def test_dead_outcome_threshold_is_one_rule_in_every_kernel():
     # either side of _LIVE_Q.  Flipping the first qubit makes the small
     # outcome the other one
     unit = 2.0 ** -53
-    pole = (np.float64(0.0), np.float64(0.0), np.float64(1.0))
+    pole = tuple(np.array([0.0, 0.0, 1.0])[:, None, None])
     big, r33 = 1.0 - 9 * unit, 5 * unit
     for r22, live in ((4 * unit, False), (5 * unit, True)):
         q = 1.0 - (big - r22 - r33)
@@ -378,8 +388,8 @@ def test_dead_outcome_threshold_is_one_rule_in_every_kernel():
             assert 1.0 - abs(table[3, 0]) == q
             # a live small outcome adds its entropy, 1 bit at r22 = r33,
             # times q/2
-            for field in (_cond_entropy_field, _x_field):
-                assert float(field(table, *pole)) == (0.5 * q if live else 0.0)
+            for terms in (_general_terms, _x_terms):
+                assert _field(terms, table, *pole).item() == (0.5 * q if live else 0.0)
             # the discord of a classical state is 0 (here 0.06 q, from the
             # extra unit of trace) while the minimum counts the mixed
             # outcome; a dead one lowers it by about q/2
@@ -396,7 +406,7 @@ def report_hex(report):
 def test_concurrent_scans_match_a_single_thread_bitwise(rng):
     # numpy releases the GIL in its loops, so scans that shared any work
     # array would mix each other's blocks.  The random states take the
-    # general kernel alongside
+    # general terms alongside
     pair = reduced_rho12(SuperpositionSpec(0.6, Parity.EVEN, 3))
     groups = [
         [reduced_rho12(SuperpositionSpec(p, parity, 4)) for p, parity in

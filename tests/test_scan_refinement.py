@@ -2,13 +2,13 @@
 
 `discord_brute_force` evaluates the refinement patches of every remaining
 level in one field call and evaluates again only after a level improves.
-Each of those calls also evaluates the two tie-rule directions, and every
-call of a pair or dephased state goes through `_x_field`.  A scan whose
-last improving call used up the levels, off the equator, makes one more
-loop call of the two tie directions alone.
+Each of those calls also evaluates the two tie-rule directions, one
+direction per row, and every call of a pair or dephased state takes
+`_x_terms`.  A scan whose last improving call used up the levels, off the
+equator, makes one more loop call of the two tie directions alone.
 `reference_brute_force` below is the scan with one field call per level,
-unchanged but for the name and its return value: the scan must return the
-same bits on every state.
+unchanged but for the name, its return value and the layout of its field
+calls: the scan must return the same bits on every state.
 """
 
 import math
@@ -33,12 +33,13 @@ from catcorr.correlations import (
     _PATCH_POINTS,
     _PATCH_SHRINK,
     _PATCH_STEP_TOL,
-    _cond_entropy_field,
     _direction_grid,
+    _field,
+    _general_terms,
     _spectrum_entropy,
 )
 from catcorr.states import PAULI
-from conftest import random_full_rank_state, unit_direction
+from conftest import counted_field_calls, random_full_rank_state, unit_direction
 
 GRIDS = ((181, 361), (64, 128))
 
@@ -47,7 +48,7 @@ def reference_brute_force(state, grid):
     n_theta, n_phi = grid
     table = bloch_matrix(state)
     theta, phi, d1, d2, d3, _, _ = _direction_grid(n_theta, n_phi)
-    values = _cond_entropy_field(table, d1, d2, d3)
+    values = _field(_general_terms, table, d1, d2, d3)
     flat = int(np.argmin(values))  # first occurrence: lexicographic (theta, phi)
     i, j = divmod(flat, n_phi)
     best_theta, best_phi = float(theta[i]), float(phi[j])
@@ -63,7 +64,7 @@ def reference_brute_force(state, grid):
     while h > _PATCH_STEP_TOL:
         patch = best_dir[:, None] + h * tangent
         patch /= np.linalg.norm(patch, axis=0)
-        patch_vals = _cond_entropy_field(table, *patch)
+        patch_vals = _field(_general_terms, table, *patch[:, :, None])[:, 0]
         k = int(np.argmin(patch_vals))
         if patch_vals[k] < best_val:
             best_val = float(patch_vals[k])
@@ -74,12 +75,13 @@ def reference_brute_force(state, grid):
 
     # the tie-rule directions (pi/2, 0) and (best_theta, 0) in one call
     tie_theta = (math.pi / 2.0, best_theta)
-    equatorial, at_phi0 = _cond_entropy_field(
+    equatorial, at_phi0 = _field(
+        _general_terms,
         table,
-        np.array([math.sin(th) for th in tie_theta]),
-        np.zeros(2),
-        np.array([math.cos(th) for th in tie_theta]),
-    ).tolist()
+        np.array([[math.sin(th)] for th in tie_theta]),
+        np.zeros((2, 1)),
+        np.array([[math.cos(th)] for th in tie_theta]),
+    )[:, 0].tolist()
     if equatorial <= best_val + 1e-12:
         best_theta, best_phi = math.pi / 2.0, 0.0
         best_val = min(best_val, equatorial)
@@ -154,18 +156,6 @@ def ends_on_an_improving_level():
     )
 
 
-def counted_field_calls(monkeypatch):
-    """Patch both field kernels to log (kernel, directions) per call."""
-    calls = []
-    for name in ("_x_field", "_cond_entropy_field"):
-        def counted(table, d1, *rest, _name=name, _field=getattr(correlations, name)):
-            calls.append((_name, np.size(d1)))
-            return _field(table, d1, *rest)
-
-        monkeypatch.setattr(correlations, name, counted)
-    return calls
-
-
 def test_batched_refinement_matches_sequential_loop_bitwise(rng):
     pairs = [reduced_rho12(s) for s in seeded_pair_specs(rng, 60)]
     dephased = [
@@ -198,7 +188,7 @@ def test_pair_state_scan_makes_few_field_calls(rng, monkeypatch):
     for spec in seeded_pair_specs(rng, 100):
         calls.clear()
         discord_brute_force(reduced_rho12(spec))
-        assert calls[0][0] == "_x_field"
+        assert calls[0][0] == "_x_terms"
         per_scan.append(len(calls))
     assert max(per_scan) <= 5
     assert sum(per_scan) / len(per_scan) <= 3.18
@@ -231,7 +221,7 @@ def test_dephased_scan_makes_few_field_calls(rng, monkeypatch):
         state = apply_dephasing(reduced_rho12(spec), DephasingChannel.from_gamma(float(rng.random())))
         calls.clear()
         discord_brute_force(state)
-        assert {name for name, _ in calls} == {"_x_field"}
+        assert {name for name, _ in calls} == {"_x_terms"}
         per_scan.append(len(calls))
     assert max(per_scan) <= 13
     assert sum(per_scan) / len(per_scan) <= 3.07
@@ -239,20 +229,20 @@ def test_dephased_scan_makes_few_field_calls(rng, monkeypatch):
 
 def test_scan_ending_on_an_improving_level_evaluates_the_phi0_tie_again(monkeypatch):
     calls = counted_field_calls(monkeypatch)
-    directions, counted = [], correlations._x_field
+    directions, counted = [], correlations._field
 
-    def recorded(table, *d):
-        directions.append(np.array(d))
-        return counted(table, *d)
+    def recorded(terms, table, *d):
+        directions.append(d)
+        return counted(terms, table, *d)
 
-    monkeypatch.setattr(correlations, "_x_field", recorded)
+    monkeypatch.setattr(correlations, "_field", recorded)
     theta = discord_brute_force(ends_on_an_improving_level()).argmin.theta
     # the loop's last call holds only (pi/2, 0) and (theta*, 0), at the
-    # reported theta*
-    assert calls[-1] == ("_x_field", 2)
-    ties = [[math.sin(th) for th in (math.pi / 2.0, theta)], [0.0, 0.0],
-            [math.cos(th) for th in (math.pi / 2.0, theta)]]
-    assert np.array_equal(directions[-1], ties)
+    # reported theta*, one per row
+    assert calls[-1] == ("_x_terms", 2)
+    ties = [[[math.sin(th)] for th in (math.pi / 2.0, theta)], [[0.0], [0.0]],
+            [[math.cos(th)] for th in (math.pi / 2.0, theta)]]
+    assert np.array_equal(np.array(directions[-1]), ties)
     assert theta != math.pi / 2.0
     # pair states end on the equator, where the tie rule needs no new call
     calls.clear()

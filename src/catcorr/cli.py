@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__
 from .coherent import AlgebraKind, AlgebraSpec, overlap_closed, overlap_series
 from .correlations import (
+    DEFAULT_GRID,
     _check_correlations,
     _concurrence_pure,
     _pair_correlations,
@@ -27,6 +28,7 @@ from .correlations import (
     discord_pure,
 )
 from .dynamics import (
+    DEFAULT_T_STEPS,
     DephasingChannel,
     apply_dephasing,
     concurrence_t,
@@ -34,12 +36,11 @@ from .dynamics import (
     discord_t,
     sudden_death_time,
 )
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError
 from .states import Parity, SuperpositionSpec, _pure_amplitudes, pure_bipartition, reduced_rho12
 
 P_MAX_DEFAULT = 0.999
 P_STEPS_DEFAULT = 500
-T_STEPS_DEFAULT = 200
 # most points a p or t sweep accepts, checked before any grid is allocated
 MAX_SWEEP_STEPS = 10**6
 FIGURE_N_DEFAULT = {1: (2,), 2: (4, 5, 25), 3: (4, 5, 25)}
@@ -351,7 +352,7 @@ def build_parser() -> _Parser:
         "--k", type=int, default=None, help="also report the pure k|(n-k) splitting"
     )
     point.add_argument(
-        "--grid", default="181x361",
+        "--grid", default="{}x{}".format(*DEFAULT_GRID),
         help="measurement scan grid NTHETAxNPHI (default %(default)s)",
     )
     point.set_defaults(run=run_point)
@@ -377,7 +378,7 @@ def build_parser() -> _Parser:
         help="dephasing rate; gamma(t) = 1 - exp(-rate t)",
     )
     dyn.add_argument(
-        "--t-steps", type=int, default=T_STEPS_DEFAULT,
+        "--t-steps", type=int, default=DEFAULT_T_STEPS,
         help=f"number of time points, 2 to {MAX_SWEEP_STEPS} (default %(default)s)",
     )
     dyn.set_defaults(run=run_dynamics)
@@ -393,15 +394,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _emit(args.out, args.run(args))
-    except UsageError as exc:
+    except (UsageError, OSError, ValueError, ConvergenceError) as exc:
         print(f"catcorr: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"catcorr: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, ConvergenceError, ValueError) as exc:
-        print(f"catcorr: {exc}", file=sys.stderr)
-        return 3
+        # DomainError is a ValueError: 1 usage, 2 I/O, 3 domain or numeric
+        return 1 if isinstance(exc, UsageError) else 2 if isinstance(exc, OSError) else 3
     return 0
 
 

@@ -22,7 +22,6 @@ from .errors import ConvergenceError, DomainError
 
 # the series stops once its latest term falls below this, relative to its sum
 SERIES_TOL = 1e-14
-SERIES_TERM_CAP = 10**6
 # roundoff-level excursions of an overlap beyond [0, 1] that are clamped
 OVERLAP_SLACK = 1e-12
 # largest rounding bound of a returned series sum: the oracle's 1e-10 tolerance
@@ -152,10 +151,7 @@ def overlap_closed(alg: AlgebraSpec, z: complex) -> Overlap:
 
 
 def _logaddexp(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
+    # exp(-inf) is 0, so an operand of -inf returns the other one
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))
 
@@ -170,33 +166,28 @@ def overlap_series(alg: AlgebraSpec, z: complex) -> Overlap:
     carried as two positive log-sums.  Terms are added until the latest
     one falls below SERIES_TOL (relative to the running sum, with a 100x
     safety margin so slowly decaying su(1,1) tails stay inside the
-    contract); exceeding SERIES_TERM_CAP raises ConvergenceError, up front
-    for an su(2) ladder of more terms than that.  The two halves cancel, so
-    the sum of n terms carries a rounding bound of n eps (1 + log of its
-    size); a sum whose bound exceeds 1e-10, which is refused as soon as the
-    running bound does, or that ends negative by more than the clamp but
-    within the bound, also raises ConvergenceError.
+    contract) or an su(2) ladder ends.  The two halves cancel, so the sum
+    of n terms carries a rounding bound of n eps (1 + log of its size),
+    and the series raises ConvergenceError as soon as it exceeds 1e-10.
+    log_even starts at 0 and only grows, so this bound caps every series
+    at _SERIES_ROUNDING_MAX / ulp(1), about 4.5e5 terms, and sums long
+    su(2) ladders that converge sooner.  A sum that ends negative by more
+    than the clamp but within its bound also raises ConvergenceError.
     """
     x = _amplitude_sq(alg, z)
     if x == 0.0:
         return Overlap(1.0, alg, z)
-    if alg.kind is AlgebraKind.SU2 and 2.0 * alg.rep_param > SERIES_TERM_CAP:
-        raise ConvergenceError(
-            f"su(2) ladder of {2.0 * alg.rep_param:g} terms exceeds the cap of {SERIES_TERM_CAP}"
-        )
     log_x = math.log(x)
     log_stop = math.log(SERIES_TOL) - math.log(100.0)
-    log_even = 0.0  # n = 0 term
+    log_even = log_sum = 0.0  # the n = 0 term
     log_odd = -math.inf
     log_coeff = 0.0  # log of F(n)!/(n!)^2, running
-    n = 0
+    n, rounding = 0, 0.0
     while True:
-        n += 1
-        f_n = _structure_function(alg, n)
+        f_n = _structure_function(alg, n + 1)
         if f_n == 0.0:
             break  # finite su(2) ladder exhausted
-        if n > SERIES_TERM_CAP:
-            raise ConvergenceError(f"overlap series did not converge in {SERIES_TERM_CAP} terms")
+        n += 1
         log_coeff += math.log(f_n) - 2.0 * math.log(n)
         log_term = log_coeff + n * log_x
         if n % 2 == 0:
@@ -204,23 +195,20 @@ def overlap_series(alg: AlgebraSpec, z: complex) -> Overlap:
         else:
             log_odd = _logaddexp(log_odd, log_term)
         log_sum = _logaddexp(log_even, log_odd)
-        # the bound below only grows with n, so a sum it refuses now would
-        # be refused at the end
-        if n * math.ulp(1.0) * (1.0 + log_sum) > _SERIES_ROUNDING_MAX:
+        # the halves are carried as logarithms up to log_sum in size, so each
+        # of the n terms can cost p about eps * log_sum in rounding
+        rounding = n * math.ulp(1.0) * (1.0 + log_sum)
+        if rounding > _SERIES_ROUNDING_MAX:
             raise ConvergenceError(
                 f"overlap series lost its value to cancellation: the rounding of "
                 f"its first {n} terms already exceeds {_SERIES_ROUNDING_MAX:g}"
             )
         if log_term < log_stop + log_sum:
             break
-    log_den = _logaddexp(log_even, log_odd)
-    p = math.exp(log_even - log_den) - math.exp(log_odd - log_den)
-    # the halves are carried as logarithms up to log_den in size, so each of
-    # the n terms can cost p about eps * log_den in rounding
-    rounding = n * math.ulp(1.0) * (1.0 + log_den)
-    if rounding > _SERIES_ROUNDING_MAX or -rounding <= p < -OVERLAP_SLACK:
+    p = math.exp(log_even - log_sum) - math.exp(log_odd - log_sum)
+    if -rounding <= p < -OVERLAP_SLACK:
         raise ConvergenceError(
             f"overlap series lost its value to cancellation: the even and odd halves "
-            f"differ by {p:.3g}, and the rounding of its {n} terms reaches {rounding:.3g}"
+            f"differ by {p:.3g}, within the rounding {rounding:.3g} of its {n} terms"
         )
     return Overlap(p, alg, z)

@@ -518,10 +518,10 @@ def _polar_slope(
     Nothing is formed from 1 +- a3 c, which cancels near purity.  With
     s2 = sin^2(theta/2), the + outcome has w = 2 (r00 + r11) - 2 a3 s2,
     m = 2 (r00 - r11) - 2 T33 s2, w + m = 4 r00 - 4 (r00 - r22) s2 and
-    w - m = 4 r11 - 4 (r11 - r33) s2; the - outcome w = 2 (r22 + r33) +
-    2 a3 s2, m = 2 (r22 - r33) + 2 T33 s2, w + m = 4 r22 + 4 (r00 - r22) s2
-    and w - m = 4 r33 + 4 (r11 - r33) s2 (its m is b3 - T33 c, so its
-    term takes -m); and w^2 - u = (w - m)(w + m) - T_perp^2 sin^2 theta,
+    w - m = 4 r11 - 4 (r11 - r33) s2; the - outcome has the same with
+    (r00, r11) and (r22, r33) swapped and a3 and T33 negated (its m is
+    b3 - T33 c, so its term takes -m; negation is exact, so one rule
+    serves both); and w^2 - u = (w - m)(w + m) - T_perp^2 sin^2 theta,
     which is w^2 (1 - r^2).  A dead outcome (w not above _LIVE_Q), which
     the objective leaves out, adds nothing.
     """
@@ -538,20 +538,17 @@ def _polar_slope(
     trans = tt * math.sin(theta) ** 2
     ttc = tt * math.cos(theta)
     slope = 0.0
-    for sign, w, m, w_plus_m, w_minus_m in (
-        (1.0, 2.0 * (r00 + r11) - 2.0 * a3 * s2, 2.0 * (r00 - r11) - 2.0 * t33 * s2,
-         4.0 * r00 - 4.0 * (r00 - r22) * s2, 4.0 * r11 - 4.0 * (r11 - r33) * s2),
-        (-1.0, 2.0 * (r22 + r33) + 2.0 * a3 * s2, 2.0 * (r22 - r33) + 2.0 * t33 * s2,
-         4.0 * r22 + 4.0 * (r00 - r22) * s2, 4.0 * r33 + 4.0 * (r11 - r33) * s2),
-    ):
+    for p0, p1, q0, q1, a, t in ((r00, r11, r22, r33, a3, t33), (r22, r33, r00, r11, -a3, -t33)):
+        w = 2.0 * (p0 + p1) - 2.0 * a * s2
         if not w > _LIVE_Q:
             continue
-        d = w_minus_m * w_plus_m - trans
+        m = 2.0 * (p0 - p1) - 2.0 * t * s2
+        d = (4.0 * p1 - 4.0 * (p1 - q1) * s2) * (4.0 * p0 - 4.0 * (p0 - q0) * s2) - trans
         if not d > 0.0:
             return None
         root_u = math.sqrt(trans + m * m)
         k = _atanh_ratio(root_u / w, w, root_u, d)
-        slope += 0.5 * sign * a3 * math.log(d / (w * w)) + k * (sign * t33 * m - ttc) / w
+        slope += 0.5 * a * math.log(d / (w * w)) + k * (t * m - ttc) / w
     return slope
 
 

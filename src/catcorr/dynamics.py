@@ -17,6 +17,9 @@ from .correlations import _discord_x
 from .errors import DomainError, _is_whole
 from .states import SuperpositionSpec, TwoQubitState, _pair_block
 
+# points of a default time grid, and of the dynamics command's --t-steps
+DEFAULT_T_STEPS = 200
+
 
 @dataclass(frozen=True)
 class DephasingChannel:
@@ -125,7 +128,7 @@ def discord_t(spec: SuperpositionSpec, channel: DephasingChannel) -> float:
 
 
 def default_time_grid(
-    spec: SuperpositionSpec, gamma_rate: float, steps: int = 200
+    spec: SuperpositionSpec, gamma_rate: float, steps: int = DEFAULT_T_STEPS
 ) -> np.ndarray:
     """Uniform sweep times: [0, 3 t_death] when the death time is finite
     and positive, otherwise [0, 5/rate].  A rate that is not finite and

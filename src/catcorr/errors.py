@@ -7,7 +7,8 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A series or iteration failed to converge within its hard cap."""
+    """A series lost its value to rounding: its rounding bound passed the
+    tolerance before it converged, or it ended negative within that bound."""
 
 
 def _is_whole(x) -> bool:

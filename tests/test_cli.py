@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import math
 import subprocess
 import sys
@@ -15,7 +16,16 @@ from catcorr import (
     werner_discord,
 )
 from catcorr import cli
-from catcorr.cli import MAX_SWEEP_STEPS, UsageError, _check_sweep, build_parser, main
+from catcorr.cli import (
+    MAX_SWEEP_STEPS,
+    UsageError,
+    _check_sweep,
+    _parse_grid,
+    build_parser,
+    main,
+)
+from catcorr.correlations import DEFAULT_GRID
+from catcorr.dynamics import DEFAULT_T_STEPS, default_time_grid
 
 
 def run_cli(capsys, argv):
@@ -288,6 +298,21 @@ def test_usage_errors_exit_one(capsys):
         assert err.startswith("catcorr:")
 
 
+def test_unparsable_amplitude_exits_one(capsys):
+    code, out, err = run_cli(capsys, ["overlap", "--algebra", "glauber", "--z", "banana"])
+    assert (code, out) == (1, "")
+    assert err == "catcorr: cannot parse amplitude 'banana' as a complex number\n"
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = build_parser()
+    spec = ["--p", "0.5", "--n", "4", "--parity", "even"]
+    assert _parse_grid(parser.parse_args(["point", *spec]).grid) == DEFAULT_GRID
+    t_steps = parser.parse_args(["dynamics", *spec, "--gamma-rate", "1"]).t_steps
+    assert t_steps == DEFAULT_T_STEPS
+    assert inspect.signature(default_time_grid).parameters["steps"].default == DEFAULT_T_STEPS
+
+
 def test_sweep_sizes_above_the_cap_exit_one(capsys, monkeypatch):
     # 10**12 points would need 8 TB for the grid alone; the cap is checked
     # before anything is allocated
@@ -422,7 +447,8 @@ def test_domain_errors_exit_three(capsys):
          "--grid", "1000000x1000000"],  # above the cap, rejected before allocating
         ["overlap", "--algebra", "su2", "--z", "0.3", "--rep-param", "inf"],
         ["overlap", "--algebra", "su2", "--z", "0.3", "--rep-param", "nan"],
-        # the series loses its sign to cancellation / its ladder exceeds the cap
+        # the running rounding bound of the series passes 1e-10, after 298 and
+        # 175 terms
         ["overlap", "--algebra", "su2", "--z", "0.3", "--rep-param", "1e5"],
         ["overlap", "--algebra", "su2", "--z", "0.3", "--rep-param", "1e9"],
         ["point", "--algebra", "su2", "--z", "0.3", "--rep-param", "inf",

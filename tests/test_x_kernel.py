@@ -219,6 +219,18 @@ def test_x_kernel_rejects_nan_like_the_reference():
         _discord_x(*entries)
 
 
+def test_x_kernel_rejects_nan_in_the_second_outcome():
+    # at theta = 0 the first outcome is dead (weight 1 + a3 = 0), so the NaN
+    # Bloch length is met in the second
+    with pytest.raises(DomainError, match="NaN"):
+        _discord_x(0.0, 0.0, 0.5, 0.5, math.nan, 0.0)
+
+
+def test_slope_is_undefined_on_a_pure_equator():
+    # r00 = r33 = 1/2 and T_perp = 1: at pi/2 both outcomes are pure (d = 0)
+    assert _polar_slope(0.5 * math.pi, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 1.0, 1.0) is None
+
+
 def leaving_the_equator():
     # dephased pairs p = 0.846, n = 4, even, whose optimum leaves theta =
     # pi/2 as gamma grows (test_tie_rule_fires_only_within_its_tolerance):
